@@ -20,6 +20,7 @@ from fqcsim import (
     default_grid,
     evolve_nonhermitian,
     propagate,
+    write_csv,
 )
 
 
@@ -43,10 +44,7 @@ def main():
                                   np.array([0.0, 1.0]), times)
         value = d2(series, ref, args.tf).value
         path = out_dir / f"omega0_{omega0:g}.csv"
-        with open(path, "w") as fh:
-            fh.write("t,pi_e_fqc,pi_e_reference\n")
-            for t, a, b in zip(times, series.pi_e, ref.pi_e):
-                fh.write(f"{t:.16e},{a:.16e},{b:.16e}\n")
+        write_csv(path, {"t": times, "pi_e_fqc": series.pi_e, "pi_e_reference": ref.pi_e})
         print(f"omega0={omega0:g}: D2={value:.5f} -> {path}")
 
 

@@ -35,6 +35,7 @@ from .evolve import (
     reduce_density,
     source_term,
     source_term_series,
+    write_csv,
 )
 from .reference import (
     NonHermitianSpec,

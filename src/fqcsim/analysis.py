@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .errors import ConfigError
-from .evolve import TimeSeries, diagonalize
+from .evolve import TimeSeries, diagonalize, write_csv
 from .hamiltonian import DriveSpec, FqcSpec, HamiltonianMatrix
 from .reference import underdamped_discriminant
 
@@ -207,18 +207,14 @@ class SidebandSpectrum:
     t_f_quadrature: float | None = None
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
-        with open(path, "w") as fh:
-            for line in extra_header:
-                fh.write(f"# {line}\n")
-            cols = "k,energy,occupation"
-            if self.occupations_quadrature is not None:
-                cols += ",occupation_quadrature"
-            fh.write(cols + "\n")
-            for i, kk in enumerate(self.k):
-                row = f"{int(kk)},{self.energies[i]:.16e},{self.occupations[i]:.16e}"
-                if self.occupations_quadrature is not None:
-                    row += f",{self.occupations_quadrature[i]:.16e}"
-                fh.write(row + "\n")
+        cols = {
+            "k": np.asarray(self.k, dtype=int),
+            "energy": self.energies,
+            "occupation": self.occupations,
+        }
+        if self.occupations_quadrature is not None:
+            cols["occupation_quadrature"] = self.occupations_quadrature
+        write_csv(path, cols, extra_header)
 
 
 def _closed_form_ck(spec: FqcSpec, drive: DriveSpec, ks: np.ndarray) -> np.ndarray:

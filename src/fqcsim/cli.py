@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .analysis import (
     zeno_time,
 )
 from .errors import ConfigError, NumericalError
-from .evolve import default_grid, propagate, source_term_series
+from .evolve import default_grid, propagate, source_term_series, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -71,10 +72,15 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(data) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for f in fields:
+            if f.name in data and not _has_type(data[f.name], hints[f.name]):
+                raise ConfigError(f"config key {f.name!r} must be {f.type}, "
+                                  f"got {data[f.name]!r}")
         cfg = cls(**data)
         if cfg.model not in ("decay", "rabi", "adaptive"):
             raise ConfigError(f"model must be decay|rabi|adaptive, got {cfg.model!r}")
@@ -89,6 +95,20 @@ class RunConfig:
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a RunConfig annotation: a bool is not an
+    int, an int is a float, list elements are checked and None only fits an
+    Optional field."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_has_type(x, args[0]) for x in value)
+    if args:  # a union: X | None
+        return any(_has_type(value, a) for a in args)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
 
 
 def embedded_config(path) -> dict:
@@ -143,14 +163,8 @@ def cmd_decay(cfg: RunConfig, out: Path) -> None:
     times = default_grid(cfg.t_f, cfg.grid_points)
     series = propagate(h, cfg.initial_state, times)
     ref = decay_single(cfg.gamma, float(series.pi_e[0]), times)
-    header = _header(cfg)
-
-    with open(out / "timeseries.csv", "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("t,pi_e,pi_ref\n")
-        for t, p, q in zip(times, series.pi_e, ref.pi_e):
-            fh.write(f"{t:.16e},{p:.16e},{q:.16e}\n")
+    write_csv(out / "timeseries.csv",
+              {"t": times, "pi_e": series.pi_e, "pi_ref": ref.pi_e}, _header(cfg))
 
     metric = d1(series, cfg.gamma, cfg.t_f)
     try:
@@ -184,15 +198,13 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
     ref.to_csv(out / "reference.csv", extra_header=header)
 
     sources = source_term_series(series, spec)
-    with open(out / "source_terms.csv", "w") as fh:
-        for line in header:
-            fh.write(f"# {line}\n")
-        fh.write("t,s_ge_re,s_ge_im,s_ee_re,s_ee_im\n")
-        for i, t in enumerate(times):
-            fh.write(
-                f"{t:.16e},{sources[i, 0, 1].real:.16e},{sources[i, 0, 1].imag:.16e},"
-                f"{sources[i, 1, 1].real:.16e},{sources[i, 1, 1].imag:.16e}\n"
-            )
+    write_csv(out / "source_terms.csv", {
+        "t": times,
+        "s_ge_re": sources[:, 0, 1].real,
+        "s_ge_im": sources[:, 0, 1].imag,
+        "s_ee_re": sources[:, 1, 1].real,
+        "s_ee_im": sources[:, 1, 1].imag,
+    }, header)
 
     payload = {"d2": d2(series, ref, cfg.t_f).to_json()}
     if with_sidebands:
@@ -232,8 +244,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> None:
     _dump_json(out / "fit.json", payload, cfg)
 
 
-def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, adaptive: bool,
-              normalize: bool = False) -> None:
+def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = False) -> None:
     if size_scan:
         sizes = cfg.sizes or list(range(10, 81, 2))
         scan = run_size_scan(
@@ -243,7 +254,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, adaptive: bool,
             gamma=cfg.gamma,
             t_f=cfg.t_f,
             grid_points=cfg.grid_points,
-            include_adaptive=adaptive or any(s % 2 == 0 for s in sizes),
             hole_half_width=cfg.hole_half_width,
         )
         scan.to_csv(out / "size_scan.csv", extra_header=_header(cfg))
@@ -344,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v-step", type=float, default=0.01)
     p.add_argument("--size-scan", action="store_true")
     p.add_argument("--sizes", type=str, help="comma-separated FQC sizes")
-    p.add_argument("--adaptive", action="store_true")
     p.add_argument("--normalize", action="store_true",
                    help="rescale the map to its maximum value")
     p = sub.add_parser("sidebands", help="FQC occupation spectrum under driving")
@@ -399,7 +408,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         "v_values": ("v_min", "v_max", "v_step"),
     }.items():
         lo_v, hi_v = getattr(args, lo, None), getattr(args, hi, None)
-        if lo_v is not None and hi_v is not None:
+        if (lo_v is None) != (hi_v is None):
+            raise ConfigError(f"--{lo.replace('_', '-')} and --{hi.replace('_', '-')} "
+                              "must be given together")
+        if lo_v is not None:
             st = getattr(args, step)
             if axis == "n_values":
                 data[axis] = list(range(lo_v, hi_v + 1, st))
@@ -420,7 +432,7 @@ def main(argv=None) -> int:
         elif args.command == "rabi":
             cmd_rabi(cfg, out, args.sidebands, args.markov)
         elif args.command == "sweep":
-            cmd_sweep(cfg, out, args.size_scan, args.adaptive, args.normalize)
+            cmd_sweep(cfg, out, args.size_scan, args.normalize)
         elif args.command == "sidebands":
             cmd_sidebands(cfg, out)
         elif args.command == "markov":

@@ -30,12 +30,38 @@ __all__ = [
     "source_term",
     "source_term_series",
     "memory_kernel",
+    "write_csv",
 ]
 
 NORM_TOL = 1e-10
 
-# Full precision scientific notation, 17 significant digits.
-_FMT = "{:.16e}".format
+
+def write_csv(path, columns: dict, header: tuple[str, ...] = ()) -> None:
+    """Write equal-length columns as CSV, the one writer of every CSV output.
+
+    Float columns use full-precision scientific notation (17 significant
+    digits); integer and string columns are written with `str`.  Each header
+    line becomes a leading `# ` comment.
+    """
+    cells = []
+    for values in columns.values():
+        arr = np.asarray(values)
+        fmt = "{:.16e}".format if arr.dtype.kind == "f" else str
+        cells.append([fmt(x) for x in arr.tolist()])
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in header)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _rho_columns(rho: np.ndarray, labels) -> dict:
+    """Real and imaginary part of every entry of a (nt, d, d) density series."""
+    cols = {}
+    for a, la in enumerate(labels):
+        for b, lb in enumerate(labels):
+            cols[f"rho_{la}{lb}_re"] = rho[:, a, b].real
+            cols[f"rho_{la}{lb}_im"] = rho[:, a, b].imag
+    return cols
 
 
 @dataclass
@@ -116,21 +142,9 @@ class DensitySeries:
         return self.rho.shape[-1]
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
-        cols = ["t", "pi_e"]
-        labels = ("g", "e")[-self.dim:]
-        for a in range(self.dim):
-            for b in range(self.dim):
-                cols += [f"rho_{labels[a]}{labels[b]}_re", f"rho_{labels[a]}{labels[b]}_im"]
-        with open(path, "w") as fh:
-            for line in extra_header:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, self.pi_e[i]]
-                for a in range(self.dim):
-                    for b in range(self.dim):
-                        row += [self.rho[i, a, b].real, self.rho[i, a, b].imag]
-                fh.write(",".join(_FMT(x) for x in row) + "\n")
+        cols = {"t": self.times, "pi_e": self.pi_e}
+        cols.update(_rho_columns(self.rho, ("g", "e")[-self.dim:]))
+        write_csv(path, cols, extra_header)
 
     def to_json(self) -> dict:
         return {
@@ -187,28 +201,13 @@ class TimeSeries:
 
     def to_csv(self, path, include_fqc: bool = False,
                extra_header: tuple[str, ...] = ()) -> None:
-        d = self.system_dim
-        labels = self.basis_labels[:d]
-        cols = ["t", "pi_e"]
-        for a in range(d):
-            for b in range(d):
-                cols += [f"rho_{labels[a]}{labels[b]}_re", f"rho_{labels[a]}{labels[b]}_im"]
+        cols = {"t": self.times, "pi_e": self.pi_e}
+        cols.update(_rho_columns(self.reduced().rho, self.basis_labels[:self.system_dim]))
         if include_fqc:
-            cols += [f"p_{lab}" for lab in self.fqc_labels()]
-        rho = self.reduced().rho
-        pops = self.fqc_populations() if include_fqc else None
-        with open(path, "w") as fh:
-            for line in extra_header:
-                fh.write(f"# {line}\n")
-            fh.write(",".join(cols) + "\n")
-            for i, t in enumerate(self.times):
-                row = [t, self.pi_e[i]]
-                for a in range(d):
-                    for b in range(d):
-                        row += [rho[i, a, b].real, rho[i, a, b].imag]
-                if pops is not None:
-                    row += list(pops[i])
-                fh.write(",".join(_FMT(x) for x in row) + "\n")
+            pops = self.fqc_populations()
+            for i, lab in enumerate(self.fqc_labels()):
+                cols[f"p_{lab}"] = pops[:, i]
+        write_csv(path, cols, extra_header)
 
     def to_json(self) -> dict:
         out = {
@@ -297,12 +296,8 @@ def source_term(psi: StateVector, spec: FqcSpec) -> np.ndarray:
     """
     if psi.basis_labels[0] != "g":
         raise ConfigError("source_term needs a two-level basis (g, e, ...)")
-    cg, ce = psi.amplitudes[0], psi.amplitudes[1]
-    cf = psi.amplitudes[2:]
-    v = spec.coupling_v
-    lam = v * cg * np.sum(cf.conj())
-    eta = v * (np.sum(cf) * ce.conj() - ce * np.sum(cf.conj()))
-    return np.array([[0.0, -lam], [lam.conjugate(), eta]], dtype=complex)
+    amps = psi.amplitudes
+    return _source_matrices(spec.coupling_v, amps[0], amps[1], amps[2:].sum())
 
 
 def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.ndarray:
@@ -310,16 +305,18 @@ def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.nd
     if series.system_dim != 2:
         raise ConfigError("source_term_series needs a two-level series")
     spec = spec or series.spec
-    cg = series.amplitudes[:, 0]
-    ce = series.amplitudes[:, 1]
-    sf = series.amplitudes[:, 2:].sum(axis=1)
-    v = spec.coupling_v
+    amps = series.amplitudes
+    return _source_matrices(spec.coupling_v, amps[:, 0], amps[:, 1], amps[:, 2:].sum(axis=1))
+
+
+def _source_matrices(v: float, cg, ce, sf) -> np.ndarray:
+    """Source matrices from c_g, c_e and sf = sum_k c_k (scalars or arrays)."""
     lam = v * cg * sf.conj()
     eta = v * (sf * ce.conj() - ce * sf.conj())
-    out = np.zeros((series.times.size, 2, 2), dtype=complex)
-    out[:, 0, 1] = -lam
-    out[:, 1, 0] = lam.conj()
-    out[:, 1, 1] = eta
+    out = np.zeros(np.shape(cg) + (2, 2), dtype=complex)
+    out[..., 0, 1] = -lam
+    out[..., 1, 0] = lam.conj()
+    out[..., 1, 1] = eta
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import Eigensystem, TimeSeries, diagonalize
+from .evolve import Eigensystem, TimeSeries, diagonalize, write_csv
 from .hamiltonian import HamiltonianMatrix
 
 __all__ = [
@@ -68,16 +68,14 @@ def trace_distance(rho, sigma) -> float:
     if d == 1:
         return 0.5 * abs(diff[0, 0].real)
     if d == 2:
-        return float(_td_two_by_two(diff[None, :, :])[0])
+        return float(_td_two_by_two(diff[0, 0].real, diff[1, 1].real, diff[0, 1]))
     ev = np.linalg.eigvalsh(diff)
     return 0.5 * float(np.abs(ev).sum())
 
 
-def _td_two_by_two(diff: np.ndarray) -> np.ndarray:
-    """Half trace norm for a stack of Hermitian 2x2 matrices, closed form."""
-    a = diff[:, 0, 0].real
-    d = diff[:, 1, 1].real
-    b = diff[:, 0, 1]
+def _td_two_by_two(a, d, b):
+    """Half trace norm of Hermitian 2x2 matrices [[a, b], [b*, d]], closed
+    form; a and d real, b complex, each a scalar or an array."""
     half_sum = 0.5 * (a + d)
     rad = np.sqrt((0.5 * (a - d)) ** 2 + np.abs(b) ** 2)
     return 0.5 * (np.abs(half_sum + rad) + np.abs(half_sum - rad))
@@ -139,7 +137,8 @@ def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
         ra, rb = _embed_classical(ra), _embed_classical(rb)
     mask = _window(ta, t_f)
     t = ta[mask]
-    td = _td_two_by_two(ra[mask] - rb[mask])
+    diff = ra[mask] - rb[mask]
+    td = _td_two_by_two(diff[:, 0, 0].real, diff[:, 1, 1].real, diff[:, 0, 1])
     value = float(np.trapezoid(td, t) / t_f)
     return MetricResult(value, t_f, int(t.size), "trapezoid of trace distance")
 
@@ -175,12 +174,7 @@ class NonMarkovianityResult:
         }
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
-        with open(path, "w") as fh:
-            for line in extra_header:
-                fh.write(f"# {line}\n")
-            fh.write("t,sigma\n")
-            for t, s in zip(self.times, self.sigma):
-                fh.write(f"{t:.16e},{s:.16e}\n")
+        write_csv(path, {"t": self.times, "sigma": self.sigma}, extra_header)
 
 
 def _sample_pairs(rng, count: int, dim: int, subspace: str) -> np.ndarray:
@@ -247,9 +241,7 @@ def nonmarkovianity(
     dgg = np.abs(cg[:, 0]) ** 2 - np.abs(cg[:, 1]) ** 2
     dee = np.abs(ce[:, 0]) ** 2 - np.abs(ce[:, 1]) ** 2
     dge = cg[:, 0] * ce[:, 0].conj() - cg[:, 1] * ce[:, 1].conj()
-    half_sum = 0.5 * (dgg + dee)
-    rad = np.sqrt((0.5 * (dgg - dee)) ** 2 + np.abs(dge) ** 2)
-    td = 0.5 * (np.abs(half_sum + rad) + np.abs(half_sum - rad))  # (count, nt)
+    td = _td_two_by_two(dgg, dee, dge)              # (count, nt)
 
     inc = np.clip(np.diff(td, axis=1), 0.0, None)
     sig_pairs = np.concatenate(

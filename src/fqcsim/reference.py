@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .evolve import DensitySeries
 from .hamiltonian import DriveSpec
 
@@ -67,48 +66,24 @@ def evolve_nonhermitian(
     spec: NonHermitianSpec,
     psi0: np.ndarray,
     times: np.ndarray,
-    method: str = "eig",
 ) -> DensitySeries:
     """Propagate rho(t) = e^{-i H_eff t} |psi0><psi0| e^{+i H_eff^dag t}.
 
-    method="eig" diagonalizes the 2x2 once (falling back to per-point expm
-    near the defective critical point); method="ode" integrates the
-    commutator-plus-anticommutator equation of motion directly and exists as
-    an independent cross-check of the propagator.
+    Diagonalizes the 2x2 H_eff once and phase-rotates its eigenvectors; near
+    the defective critical point, where the eigenvector matrix is singular,
+    it falls back to a matrix exponential at every time.
     """
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     times = np.asarray(times, dtype=float)
     heff = effective_hamiltonian(spec)
-
-    if method == "eig":
-        w, wv = np.linalg.eig(heff)
-        if np.linalg.cond(wv) < 1e6:
-            c = np.linalg.solve(wv, psi0)
-            psits = (np.exp(-1j * np.outer(times, w)) * c) @ wv.T
-        else:  # defective (critical) point: exponentiate per time
-            psits = np.array([expm(-1j * heff * t) @ psi0 for t in times])
-        rho = psits[:, :, None] * psits.conj()[:, None, :]
-        return DensitySeries(times, rho)
-
-    if method == "ode":
-        h0 = heff.real.astype(complex)
-        hd = np.diag([0.0, -0.5 * spec.gamma]).astype(complex)
-
-        def rhs(_t, y):
-            rho = y.reshape(2, 2)
-            drho = -1j * (h0 @ rho - rho @ h0) + (hd @ rho + rho @ hd)
-            return drho.reshape(-1)
-
-        rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
-        sol = solve_ivp(
-            rhs, (times[0], times[-1]), rho0, t_eval=times,
-            rtol=1e-11, atol=1e-13, method="DOP853",
-        )
-        if not sol.success:
-            raise NumericalError(f"ODE integration failed: {sol.message}")
-        return DensitySeries(times, sol.y.T.reshape(-1, 2, 2))
-
-    raise ConfigError(f"unknown method {method!r}")
+    w, wv = np.linalg.eig(heff)
+    if np.linalg.cond(wv) < 1e6:
+        c = np.linalg.solve(wv, psi0)
+        psits = (np.exp(-1j * np.outer(times, w)) * c) @ wv.T
+    else:  # defective (critical) point: exponentiate per time
+        psits = np.array([expm(-1j * heff * t) @ psi0 for t in times])
+    rho = psits[:, :, None] * psits.conj()[:, None, :]
+    return DensitySeries(times, rho)
 
 
 def underdamped_discriminant(gamma: float, omega0: float) -> float:

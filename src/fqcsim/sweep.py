@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import default_grid, propagate
+from .evolve import default_grid, propagate, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -51,6 +50,20 @@ def parallel_workers(requested: int | None = None) -> int:
     cap = os.environ.get("FQCSIM_THREADS")
     limit = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, limit if requested is None else min(requested, limit))
+
+
+def _run_pool(job, tasks: list, max_workers: int | None) -> list:
+    """Run job on every task in a thread pool; each result, or the exception
+    it raised, comes back in task order."""
+
+    def safe(task):
+        try:
+            return job(task)
+        except Exception as exc:  # handed back to the caller
+            return exc
+
+    with ThreadPoolExecutor(max_workers=parallel_workers(max_workers)) as pool:
+        return list(pool.map(safe, tasks))
 
 
 @dataclass(frozen=True)
@@ -96,13 +109,13 @@ class SweepMap:
     provenance: dict = field(default_factory=dict)
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
-        with open(path, "w") as fh:
-            for line in extra_header:
-                fh.write(f"# {line}\n")
-            fh.write("n,v,value\n")
-            for i, n in enumerate(self.grid.n_values):
-                for j, v in enumerate(self.grid.v_values):
-                    fh.write(f"{n},{v:.16e},{self.values[i, j]:.16e}\n")
+        nn, nv = len(self.grid.n_values), len(self.grid.v_values)
+        cols = {
+            "n": np.repeat(np.asarray(self.grid.n_values), nv),
+            "v": np.tile(np.asarray(self.grid.v_values, dtype=float), nn),
+            "value": np.ravel(self.values),
+        }
+        write_csv(path, cols, extra_header)
 
     def to_json(self) -> dict:
         return {
@@ -128,19 +141,7 @@ class SweepMap:
             json.dump(self.to_json(), fh, sort_keys=True)
 
 
-class _CellBudget:
-    """Cooperative wall-clock budget, checked between cell stages."""
-
-    def __init__(self, seconds: float):
-        self.deadline = time.monotonic() + seconds
-
-    def check(self, stage: str) -> None:
-        if time.monotonic() > self.deadline:
-            raise FqcsimError(f"cell budget exceeded during {stage}")
-
-
-def _run_cell(n: int, v: float, fx: SweepFixed, metric: str, budget_s: float) -> float:
-    budget = _CellBudget(budget_s)
+def _run_cell(n: int, v: float, fx: SweepFixed, metric: str) -> float:
     times = default_grid(fx.t_f, fx.grid_points)
     drive = DriveSpec(fx.omega0, fx.detuning)
     if fx.model == "single":
@@ -152,9 +153,7 @@ def _run_cell(n: int, v: float, fx: SweepFixed, metric: str, budget_s: float) ->
             fx.hole_half_width if fx.hole_half_width is not None else fx.omega0 / 2.0
         )
         h = build_adaptive(FqcSpec(n, v, fx.gamma, hole), drive)
-    budget.check("hamiltonian build")
     series = propagate(h, "e", times)
-    budget.check("propagation")
     if metric == "d1":
         return d1(series, fx.gamma, fx.t_f).value
     if metric == "d2":
@@ -165,7 +164,6 @@ def _run_cell(n: int, v: float, fx: SweepFixed, metric: str, budget_s: float) ->
             return d1(series, fx.gamma, fx.t_f).value
         return d2(series, ref, fx.t_f).value
     report = fit_effective_params(series, fx.t_f)
-    budget.check("fit")
     if not report.converged:
         raise FqcsimError("effective-parameter fit did not converge")
     return report.residual_norm / math.sqrt(report.grid_points)
@@ -174,7 +172,6 @@ def _run_cell(n: int, v: float, fx: SweepFixed, metric: str, budget_s: float) ->
 def run_sweep(
     grid: SweepGrid,
     max_workers: int | None = None,
-    cell_budget_s: float = 30.0,
     seed: int = 0,
 ) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
@@ -189,17 +186,10 @@ def run_sweep(
 
     def job(idx):
         i, j = idx
-        return _run_cell(
-            grid.n_values[i], grid.v_values[j], grid.fixed, grid.metric, cell_budget_s
-        )
+        return _run_cell(grid.n_values[i], grid.v_values[j], grid.fixed, grid.metric)
 
     indices = [(i, j) for i in range(nn) for j in range(nv)]
-    workers = parallel_workers(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda ix: _safe(job, ix), indices))
-    else:
-        results = [_safe(job, ix) for ix in indices]
+    results = _run_pool(job, indices, max_workers)
     for (i, j), res in zip(indices, results):
         if isinstance(res, Exception):
             errors.append({"i": i, "j": j, "error": str(res)})
@@ -212,13 +202,6 @@ def run_sweep(
         errors,
         provenance={"seed": seed, "package_version": __version__},
     )
-
-
-def _safe(fn, arg):
-    try:
-        return fn(arg)
-    except Exception as exc:  # recorded per cell
-        return exc
 
 
 @dataclass
@@ -237,15 +220,15 @@ class SizeScanResult:
     provenance: dict = field(default_factory=dict)
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
-        with open(path, "w") as fh:
-            for line in extra_header:
-                fh.write(f"# {line}\n")
-            fh.write("variant,n_fqc,omega_eff,gamma_eff,d2,converged\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.variant},{r.n_fqc},{r.omega_eff:.16e},{r.gamma_eff:.16e},"
-                    f"{r.d2:.16e},{int(r.converged)}\n"
-                )
+        cols = {
+            "variant": [r.variant for r in self.rows],
+            "n_fqc": [r.n_fqc for r in self.rows],
+            "omega_eff": [r.omega_eff for r in self.rows],
+            "gamma_eff": [r.gamma_eff for r in self.rows],
+            "d2": [r.d2 for r in self.rows],
+            "converged": [int(r.converged) for r in self.rows],
+        }
+        write_csv(path, cols, extra_header)
 
     def to_json(self) -> dict:
         return {
@@ -261,8 +244,6 @@ def run_size_scan(
     gamma: float = 1.0,
     t_f: float = 16.0,
     grid_points: int = 4001,
-    include_flat: bool = True,
-    include_adaptive: bool = True,
     hole_half_width: float | None = None,
     max_workers: int | None = None,
 ) -> SizeScanResult:
@@ -280,12 +261,7 @@ def run_size_scan(
     )
     half_width = hole_half_width if hole_half_width is not None else drive.rabi_omega0 / 2.0
 
-    tasks: list[tuple[str, int]] = []
-    for s in sizes:
-        if include_flat and s % 2 == 1:
-            tasks.append(("flat", s))
-        if include_adaptive and s % 2 == 0:
-            tasks.append(("adaptive", s))
+    tasks = [("flat" if s % 2 else "adaptive", s) for s in sizes]
 
     def job(task):
         variant, s = task
@@ -304,12 +280,10 @@ def run_size_scan(
             dist, fit.converged,
         )
 
-    workers = parallel_workers(max_workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, tasks))
-    else:
-        rows = [job(t) for t in tasks]
+    rows = _run_pool(job, tasks, max_workers)
+    failed = next((r for r in rows if isinstance(r, Exception)), None)
+    if failed is not None:
+        raise failed
     return SizeScanResult(
         rows,
         provenance={

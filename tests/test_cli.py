@@ -67,6 +67,41 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run(["decay", "--config", cfg, "--out", tmp_path / "x"]) == 2
 
 
+@pytest.mark.parametrize("entry", [
+    {"n_half": "15"},
+    {"n_half": True},
+    {"n_half": 15.0},
+    {"coupling_v": "0.3"},
+    {"coupling_v": False},
+    {"t_f": None},
+    {"hole_half_width": "1"},
+    {"sizes": [10, "11"]},
+    {"sizes": 10},
+    {"v_values": [0.2, True]},
+    {"initial_state": 1},
+])
+def test_wrong_config_type_rejected(tmp_path, entry):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    assert run(["decay", "--config", cfg, "--out", tmp_path / "x"] + FAST) == 2
+
+
+def test_int_accepted_for_float_and_none_for_optional(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"coupling_v": 0, "t_f": 4, "hole_half_width": None,
+                               "v_values": [1, 0.5]}))
+    out = tmp_path / "run"
+    assert run(["decay", "--config", cfg, "--out", out, "--n", 4] + FAST) == 0
+    assert json.loads((out / "metrics.json").read_text())["config"]["t_f"] == 4
+
+
+@pytest.mark.parametrize("bounds", [
+    ["--n-min", 3], ["--n-max", 5], ["--v-min", 0.2], ["--v-max", 0.3],
+])
+def test_sweep_half_given_axis_bounds_rejected(tmp_path, bounds):
+    assert run(["sweep", "--out", tmp_path / "x", "--metric", "d1"] + bounds) == 2
+
+
 def test_invalid_value_rejected(tmp_path):
     assert run(["decay", "--out", tmp_path / "x", "--v", -0.3]) == 2
 
@@ -165,7 +200,7 @@ def test_sweep_normalize_flag(tmp_path):
 
 def test_sweep_size_scan(tmp_path):
     out = tmp_path / "run"
-    assert run(["sweep", "--out", out, "--size-scan", "--adaptive",
+    assert run(["sweep", "--out", out, "--size-scan",
                 "--sizes", "34,35", "--omega0", 10.0, "--v", 0.3,
                 "--tf", 12, "--grid-points", "1201"]) == 0
     payload = json.loads((out / "size_scan.json").read_text())

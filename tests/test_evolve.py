@@ -21,6 +21,7 @@ from fqcsim import (
     source_infinity,
     source_term,
     source_term_series,
+    write_csv,
 )
 
 
@@ -254,3 +255,21 @@ def test_timeseries_csv_and_json(tmp_path):
     back = json.loads(blob)
     assert back["basis_labels"][:2] == ["g", "e"]
     np.testing.assert_allclose(back["pi_e"], series.pi_e)
+
+
+def test_write_csv_byte_format(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, {
+        "n": [1, -2, 30],
+        "variant": ["flat", "adaptive", "x"],
+        "x": np.array([np.nan, -0.0, 1e-300]),
+        "y": [1e300, 0.1, 2],
+    }, header=("fqcsim-version: 1", "note"))
+    assert path.read_text() == (
+        "# fqcsim-version: 1\n"
+        "# note\n"
+        "n,variant,x,y\n"
+        "1,flat,nan,1.0000000000000001e+300\n"
+        "-2,adaptive,-0.0000000000000000e+00,1.0000000000000001e-01\n"
+        "30,x,1.0000000000000000e-300,2.0000000000000000e+00\n"
+    )

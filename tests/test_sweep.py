@@ -154,3 +154,10 @@ def test_size_scan_serialization(tmp_path):
     assert lines[0] == "variant,n_fqc,omega_eff,gamma_eff,d2,converged"
     assert len(lines) == 3
     json.dumps(scan.to_json())
+
+
+def test_size_scan_reraises_failing_task():
+    # an adaptive FQC needs v > 0: the failure propagates, no NaN row is written
+    with pytest.raises(ConfigError, match="coupling_v > 0"):
+        run_size_scan([10, 11], DriveSpec(2.0, 0.0), coupling_v=0.0,
+                      t_f=6.0, grid_points=301)
