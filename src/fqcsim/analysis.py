@@ -101,13 +101,16 @@ def zeno_time(series: TimeSeries) -> FitReport:
 
 
 def _refine_parabolic(times: np.ndarray, y: np.ndarray, i: int) -> float:
+    """Vertex of the parabola through samples i-1, i, i+1 (any spacing)."""
     if i <= 0 or i >= y.size - 1:
         return float(times[i])
-    den = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if den == 0:
+    h_left, h_right = times[i] - times[i - 1], times[i + 1] - times[i]
+    s_left = (y[i] - y[i - 1]) / h_left
+    s_right = (y[i + 1] - y[i]) / h_right
+    if s_right == s_left:
         return float(times[i])
-    shift = 0.5 * (y[i - 1] - y[i + 1]) / den
-    return float(times[i] + shift * (times[1] - times[0]))
+    shift = -(s_left * h_right + s_right * h_left) / (2.0 * (s_right - s_left))
+    return float(times[i] + shift)
 
 
 def revival_time(

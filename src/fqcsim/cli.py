@@ -3,7 +3,8 @@
 Every output file embeds the fully resolved configuration (JSON blob in a
 leading comment line for CSV, a "config" key for JSON), so any result can be
 reproduced bit-exactly by re-running from the file itself.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
+0 success, 2 configuration error, 3 numerical failure or any other package
+error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .analysis import (
     sideband_spectrum,
     zeno_time,
 )
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, FqcsimError, NumericalError
 from .evolve import default_grid, propagate, source_term_series, write_csv
 from .hamiltonian import (
     DriveSpec,
@@ -452,6 +453,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except FqcsimError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

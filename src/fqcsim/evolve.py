@@ -3,12 +3,14 @@
 Propagation uses a one-time eigendecomposition followed by phase rotation,
 |psi(t)> = sum_n <psi_n|psi_0> exp(-i E_n t) |psi_n>, so there is no stepper
 and no truncation error to tune: the value at any grid time is independent of
-the rest of the grid.
+the rest of the grid up to rounding (1e-12), not bit for bit, because uniform
+grids evaluate the phases in blocks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,8 +116,14 @@ def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
 
 
 def default_grid(t_f: float, points: int = 2001) -> np.ndarray:
-    """Uniform time grid on [0, t_f]. Metrics should converge to 1e-4 under
-    doubling of `points`; 2001 is ample for every regime studied here."""
+    """Uniform time grid on [0, t_f].
+
+    The metrics `d1` and `d2` converge to 1e-4 under doubling of `points`;
+    2001 is ample for every regime studied here (tests check the `(N, v)` map
+    and size-scan domains).  The fitted omega_eff and gamma_eff are not
+    covered: gamma_eff moves by up to 5.5e-4 relative from 4001 to 8001
+    points, which follows the fit's stopping tolerance, not the grid.
+    """
     if t_f <= 0 or points < 2:
         raise ConfigError("grid needs t_f > 0 and at least 2 points")
     return np.linspace(0.0, t_f, points)
@@ -155,20 +163,51 @@ class DensitySeries:
         }
 
 
-@dataclass(eq=False)
 class TimeSeries:
     """Propagated amplitudes on a time grid plus run provenance.
 
     `energy_variance0` is <H^2> - <H>^2 in the initial state; it sets the
     curvature of the short-time survival probability (Zeno time).
+
+    Everything but `amplitudes`, `fqc_populations` and the FQC columns of the
+    outputs reads only the projections: the system amplitudes and, on a
+    two-level basis, sum_k c_k.  A series from `propagate` holds just those
+    and builds the full (nt, dim) `amplitudes` on first read.
     """
 
-    times: np.ndarray
-    amplitudes: np.ndarray
-    basis_labels: tuple[str, ...]
-    spec: FqcSpec | None = None
-    drive: DriveSpec | None = None
-    energy_variance0: float = 0.0
+    def __init__(
+        self,
+        times: np.ndarray,
+        amplitudes: np.ndarray | None,
+        basis_labels: tuple[str, ...],
+        spec: FqcSpec | None = None,
+        drive: DriveSpec | None = None,
+        energy_variance0: float = 0.0,
+    ):
+        self.times = times
+        self.basis_labels = basis_labels
+        self.spec = spec
+        self.drive = drive
+        self.energy_variance0 = energy_variance0
+        self._amplitudes = amplitudes
+        self._build = None
+        self._proj = None
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._amplitudes is None:
+            self._amplitudes = self._build()
+        return self._amplitudes
+
+    def _projected(self) -> np.ndarray:
+        """System amplitudes, then sum_k c_k on a two-level basis: (nt, 1|3)."""
+        if self._proj is None:
+            amps = self.amplitudes
+            if self.system_dim == 1:
+                self._proj = amps[:, :1]
+            else:
+                self._proj = np.column_stack([amps[:, :2], amps[:, 2:].sum(axis=1)])
+        return self._proj
 
     @property
     def e_index(self) -> int:
@@ -180,16 +219,15 @@ class TimeSeries:
 
     @property
     def pi_e(self) -> np.ndarray:
-        return np.abs(self.amplitudes[:, self.e_index]) ** 2
+        return np.abs(self._projected()[:, self.e_index]) ** 2
 
     @property
     def pi_g(self) -> np.ndarray | None:
-        return np.abs(self.amplitudes[:, 0]) ** 2 if self.system_dim == 2 else None
+        return np.abs(self._projected()[:, 0]) ** 2 if self.system_dim == 2 else None
 
     def reduced(self) -> DensitySeries:
         """Project every state onto the system block: rho_ab = c_a c_b*."""
-        d = self.system_dim
-        c = self.amplitudes[:, :d]
+        c = self._projected()[:, :self.system_dim]
         rho = c[:, :, None] * c.conj()[:, None, :]
         return DensitySeries(self.times, rho)
 
@@ -251,8 +289,16 @@ def propagate(
 ) -> TimeSeries:
     """Evolve psi0 under h on the given grid by spectral phase rotation.
 
-    A precomputed Eigensystem may be shared read-only across many calls.
-    Norm conservation is checked at every grid point (1e-10).
+    Only the projections are computed here: c_e on a single-level basis;
+    c_g, c_e and sum_k c_k on a two-level one.  They feed `pi_e`, `pi_g`,
+    `reduced()` and `source_term_series`.  The full (nt, dim) `amplitudes`
+    are built through the same phase kernel on first read (by
+    `fqc_populations`, `to_csv(include_fqc=True)` or `to_json`).
+
+    A precomputed Eigensystem may be shared read-only across many calls.  Its
+    basis V is checked once: ||V^T V - I||_F <= 1e-10 bounds the 2-norm of the
+    Gram defect, and with it the norm drift | ||psi(t)|| / ||psi(0)|| - 1 | at
+    every grid time (up to rounding); NumericalError otherwise.
     """
     if psi0 is None or isinstance(psi0, str):
         psi0 = basis_state(h, psi0 or "e")
@@ -263,18 +309,49 @@ def propagate(
         raise ConfigError("time grid must be 1d and strictly increasing")
     if eig is None:
         eig = diagonalize(h)
-    a = eig.vectors.T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(times, eig.values))
-    amps = (phases * a) @ eig.vectors.T
-    norms = np.linalg.norm(amps, axis=1)
-    worst = np.abs(norms - 1.0).max()
-    if worst > NORM_TOL:
-        raise NumericalError(f"norm drift {worst} exceeds {NORM_TOL}")
+    values, vectors = eig.values, eig.vectors
+    defect = np.linalg.norm(vectors.T @ vectors - np.eye(h.dim))
+    if not defect <= NORM_TOL:
+        raise NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
+    a = vectors.T @ psi0.amplitudes
+    rows = vectors[:1]
+    if h.basis_labels[0] == "g":
+        rows = np.vstack([vectors[:2], vectors[2:].sum(axis=0)])
 
     hpsi = h.entries @ psi0.amplitudes
     mean = np.real(np.vdot(psi0.amplitudes, hpsi))
     variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
-    return TimeSeries(times, amps, h.basis_labels, h.spec, h.drive, variance)
+    series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, variance)
+    series._proj = _phase_sum(values, (rows * a).T, times)
+    series._build = lambda: _phase_sum(values, (vectors * a).T, times)
+    return series
+
+
+def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """sum_n weights[n, r] exp(-i values[n] t) at every grid time, shape (nt, r).
+
+    On a uniform grid the phase of time index b*B + j factors as
+    exp(-iE t_{bB}) exp(-iE j dt) with B = ceil(sqrt(nt)), so about
+    (nt/B + B) * dim exponentials and one matmul do the work.  Any other grid
+    runs the same code with B = 1, which is the direct formula.
+    """
+    nt, (dim, r) = times.size, weights.shape
+    dt = (times[-1] - times[0]) / max(nt - 1, 1)
+    # within a few ulp of t_0 + k dt (as np.linspace makes it) counts as uniform
+    drift = np.abs(times - (times[0] + dt * np.arange(nt))).max()
+    uniform = drift <= 4 * np.finfo(float).eps * np.abs(times).max()
+    block = math.isqrt(nt - 1) + 1 if uniform else 1
+    outer = np.exp(-1j * np.outer(times[::block], values))
+    inner = np.exp(-1j * np.outer(dt * np.arange(block), values))
+    nb = outer.shape[0]
+    if r < block:
+        # fold the weights into the outer phases: nb * r * dim products
+        out = (outer[:, None, :] * weights.T).reshape(nb * r, dim) @ inner.T
+        out = out.reshape(nb, r, block).transpose(0, 2, 1)
+    else:
+        # form the phases themselves: nt * dim products
+        out = (outer[:, None, :] * inner).reshape(nb * block, dim) @ weights
+    return out.reshape(nb * block, r)[:nt]
 
 
 def reduce_density(psi: StateVector, time: float = 0.0) -> ReducedDensity:
@@ -305,8 +382,8 @@ def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.nd
     if series.system_dim != 2:
         raise ConfigError("source_term_series needs a two-level series")
     spec = spec or series.spec
-    amps = series.amplitudes
-    return _source_matrices(spec.coupling_v, amps[:, 0], amps[:, 1], amps[:, 2:].sum(axis=1))
+    c = series._projected()
+    return _source_matrices(spec.coupling_v, c[:, 0], c[:, 1], c[:, 2])
 
 
 def _source_matrices(v: float, cg, ce, sf) -> np.ndarray:

@@ -21,6 +21,7 @@ from fqcsim import (
     sideband_spectrum,
     zeno_time,
 )
+from fqcsim.analysis import _refine_parabolic
 
 
 def decay_series(n_half, v, t_f=10.0, points=2001):
@@ -89,6 +90,38 @@ def test_revival_search_start_respected():
     late = revival_time(series, search_start=8.0)
     # the first bump peaks near 7.0, so starting at 8 finds nothing
     assert "t_revival" not in late.params
+
+
+def test_refine_parabolic_non_uniform_grid():
+    times = np.array([0.0, 0.3, 0.45, 1.1, 1.6, 2.9])
+    vertex = 0.71
+    y = 2.0 - 3.0 * (times - vertex) ** 2
+    for i in (1, 2, 3, 4):
+        assert _refine_parabolic(times, y, i) == pytest.approx(vertex, abs=1e-12)
+
+
+def test_refine_parabolic_uniform_grid_unchanged():
+    # the global-spacing formula used before local spacings, as the reference,
+    # at every local extremum (where revival_time refines)
+    times = default_grid(10.0, 2001)
+    y = np.random.default_rng(3).random(times.size)
+    extrema = np.flatnonzero((y[1:-1] - y[:-2]) * (y[1:-1] - y[2:]) > 0) + 1
+    for i in extrema:
+        den = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        old = times[i] + 0.5 * (y[i - 1] - y[i + 1]) / den * (times[1] - times[0])
+        assert _refine_parabolic(times, y, i) == pytest.approx(old, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_half,v,t_f,points,onset,peak", [
+    # values of the global-spacing formula
+    (15, 0.45, 10.0, 4001, 5.024140955840455, 7.037145052390539),
+    (20, 0.5, 12.0, 2001, 4.129939431828737, 6.102345086390106),
+    (15, 0.3, 25.0, 2001, 10.644217636706188, 10.885068211191351),
+])
+def test_revival_time_uniform_grid_values(n_half, v, t_f, points, onset, peak):
+    report = revival_time(decay_series(n_half, v, t_f, points))
+    assert report.params["t_revival"] == pytest.approx(onset, rel=1e-12)
+    assert report.params["t_peak"] == pytest.approx(peak, rel=1e-12)
 
 
 def test_revival_time_from_spectrum_single_gap():

@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from fqcsim import FqcsimError
+from fqcsim import cli
 from fqcsim.cli import embedded_config, main
 
 FAST = ["--grid-points", "301"]
@@ -114,6 +116,15 @@ def test_io_failure_exit_code(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")
     assert run(["decay", "--out", blocker / "sub"] + FAST) == 4
+
+
+def test_base_error_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(cfg, out):
+        raise FqcsimError("cell failed")
+
+    monkeypatch.setattr(cli, "cmd_decay", fail)
+    assert run(["decay", "--out", tmp_path / "run"] + FAST) == 3
+    assert capsys.readouterr().err == "error: cell failed\n"
 
 
 def test_round_trip_bit_exact(tmp_path):

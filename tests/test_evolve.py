@@ -4,13 +4,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 from fqcsim import (
     ConfigError,
     DriveSpec,
     FqcSpec,
+    HoleSpec,
+    NumericalError,
     StateVector,
+    TimeSeries,
     basis_state,
+    build_adaptive,
     build_single_level,
     build_two_level,
     default_grid,
@@ -23,6 +28,7 @@ from fqcsim import (
     source_term_series,
     write_csv,
 )
+from fqcsim.evolve import Eigensystem
 
 
 def test_diagonalize_two_by_two_closed_form():
@@ -273,3 +279,88 @@ def test_write_csv_byte_format(tmp_path):
         "-2,adaptive,-0.0000000000000000e+00,1.0000000000000001e-01\n"
         "30,x,1.0000000000000000e-300,2.0000000000000000e+00\n"
     )
+
+
+# ---------------------------------------------------------------- oracles for propagate
+
+
+def propagate_dense(h, psi0, times):
+    """Independent oracle: every amplitude from the full nt x dim phase
+    matrix, exp(-i E t) evaluated at each grid time (no block factoring)."""
+    values, vectors = np.linalg.eigh(h.entries)
+    a = vectors.T @ psi0
+    phases = np.exp(-1j * np.outer(times, values))
+    return (phases * a) @ vectors.T
+
+
+BUILDERS = {
+    "single": lambda: build_single_level(FqcSpec(9, 0.35)),
+    "two-level": lambda: build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4)),
+    "adaptive": lambda: build_adaptive(FqcSpec(10, 0.3, hole=HoleSpec(1.0)), DriveSpec(2.0, 0.0)),
+}
+B = 12
+_nudged = np.linspace(0.0, 6.0, 200)
+_nudged[77] += 1e-9  # one point off a uniform grid: must not take the block path
+GRIDS = {
+    **{f"uniform-{nt}": np.linspace(0.0, 6.0, nt) for nt in (1, 2, 3, 97, B * B - 1, B * B, B * B + 1)},
+    "offset": np.linspace(1.7, 9.3, 211),
+    "geometric": np.geomspace(0.01, 8.0, 150),
+    "nudged": _nudged,
+}
+
+
+def random_state(h, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((h.dim, 2))
+    amps = z[:, 0] + 1j * z[:, 1]
+    return StateVector(amps / np.linalg.norm(amps), h.basis_labels)
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("builder", list(BUILDERS))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_propagate_matches_expm(builder, grid, seed):
+    h = BUILDERS[builder]()
+    psi0 = random_state(h, seed)
+    times = GRIDS[grid]
+    series = propagate(h, psi0, times)
+    picks = np.unique(np.linspace(0, times.size - 1, 5).astype(int))
+    exact = np.array([expm(-1j * h.entries * times[k]) @ psi0.amplitudes for k in picks])
+    assert np.abs(series.pi_e[picks] - np.abs(exact[:, series.e_index]) ** 2).max() <= 1e-10
+    assert np.abs(series.amplitudes[picks] - exact).max() <= 1e-10
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("builder", list(BUILDERS))
+def test_propagate_matches_dense_oracle(builder, grid):
+    h = BUILDERS[builder]()
+    psi0 = random_state(h, 7)
+    times = GRIDS[grid]
+    series = propagate(h, psi0, times)
+    dense = TimeSeries(times, propagate_dense(h, psi0.amplitudes, times),
+                       h.basis_labels, h.spec, h.drive)
+    assert np.abs(series.pi_e - dense.pi_e).max() <= 1e-12
+    assert np.abs(series.reduced().rho - dense.reduced().rho).max() <= 1e-12
+    if series.system_dim == 2:
+        assert np.abs(series.pi_g - dense.pi_g).max() <= 1e-12
+        diff = source_term_series(series) - source_term_series(dense)
+        assert np.abs(diff).max() <= 1e-12
+    assert np.abs(series.amplitudes - dense.amplitudes).max() <= 1e-12
+
+
+def test_propagate_builds_full_amplitudes_lazily():
+    h = build_two_level(FqcSpec(6, 0.3), DriveSpec(1.0, 0.0))
+    series = propagate(h, "e", default_grid(3.0, 301))
+    series.pi_e, series.reduced(), source_term_series(series)
+    assert series._amplitudes is None
+    assert series.fqc_populations().shape == (301, h.dim - 2)
+    assert series._amplitudes is not None
+
+
+def test_propagate_rejects_non_orthonormal_eigenbasis():
+    h = build_single_level(FqcSpec(5, 0.3))
+    eig = diagonalize(h)
+    skewed = eig.vectors.copy()
+    skewed[:, 0] *= 1.0 + 1e-8
+    with pytest.raises(NumericalError, match="orthonormality"):
+        propagate(h, "e", default_grid(2.0, 21), eig=Eigensystem(eig.values, skewed))

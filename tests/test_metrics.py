@@ -9,6 +9,7 @@ from fqcsim import (
     DriveSpec,
     FqcSpec,
     NonHermitianSpec,
+    adaptive_spec_for_size,
     build_single_level,
     build_two_level,
     d1,
@@ -248,3 +249,37 @@ def test_nonmarkovianity_reports_sampling_error(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,sigma"
     assert len(lines) == 1 + result.times.size
+
+
+# ---------------------------------------------------------------- grid doubling
+# default_grid and the metrics module promise values stable to 1e-4 under
+# doubling of the grid points.  Cells: a stride over the default d1 map
+# (N 2..40, v 0.05..0.60, t_f 10) and over the flat/adaptive size scan
+# (sizes 10..80, omega0 10, v 0.3, t_f 16), plus the worst cells measured
+# over the full domains (d1 2.9e-7 at N=37, v=0.48; d2 5.0e-8 at size 37).
+
+MAP_CELLS = [(n, v) for n in (2, 12, 22, 31, 40) for v in (0.05, 0.2, 0.35, 0.5, 0.6)]
+
+
+@pytest.mark.parametrize("n,v", MAP_CELLS + [(37, 0.48)])
+def test_d1_converges_under_grid_doubling(n, v):
+    h = build_single_level(FqcSpec(n, v))
+    values = [d1(propagate(h, "e", default_grid(10.0, pts)), 1.0, 10.0).value
+              for pts in (2001, 4001)]
+    assert abs(values[0] - values[1]) <= 1e-4
+
+
+@pytest.mark.parametrize("size", [10, 11, 20, 37, 44, 63, 79, 80])
+def test_d2_converges_under_grid_doubling(size):
+    drive = DriveSpec(10.0, 0.0)
+    if size % 2:
+        spec = FqcSpec((size - 1) // 2, 0.3)
+    else:
+        spec = adaptive_spec_for_size(size, 0.3, 5.0)
+    h = build_two_level(spec, drive)
+    values = []
+    for pts in (4001, 8001):
+        times = default_grid(16.0, pts)
+        ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), np.array([0.0, 1.0]), times)
+        values.append(d2(propagate(h, "e", times), ref, 16.0).value)
+    assert abs(values[0] - values[1]) <= 1e-4
