@@ -87,8 +87,8 @@ class RunConfig:
             raise ConfigError(f"model must be decay|rabi|adaptive, got {cfg.model!r}")
         if cfg.grid_points < 2:
             raise ConfigError("grid_points must be >= 2")
-        if cfg.t_f <= 0:
-            raise ConfigError("t_f must be > 0")
+        if not 0 < cfg.t_f < float("inf"):
+            raise ConfigError("t_f must be finite and > 0")
         return cfg
 
     def to_dict(self) -> dict:
@@ -213,7 +213,8 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
         sb.to_csv(out / "sidebands.csv", extra_header=header)
         payload["n_max"] = n_max(spec, _drive(cfg))
     if with_markov:
-        mk = nonmarkovianity(h, cfg.t_f, count=cfg.count, seed=cfg.seed)
+        mk = nonmarkovianity(h, cfg.t_f, count=cfg.count, seed=cfg.seed,
+                             grid_points=cfg.grid_points)
         mk.to_csv(out / "sigma.csv", extra_header=header)
         payload["nonmarkovianity"] = mk.to_json()
     _dump_json(out / "metrics.json", payload, cfg)

@@ -124,8 +124,8 @@ def default_grid(t_f: float, points: int = 2001) -> np.ndarray:
     covered: gamma_eff moves by up to 5.5e-4 relative from 4001 to 8001
     points, which follows the fit's stopping tolerance, not the grid.
     """
-    if t_f <= 0 or points < 2:
-        raise ConfigError("grid needs t_f > 0 and at least 2 points")
+    if not 0 < t_f < math.inf or points < 2:
+        raise ConfigError("grid needs a finite t_f > 0 and at least 2 points")
     return np.linspace(0.0, t_f, points)
 
 
@@ -403,7 +403,11 @@ def memory_kernel(spec: FqcSpec, tau_grid: np.ndarray) -> np.ndarray:
     For the flat symmetric FQC this is v^2 times a Dirichlet kernel: sharply
     peaked at tau = 0 with first zero at 2 pi / (n_levels * delta), and
     periodic with period 2 pi / delta, which is the revival mechanism.
+    Evaluated by the phase kernel of `propagate`.
     """
     tau = np.asarray(tau_grid, dtype=float)
+    if tau.size == 0:
+        return np.zeros(0, dtype=complex)
     energies = spec.level_indices * spec.gap
-    return spec.coupling_v**2 * np.exp(-1j * np.outer(tau, energies)).sum(axis=1)
+    ones = np.ones((energies.size, 1))
+    return spec.coupling_v**2 * _phase_sum(energies, ones, tau)[:, 0]

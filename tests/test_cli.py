@@ -108,6 +108,12 @@ def test_invalid_value_rejected(tmp_path):
     assert run(["decay", "--out", tmp_path / "x", "--v", -0.3]) == 2
 
 
+@pytest.mark.parametrize("t_f", ["nan", "inf", "0", "-2"])
+def test_non_positive_or_non_finite_t_f_rejected(tmp_path, t_f):
+    # sidebands builds no time grid, so only the config check stands here
+    assert run(["sidebands", "--out", tmp_path / "x", "--tf", t_f]) == 2
+
+
 def test_missing_config_file(tmp_path):
     assert run(["decay", "--config", tmp_path / "nope.json", "--out", tmp_path / "x"]) == 2
 
@@ -158,6 +164,19 @@ def test_rabi_with_sidebands_and_markov(tmp_path):
     metrics = json.loads((out / "metrics.json").read_text())
     assert "d2" in metrics and "nonmarkovianity" in metrics
     assert metrics["nonmarkovianity"]["seed"] == 1
+
+
+def test_rabi_markov_honours_grid_points(tmp_path):
+    # the Rabi floor at omega0 = 1, t_f = 6 is 40 points, far below 3001
+    out = tmp_path / "run"
+    assert run(["rabi", "--out", out, "--n", 6, "--v", 0.3, "--tf", 6, "--markov",
+                "--count", 2, "--grid-points", 3001]) == 0
+    rows = [line for line in (out / "sigma.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert rows[0] == "t,sigma"
+    assert len(rows) == 1 + 3001
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["nonmarkovianity"]["grid_points"] == 3001
 
 
 def test_markov_command(tmp_path):

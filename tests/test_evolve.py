@@ -223,6 +223,31 @@ def test_memory_kernel_dirichlet():
     assert abs(k.real[i]) < 0.02 * k[0].real
 
 
+def test_memory_kernel_empty_grid():
+    k = memory_kernel(FqcSpec(5, 0.3), np.array([]))
+    assert k.shape == (0,) and k.dtype == complex
+
+
+@pytest.mark.parametrize("tau", [
+    np.geomspace(1e-3, 30.0, 97),     # non-uniform: the direct phases
+    np.linspace(-4.0, 25.0, 1001),    # uniform from a negative offset
+    np.array([2.5]),
+])
+def test_memory_kernel_matches_direct_sum(tau):
+    spec = FqcSpec(7, 0.4)
+    energies = spec.level_indices * spec.gap
+    direct = spec.coupling_v**2 * np.exp(-1j * np.outer(tau, energies)).sum(axis=1)
+    np.testing.assert_allclose(memory_kernel(spec, tau), direct, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("t_f,points", [
+    (0.0, 11), (-1.0, 11), (math.nan, 11), (math.inf, 11), (1.0, 1),
+])
+def test_default_grid_rejects_bad_window(t_f, points):
+    with pytest.raises(ConfigError):
+        default_grid(t_f, points)
+
+
 def test_propagate_rejects_dim_mismatch():
     h = build_single_level(FqcSpec(3, 0.2))
     other = build_single_level(FqcSpec(5, 0.2))

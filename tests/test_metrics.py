@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import expm
 
 from fqcsim import (
     ConfigError,
@@ -21,6 +22,7 @@ from fqcsim import (
     propagate,
     trace_distance,
 )
+from fqcsim.metrics import _sample_pairs, _td_two_by_two
 
 
 def random_density(rng, dim=2):
@@ -249,6 +251,102 @@ def test_nonmarkovianity_reports_sampling_error(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,sigma"
     assert len(lines) == 1 + result.times.size
+
+
+@pytest.mark.parametrize("t_final,grid_points", [
+    (0.0, None), (-5.0, None), (math.nan, None), (math.inf, None), (5.0, 1), (5.0, 0),
+])
+def test_nonmarkovianity_rejects_bad_window(t_final, grid_points):
+    # each raises rather than yielding a decreasing, a silently refined or
+    # the default grid
+    h = build_two_level(FqcSpec(4, 0.2), DriveSpec(1.0, 0.0))
+    with pytest.raises(ConfigError):
+        nonmarkovianity(h, t_final, count=4, grid_points=grid_points)
+
+
+# ------------------------------------------------- non-Markovianity oracles
+
+
+def full_space_pairs(h, count, seed, subspace):
+    """The sampled pairs of `nonmarkovianity`, zero-padded to the full space."""
+    psis = _sample_pairs(np.random.default_rng(seed), count, h.dim, subspace)
+    out = np.zeros((count, 2, h.dim), dtype=complex)
+    out[:, :, :psis.shape[-1]] = psis
+    return out
+
+
+def nonmarkovianity_dense(h, t_final, count, seed, grid_points=None,
+                          subspace="system", bootstrap=256):
+    """Oracle: the former dense formula, every pair's projected amplitudes
+    from the full (2, dim, nt) phase array by one einsum.  Returns sigma,
+    per_pair_final, value and std_error."""
+    omega0 = abs(h.entries[0, 1])
+    nt = grid_points or 2001
+    if omega0 > 0:
+        nt = max(nt, int(np.ceil(40.0 * t_final * omega0 / (2.0 * np.pi))) + 1)
+    times = np.linspace(0.0, t_final, nt)
+    values, vectors = np.linalg.eigh(h.entries)
+    psis = full_space_pairs(h, count, seed, subspace)
+
+    coeff = psis @ vectors
+    proj = vectors[:2, :, None] * np.exp(-1j * np.outer(values, times))[None]
+    amps = np.einsum("pqn,snt->pqst", coeff, proj)
+    cg, ce = amps[:, :, 0, :], amps[:, :, 1, :]
+    dgg = np.abs(cg[:, 0]) ** 2 - np.abs(cg[:, 1]) ** 2
+    dee = np.abs(ce[:, 0]) ** 2 - np.abs(ce[:, 1]) ** 2
+    dge = cg[:, 0] * ce[:, 0].conj() - cg[:, 1] * ce[:, 1].conj()
+    td = _td_two_by_two(dgg, dee, dge)
+
+    inc = np.clip(np.diff(td, axis=1), 0.0, None)
+    sig_pairs = np.concatenate([np.zeros((count, 1)), np.cumsum(inc, axis=1)], axis=1)
+    sigma, finals = sig_pairs.max(axis=0), sig_pairs[:, -1]
+    boot_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB001]))
+    maxima = np.array(
+        [finals[boot_rng.integers(0, count, count)].max() for _ in range(bootstrap)]
+    )
+    return sigma, finals, float(sigma[-1]), float(maxima.std())
+
+
+@pytest.mark.parametrize("subspace", ["system", "full"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("count,grid_points", [(13, None), (3, 20001)])
+def test_nonmarkovianity_matches_dense_formula(subspace, seed, count, grid_points):
+    # 13 pairs leave a partial last block; 20001 points make every block
+    # a single pair
+    h = build_two_level(FqcSpec(10, 0.3), DriveSpec(1.0, 0.2))
+    result = nonmarkovianity(h, 14.0, count=count, seed=seed,
+                             grid_points=grid_points, subspace=subspace)
+    sigma, finals, value, std_error = nonmarkovianity_dense(
+        h, 14.0, count, seed, grid_points, subspace)
+    assert result.grid_points == sigma.size
+    assert np.abs(result.sigma - sigma).max() <= 1e-12
+    assert np.abs(result.per_pair_final - finals).max() <= 1e-12
+    assert abs(result.value - value) <= 1e-12
+    assert abs(result.std_error - std_error) <= 1e-12
+
+
+@pytest.mark.parametrize("subspace", ["system", "full"])
+def test_nonmarkovianity_matches_expm_oracle(subspace):
+    # independent of the spectral code: exp(-i H t) by scipy at every grid
+    # time, then the public trace_distance of the projected pair; past the
+    # rephasing time 1/v^2 = 4, so both subspaces show backflow
+    h = build_two_level(FqcSpec(4, 0.5), DriveSpec(1.0, 0.2))
+    count, t_final, nt = 4, 6.0, 41
+    result = nonmarkovianity(h, t_final, count=count, seed=5,
+                             grid_points=nt, subspace=subspace)
+    times = np.linspace(0.0, t_final, nt)
+    psis = full_space_pairs(h, count, 5, subspace)
+    td = np.empty((count, nt))
+    for k, t in enumerate(times):
+        states = psis @ expm(-1j * h.entries * t).T
+        for p in range(count):
+            rho = [np.outer(c[:2], c[:2].conj()) for c in states[p]]
+            td[p, k] = trace_distance(rho[0], rho[1])
+    sig_pairs = np.cumsum(np.maximum(np.diff(td, axis=1), 0.0), axis=1)
+    np.testing.assert_allclose(result.per_pair_final, sig_pairs[:, -1], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(result.sigma[1:], sig_pairs.max(axis=0), rtol=0, atol=1e-10)
+    assert result.sigma[0] == 0.0
+    assert result.value > 0.1
 
 
 # ---------------------------------------------------------------- grid doubling
