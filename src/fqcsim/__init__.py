@@ -32,8 +32,6 @@ from .evolve import (
     diagonalize,
     memory_kernel,
     propagate,
-    reduce_density,
-    source_term,
     source_term_series,
     write_csv,
 )

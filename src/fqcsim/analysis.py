@@ -25,6 +25,9 @@ __all__ = [
     "fit_effective_params",
 ]
 
+# A revival bump must exceed the exponential tail by this factor.
+_PROMINENCE = 10.0
+
 
 @dataclass
 class FitReport:
@@ -116,13 +119,12 @@ def _refine_parabolic(times: np.ndarray, y: np.ndarray, i: int) -> float:
 def revival_time(
     series: TimeSeries,
     search_start: float | None = None,
-    prominence: float = 10.0,
 ) -> FitReport:
     """Detect the first population revival of an initially excited state.
 
     A revival bump is the first local maximum of pi_e after `search_start`
-    exceeding `prominence` times the exponential tail pi_e(0) exp(-gamma t);
-    this filters residual Rabi-like ripples.  The reported t_revival is the
+    exceeding 10 times the exponential tail pi_e(0) exp(-gamma t); this
+    filters residual Rabi-like ripples.  The reported t_revival is the
     onset of the bump, i.e. the sharp population minimum immediately
     preceding the peak where the growth turns abrupt (the peak itself lags
     the onset by a decay time and is reported as t_peak).  Absence of a
@@ -138,7 +140,7 @@ def revival_time(
     for i in range(1, t.size - 1):
         if t[i] < start:
             continue
-        if pie[i] > pie[i - 1] and pie[i] >= pie[i + 1] and pie[i] > prominence * tail[i]:
+        if pie[i] > pie[i - 1] and pie[i] >= pie[i + 1] and pie[i] > _PROMINENCE * tail[i]:
             peak_idx = i
             break
     if peak_idx is None:
@@ -162,7 +164,7 @@ def revival_time(
         },
         grid_points=int(t.size),
         converged=True,
-        notes=f"onset of first bump above {prominence}x exponential tail",
+        notes=f"onset of first bump above {_PROMINENCE}x exponential tail",
     )
 
 
@@ -241,12 +243,11 @@ def _quadrature_occupations(
     drive: DriveSpec,
     ks: np.ndarray,
     t_f: float,
-    grid_points: int | None,
 ) -> np.ndarray:
     from .reference import NonHermitianSpec, damped_oscillator_ce
 
     omega_max = max(drive.rabi_omega0, abs(ks[-1]) * spec.gap, 1.0)
-    nt = grid_points or max(4001, int(40 * t_f * omega_max / (2 * math.pi)) + 1)
+    nt = max(4001, int(40 * t_f * omega_max / (2 * math.pi)) + 1)
     t = np.linspace(0.0, t_f, nt)
     ce = damped_oscillator_ce(
         NonHermitianSpec(spec.gamma_target, drive), t, psi0=(0.0, 1.0)
@@ -261,7 +262,6 @@ def sideband_spectrum(
     drive: DriveSpec,
     include_quadrature: bool = False,
     t_f: float = 8.0,
-    grid_points: int | None = None,
 ) -> SidebandSpectrum:
     """Occupation |c_k|^2 of every FQC level after the drive has decayed.
 
@@ -278,7 +278,7 @@ def sideband_spectrum(
     occ = np.abs(ck) ** 2
     occ_q = None
     if include_quadrature:
-        occ_q = _quadrature_occupations(spec, drive, ks, t_f, grid_points)
+        occ_q = _quadrature_occupations(spec, drive, ks, t_f)
     return SidebandSpectrum(ks, ks * spec.gap, occ, occ_q, t_f if include_quadrature else None)
 
 
@@ -295,7 +295,7 @@ def n_max(spec: FqcSpec, drive: DriveSpec) -> int:
     if underdamped_discriminant(spec.gamma_target, drive.rabi_omega0) > 0:
         occ = np.abs(_closed_form_ck(spec, drive, ks)) ** 2
     else:
-        occ = _quadrature_occupations(spec, drive, ks, t_f=8.0, grid_points=None)
+        occ = _quadrature_occupations(spec, drive, ks, t_f=8.0)
     pos = ks > 0
     if not pos.any():
         raise ConfigError("no positive-k levels in the spectrum")

@@ -29,18 +29,12 @@ from .analysis import (
 )
 from .errors import ConfigError, FqcsimError, NumericalError
 from .evolve import default_grid, propagate, source_term_series, write_csv
-from .hamiltonian import (
-    DriveSpec,
-    FqcSpec,
-    HoleSpec,
-    adaptive_spec_for_size,
-    build_adaptive,
-    build_single_level,
-    build_two_level,
-)
+from .hamiltonian import DriveSpec, HamiltonianMatrix
+# perfbench/tracing.py wraps the builders at this module too, so they stay imported
+from .hamiltonian import build_adaptive, build_single_level, build_two_level  # noqa: F401
 from .metrics import d1, d2, nonmarkovianity
 from .reference import NonHermitianSpec, decay_single, evolve_nonhermitian
-from .sweep import SweepFixed, SweepGrid, run_size_scan, run_sweep
+from .sweep import SweepFixed, SweepGrid, build_model, run_size_scan, run_sweep, size_cell
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -139,18 +133,15 @@ def _dump_json(path, payload: dict, cfg: RunConfig) -> None:
         fh.write("\n")
 
 
-def _spec(cfg: RunConfig) -> FqcSpec:
-    hole = None
-    if cfg.model == "adaptive":
-        half = cfg.hole_half_width if cfg.hole_half_width is not None else cfg.omega0 / 2.0
-        hole = HoleSpec(half)
-    elif cfg.hole_half_width is not None:
-        hole = HoleSpec(cfg.hole_half_width)
-    return FqcSpec(cfg.n_half, cfg.coupling_v, cfg.gamma, hole)
-
-
 def _drive(cfg: RunConfig) -> DriveSpec:
     return DriveSpec(cfg.omega0, cfg.detuning)
+
+
+def _model(cfg: RunConfig, single_level: bool = False) -> HamiltonianMatrix:
+    """The configured model's Hamiltonian; decay is the one single-level command."""
+    return build_model(cfg.n_half, cfg.coupling_v, cfg.gamma, _drive(cfg),
+                       adaptive=cfg.model == "adaptive",
+                       hole_half_width=cfg.hole_half_width, single_level=single_level)
 
 
 def _outdir(args) -> Path:
@@ -160,7 +151,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_decay(cfg: RunConfig, out: Path) -> None:
-    h = build_single_level(_spec(cfg))
+    h = _model(cfg, single_level=True)
     times = default_grid(cfg.t_f, cfg.grid_points)
     series = propagate(h, cfg.initial_state, times)
     ref = decay_single(cfg.gamma, float(series.pi_e[0]), times)
@@ -181,24 +172,22 @@ def cmd_decay(cfg: RunConfig, out: Path) -> None:
 
 
 def _two_level_run(cfg: RunConfig):
-    spec = _spec(cfg)
-    builder = build_adaptive if spec.hole is not None else build_two_level
-    h = builder(spec, _drive(cfg))
+    h = _model(cfg)
     times = default_grid(cfg.t_f, cfg.grid_points)
     series = propagate(h, cfg.initial_state, times)
     psi0 = np.zeros(2, dtype=complex)
     psi0[1 if cfg.initial_state == "e" else 0] = 1.0
-    ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, _drive(cfg)), psi0, times)
-    return spec, h, times, series, ref
+    ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, h.drive), psi0, times)
+    return h, times, series, ref
 
 
 def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool) -> None:
-    spec, h, times, series, ref = _two_level_run(cfg)
+    h, times, series, ref = _two_level_run(cfg)
     header = _header(cfg)
     series.to_csv(out / "timeseries.csv", extra_header=header)
     ref.to_csv(out / "reference.csv", extra_header=header)
 
-    sources = source_term_series(series, spec)
+    sources = source_term_series(series)
     write_csv(out / "source_terms.csv", {
         "t": times,
         "s_ge_re": sources[:, 0, 1].real,
@@ -209,9 +198,9 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
 
     payload = {"d2": d2(series, ref, cfg.t_f).to_json()}
     if with_sidebands:
-        sb = sideband_spectrum(spec, _drive(cfg), include_quadrature=True, t_f=cfg.t_f)
+        sb = sideband_spectrum(h.spec, h.drive, include_quadrature=True, t_f=cfg.t_f)
         sb.to_csv(out / "sidebands.csv", extra_header=header)
-        payload["n_max"] = n_max(spec, _drive(cfg))
+        payload["n_max"] = n_max(h.spec, h.drive)
     if with_markov:
         mk = nonmarkovianity(h, cfg.t_f, count=cfg.count, seed=cfg.seed,
                              grid_points=cfg.grid_points)
@@ -221,23 +210,21 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
 
 
 def cmd_sidebands(cfg: RunConfig, out: Path) -> None:
-    spec, drive = _spec(cfg), _drive(cfg)
-    sb = sideband_spectrum(spec, drive, include_quadrature=True, t_f=cfg.t_f)
+    h = _model(cfg)
+    sb = sideband_spectrum(h.spec, h.drive, include_quadrature=True, t_f=cfg.t_f)
     sb.to_csv(out / "sidebands.csv", extra_header=_header(cfg))
-    _dump_json(out / "sidebands.json", {"n_max": n_max(spec, drive)}, cfg)
+    _dump_json(out / "sidebands.json", {"n_max": n_max(h.spec, h.drive)}, cfg)
 
 
 def cmd_markov(cfg: RunConfig, out: Path) -> None:
-    spec = _spec(cfg)
-    h = build_two_level(spec, _drive(cfg))
-    mk = nonmarkovianity(h, cfg.t_f, count=cfg.count, seed=cfg.seed,
+    mk = nonmarkovianity(_model(cfg), cfg.t_f, count=cfg.count, seed=cfg.seed,
                          grid_points=cfg.grid_points)
     mk.to_csv(out / "sigma.csv", extra_header=_header(cfg))
     _dump_json(out / "markov.json", {"nonmarkovianity": mk.to_json()}, cfg)
 
 
 def cmd_fit(cfg: RunConfig, out: Path) -> None:
-    _, _, _, series, ref = _two_level_run(cfg)
+    _, _, series, ref = _two_level_run(cfg)
     report = fit_effective_params(series, cfg.t_f)
     payload = {
         "fit": report.to_json(),
@@ -291,27 +278,26 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
 
 
 def cmd_adaptive_compare(cfg: RunConfig, out: Path) -> None:
-    drive = _drive(cfg)
-    times = default_grid(cfg.t_f, cfg.grid_points)
-    half = cfg.hole_half_width if cfg.hole_half_width is not None else cfg.omega0 / 2.0
-    header = _header(cfg)
-
     if cfg.flat_size < 1 or cfg.flat_size % 2 == 0:
         raise ConfigError(f"flat_size must be a positive odd integer, got {cfg.flat_size}")
-    flat_spec = FqcSpec((cfg.flat_size - 1) // 2, cfg.coupling_v, cfg.gamma)
-    adaptive_spec = adaptive_spec_for_size(cfg.adaptive_size, cfg.coupling_v, half, cfg.gamma)
+    if cfg.adaptive_size < 2 or cfg.adaptive_size % 2:
+        raise ConfigError(f"adaptive size must be a positive even integer, got {cfg.adaptive_size}")
+    drive = _drive(cfg)
+    times = default_grid(cfg.t_f, cfg.grid_points)
+    header = _header(cfg)
     ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, drive), np.array([0.0, 1.0]), times)
     ref.to_csv(out / "reference.csv", extra_header=header)
 
     payload = {}
-    for name, spec in (("flat", flat_spec), ("adaptive", adaptive_spec)):
-        series = propagate(build_two_level(spec, drive), cfg.initial_state, times)
+    for size in (cfg.flat_size, cfg.adaptive_size):
+        name, series, fit, dist = size_cell(size, drive, cfg.coupling_v, cfg.gamma,
+                                            cfg.hole_half_width, times, ref, cfg.t_f,
+                                            cfg.initial_state)
         series.to_csv(out / f"{name}.csv", extra_header=header)
-        fit = fit_effective_params(series, cfg.t_f)
         payload[name] = {
-            "n_fqc": spec.n_levels,
+            "n_fqc": series.spec.n_levels,
             "fit": fit.to_json(),
-            "d2": d2(series, ref, cfg.t_f).to_json(),
+            "d2": dist.to_json(),
         }
     _dump_json(out / "compare.json", payload, cfg)
 

@@ -23,13 +23,10 @@ __all__ = [
     "Eigensystem",
     "TimeSeries",
     "DensitySeries",
-    "ReducedDensity",
     "basis_state",
     "diagonalize",
     "default_grid",
     "propagate",
-    "reduce_density",
-    "source_term",
     "source_term_series",
     "memory_kernel",
     "write_csv",
@@ -97,10 +94,23 @@ def basis_state(h: HamiltonianMatrix, label: str = "e") -> StateVector:
 
 @dataclass
 class Eigensystem:
-    """Eigenvalues (ascending) and orthonormal eigenvectors, columnwise."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors, columnwise.
+
+    The basis V is checked on construction, so every reader (`propagate`,
+    `nonmarkovianity`) gets a checked one: ||V^T V - I||_F <= 1e-10 bounds
+    the 2-norm of the Gram defect, and with it the norm drift
+    | ||psi(t)|| / ||psi(0)|| - 1 | of a propagated state at every time (up
+    to rounding); NumericalError otherwise.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+
+    def __post_init__(self):
+        gram = self.vectors.T @ self.vectors
+        defect = np.linalg.norm(gram - np.eye(gram.shape[0]))
+        if not defect <= NORM_TOL:
+            raise NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
 
 
 def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
@@ -262,25 +272,6 @@ class TimeSeries:
             json.dump(self.to_json(), fh, sort_keys=True)
 
 
-@dataclass
-class ReducedDensity:
-    """Single-time projected density matrix of the system block."""
-
-    entries: np.ndarray
-    time: float = 0.0
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        m = self.entries
-        if np.abs(m - m.conj().T).max() > 1e-8:
-            raise NumericalError("reduced density is not Hermitian")
-        ev = np.linalg.eigvalsh(m)
-        if ev.min() < -1e-10 or ev.max() > 1.0 + 1e-10:
-            raise NumericalError(f"reduced density eigenvalues {ev} out of [0, 1]")
-        if m.trace().real > 1.0 + 1e-10:
-            raise NumericalError("reduced density trace exceeds 1")
-
-
 def propagate(
     h: HamiltonianMatrix,
     psi0: StateVector | str | None,
@@ -295,10 +286,9 @@ def propagate(
     are built through the same phase kernel on first read (by
     `fqc_populations`, `to_csv(include_fqc=True)` or `to_json`).
 
-    A precomputed Eigensystem may be shared read-only across many calls.  Its
-    basis V is checked once: ||V^T V - I||_F <= 1e-10 bounds the 2-norm of the
-    Gram defect, and with it the norm drift | ||psi(t)|| / ||psi(0)|| - 1 | at
-    every grid time (up to rounding); NumericalError otherwise.
+    A precomputed Eigensystem may be shared read-only across many calls; its
+    basis was checked for orthonormality when it was made (see Eigensystem),
+    which bounds the norm drift at every grid time.
     """
     if psi0 is None or isinstance(psi0, str):
         psi0 = basis_state(h, psi0 or "e")
@@ -310,9 +300,6 @@ def propagate(
     if eig is None:
         eig = diagonalize(h)
     values, vectors = eig.values, eig.vectors
-    defect = np.linalg.norm(vectors.T @ vectors - np.eye(h.dim))
-    if not defect <= NORM_TOL:
-        raise NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
     a = vectors.T @ psi0.amplitudes
     rows = vectors[:1]
     if h.basis_labels[0] == "g":
@@ -354,15 +341,9 @@ def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np
     return out.reshape(nb * block, r)[:nt]
 
 
-def reduce_density(psi: StateVector, time: float = 0.0) -> ReducedDensity:
-    """Project a pure state: entries c_a c_b* over the system labels."""
-    d = 2 if psi.basis_labels[0] == "g" else 1
-    c = psi.amplitudes[:d]
-    return ReducedDensity(np.outer(c, c.conj()), time)
-
-
-def source_term(psi: StateVector, spec: FqcSpec) -> np.ndarray:
-    """Coupling-induced source matrix of the reduced equation of motion.
+def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.ndarray:
+    """Coupling-induced source matrix of the reduced equation of motion at
+    every time of a two-level series, shape (nt, 2, 2).
 
     With lambda = v * sum_i rho_gi and eta = v * sum_i (rho_ie - rho_ei), the
     projected commutator P[V, rho]P reads [[0, -lambda], [lambda*, eta]].
@@ -371,26 +352,13 @@ def source_term(psi: StateVector, spec: FqcSpec) -> np.ndarray:
     Hermiticity-consistent; it is also the convention under which S converges
     to the non-Hermitian limit i[H_d, rho_r]_+ for large quasi-continua.
     """
-    if psi.basis_labels[0] != "g":
-        raise ConfigError("source_term needs a two-level basis (g, e, ...)")
-    amps = psi.amplitudes
-    return _source_matrices(spec.coupling_v, amps[0], amps[1], amps[2:].sum())
-
-
-def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.ndarray:
-    """source_term evaluated on every state of a series, shape (nt, 2, 2)."""
     if series.system_dim != 2:
         raise ConfigError("source_term_series needs a two-level series")
-    spec = spec or series.spec
-    c = series._projected()
-    return _source_matrices(spec.coupling_v, c[:, 0], c[:, 1], c[:, 2])
-
-
-def _source_matrices(v: float, cg, ce, sf) -> np.ndarray:
-    """Source matrices from c_g, c_e and sf = sum_k c_k (scalars or arrays)."""
+    v = (spec or series.spec).coupling_v
+    cg, ce, sf = series._projected().T       # sf = sum_k c_k
     lam = v * cg * sf.conj()
     eta = v * (sf * ce.conj() - ce * sf.conj())
-    out = np.zeros(np.shape(cg) + (2, 2), dtype=complex)
+    out = np.zeros(cg.shape + (2, 2), dtype=complex)
     out[..., 0, 1] = -lam
     out[..., 1, 0] = lam.conj()
     out[..., 1, 1] = eta

@@ -10,7 +10,7 @@ measured in units of hbar*gamma and times in 1/gamma (hbar = 1 throughout).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,7 +107,6 @@ class HamiltonianMatrix:
     basis_labels: tuple[str, ...]
     spec: FqcSpec
     drive: DriveSpec | None = None
-    level_ks: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
 
     @property
     def dim(self) -> int:
@@ -151,7 +150,7 @@ def build_single_level(spec: FqcSpec) -> HamiltonianMatrix:
     h[1:, 0] = spec.coupling_v
     h[np.arange(1, dim), np.arange(1, dim)] = ks * spec.gap
     labels = ("e",) + tuple(f"f{k}" for k in ks)
-    return HamiltonianMatrix(h, labels, spec, None, ks)
+    return HamiltonianMatrix(h, labels, spec)
 
 
 def build_two_level(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:
@@ -170,7 +169,7 @@ def build_two_level(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:
     h[2:, 1] = spec.coupling_v
     h[np.arange(2, dim), np.arange(2, dim)] = ks * spec.gap
     labels = ("g", "e") + tuple(f"f{k}" for k in ks)
-    return HamiltonianMatrix(h, labels, spec, drive, ks)
+    return HamiltonianMatrix(h, labels, spec, drive)
 
 
 def build_adaptive(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:

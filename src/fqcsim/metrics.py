@@ -47,10 +47,6 @@ class MetricResult:
         }
 
 
-def _entries(rho) -> np.ndarray:
-    return np.asarray(getattr(rho, "entries", rho), dtype=complex)
-
-
 def trace_distance(rho, sigma) -> float:
     """Trace distance T(rho, sigma) = (1/2) Tr |rho - sigma|.
 
@@ -59,7 +55,7 @@ def trace_distance(rho, sigma) -> float:
     closed form, which makes T(rho, sigma) == T(sigma, rho) bit-exact.
     Inputs must be Hermitian to within 1e-8.
     """
-    a, b = _entries(rho), _entries(sigma)
+    a, b = np.asarray(rho, dtype=complex), np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
         raise ConfigError(f"shape mismatch {a.shape} vs {b.shape}")
     for m in (a, b):

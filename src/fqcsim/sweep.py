@@ -1,4 +1,4 @@
-"""Parameter-grid orchestration: suitability maps and FQC size scans.
+"""Model dispatch (`build_model`) and parameter grids: suitability maps, size scans.
 
 Cells run as an independent task pool; results are aggregated by index, so
 the output is bit-identical regardless of schedule or worker count.
@@ -20,6 +20,7 @@ from .evolve import default_grid, propagate, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
+    HamiltonianMatrix,
     HoleSpec,
     adaptive_spec_for_size,
     build_adaptive,
@@ -31,6 +32,8 @@ from .analysis import fit_effective_params
 from .reference import NonHermitianSpec, evolve_nonhermitian
 
 __all__ = [
+    "build_model",
+    "size_cell",
     "SweepFixed",
     "SweepGrid",
     "SweepMap",
@@ -48,8 +51,72 @@ METRICS = ("d1", "d2", "fit")
 def parallel_workers(requested: int | None = None) -> int:
     """Worker count, capped by the FQCSIM_THREADS environment variable."""
     cap = os.environ.get("FQCSIM_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
+    try:
+        limit = int(cap) if cap else (os.cpu_count() or 1)
+    except ValueError:
+        raise ConfigError(f"FQCSIM_THREADS must be an integer, got {cap!r}") from None
     return max(1, limit if requested is None else min(requested, limit))
+
+
+def _hole_half_width(adaptive: bool, width: float | None, omega0: float) -> float | None:
+    """The hole rule: a given width always cuts a hole, and an adaptive model
+    without one cuts omega0/2, which keeps the populated sidebands inside the
+    surviving levels while excising the weakly populated center."""
+    return omega0 / 2.0 if adaptive and width is None else width
+
+
+def build_model(
+    n_half: int,
+    coupling_v: float,
+    gamma: float,
+    drive: DriveSpec,
+    adaptive: bool = False,
+    hole_half_width: float | None = None,
+    single_level: bool = False,
+) -> HamiltonianMatrix:
+    """The Hamiltonian of a model: the one place that picks its FqcSpec and
+    its builder.
+
+    The hole follows `_hole_half_width`: a given width always cuts one, and
+    an adaptive model without one gets the default width.  A single-level
+    model goes to `build_single_level` (the drive then only sets that
+    default), a holed two-level one to `build_adaptive` and any other to
+    `build_two_level`.
+    """
+    width = _hole_half_width(adaptive, hole_half_width, drive.rabi_omega0)
+    spec = FqcSpec(n_half, coupling_v, gamma, None if width is None else HoleSpec(width))
+    if single_level:
+        return build_single_level(spec)
+    if spec.hole is not None:
+        return build_adaptive(spec, drive)
+    return build_two_level(spec, drive)
+
+
+def size_cell(
+    size: int,
+    drive: DriveSpec,
+    coupling_v: float,
+    gamma: float,
+    hole_half_width: float | None,
+    times: np.ndarray,
+    ref,
+    t_f: float,
+    initial_state: str = "e",
+):
+    """One cell of a size scan: (variant, series, fit report, d2 result).
+
+    An odd size is a flat ladder of 2N+1 levels.  An even size is adaptive:
+    the hole of an adaptive model, in a flat grid extended outward so that
+    `size` levels survive (`adaptive_spec_for_size`).
+    """
+    variant, n_half, width = "flat", (size - 1) // 2, None
+    if size % 2 == 0:
+        variant = "adaptive"
+        width = _hole_half_width(True, hole_half_width, drive.rabi_omega0)
+        n_half = adaptive_spec_for_size(size, coupling_v, width, gamma).n_half
+    h = build_model(n_half, coupling_v, gamma, drive, hole_half_width=width)
+    series = propagate(h, initial_state, times)
+    return variant, series, fit_effective_params(series, t_f), d2(series, ref, t_f)
 
 
 def _run_pool(job, tasks: list, max_workers: int | None) -> list:
@@ -68,7 +135,12 @@ def _run_pool(job, tasks: list, max_workers: int | None) -> list:
 
 @dataclass(frozen=True)
 class SweepFixed:
-    """Parameters held constant across the grid."""
+    """Parameters held constant across the grid.
+
+    Every cell of a `model` ("single", "two-level" or "adaptive") is built by
+    `build_model`, so a given `hole_half_width` holes every model.  `run_sweep`
+    checks `t_f` and `grid_points` (`default_grid`) before any cell runs.
+    """
 
     t_f: float = 10.0
     omega0: float = 0.0
@@ -81,8 +153,6 @@ class SweepFixed:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
-        if self.t_f <= 0:
-            raise ConfigError("t_f must be > 0")
 
 
 @dataclass(frozen=True)
@@ -141,34 +211,6 @@ class SweepMap:
             json.dump(self.to_json(), fh, sort_keys=True)
 
 
-def _run_cell(n: int, v: float, fx: SweepFixed, metric: str) -> float:
-    times = default_grid(fx.t_f, fx.grid_points)
-    drive = DriveSpec(fx.omega0, fx.detuning)
-    if fx.model == "single":
-        h = build_single_level(FqcSpec(n, v, fx.gamma))
-    elif fx.model == "two-level":
-        h = build_two_level(FqcSpec(n, v, fx.gamma), drive)
-    else:
-        hole = HoleSpec(
-            fx.hole_half_width if fx.hole_half_width is not None else fx.omega0 / 2.0
-        )
-        h = build_adaptive(FqcSpec(n, v, fx.gamma, hole), drive)
-    series = propagate(h, "e", times)
-    if metric == "d1":
-        return d1(series, fx.gamma, fx.t_f).value
-    if metric == "d2":
-        ref = evolve_nonhermitian(
-            NonHermitianSpec(fx.gamma, drive), np.array([0.0, 1.0]), times
-        )
-        if series.system_dim == 1:
-            return d1(series, fx.gamma, fx.t_f).value
-        return d2(series, ref, fx.t_f).value
-    report = fit_effective_params(series, fx.t_f)
-    if not report.converged:
-        raise FqcsimError("effective-parameter fit did not converge")
-    return report.residual_norm / math.sqrt(report.grid_points)
-
-
 def run_sweep(
     grid: SweepGrid,
     max_workers: int | None = None,
@@ -180,13 +222,32 @@ def run_sweep(
     abort the map.  Nothing here samples randomness; the seed is recorded in
     the provenance for uniformity with sampled metrics.
     """
+    fx = grid.fixed
+    times = default_grid(fx.t_f, fx.grid_points)
+    drive = DriveSpec(fx.omega0, fx.detuning)
+    ref = None
+    if grid.metric == "d2":
+        ref = evolve_nonhermitian(
+            NonHermitianSpec(fx.gamma, drive), np.array([0.0, 1.0]), times
+        )
     nv, nn = len(grid.v_values), len(grid.n_values)
     values = np.full((nn, nv), np.nan)
     errors: list[dict] = []
 
     def job(idx):
         i, j = idx
-        return _run_cell(grid.n_values[i], grid.v_values[j], grid.fixed, grid.metric)
+        h = build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
+                        adaptive=fx.model == "adaptive", hole_half_width=fx.hole_half_width,
+                        single_level=fx.model == "single")
+        series = propagate(h, "e", times)
+        if grid.metric == "d2" and series.system_dim == 2:
+            return d2(series, ref, fx.t_f).value
+        if grid.metric != "fit":  # d1, which is also d2 of a one-level model
+            return d1(series, fx.gamma, fx.t_f).value
+        report = fit_effective_params(series, fx.t_f)
+        if not report.converged:
+            raise FqcsimError("effective-parameter fit did not converge")
+        return report.residual_norm / math.sqrt(report.grid_points)
 
     indices = [(i, j) for i in range(nn) for j in range(nv)]
     results = _run_pool(job, indices, max_workers)
@@ -249,38 +310,27 @@ def run_size_scan(
 ) -> SizeScanResult:
     """Effective (omega, gamma) fits and mean trace distance versus FQC size.
 
-    Flat quasi-continua have odd sizes 2N+1 and adaptive ones even sizes 2N
-    (symmetric with the central levels removed); each requested size is
-    evaluated for every variant of matching parity.  The default hole half
-    width is omega0/2, which keeps the populated sidebands inside the
-    surviving levels while excising the weakly populated center.
+    Each size is one `size_cell`: odd sizes are flat quasi-continua of 2N+1
+    levels, even sizes adaptive ones (symmetric, with the central levels
+    removed) whose hole follows the adaptive model's rule of `build_model`.
     """
     times = default_grid(t_f, grid_points)
     ref = evolve_nonhermitian(
         NonHermitianSpec(gamma, drive), np.array([0.0, 1.0]), times
     )
-    half_width = hole_half_width if hole_half_width is not None else drive.rabi_omega0 / 2.0
 
-    tasks = [("flat" if s % 2 else "adaptive", s) for s in sizes]
-
-    def job(task):
-        variant, s = task
-        if variant == "flat":
-            spec = FqcSpec((s - 1) // 2, coupling_v, gamma)
-        else:
-            spec = adaptive_spec_for_size(s, coupling_v, half_width, gamma)
-        h = build_two_level(spec, drive)
-        series = propagate(h, "e", times)
-        fit = fit_effective_params(series, t_f)
-        dist = d2(series, ref, t_f).value
+    def job(s):
+        variant, _, fit, dist = size_cell(
+            s, drive, coupling_v, gamma, hole_half_width, times, ref, t_f
+        )
         return SizeScanRow(
             variant, s,
             fit.params.get("omega_eff", math.nan),
             fit.params.get("gamma_eff", math.nan),
-            dist, fit.converged,
+            dist.value, fit.converged,
         )
 
-    rows = _run_pool(job, tasks, max_workers)
+    rows = _run_pool(job, sizes, max_workers)
     failed = next((r for r in rows if isinstance(r, Exception)), None)
     if failed is not None:
         raise failed
@@ -292,6 +342,6 @@ def run_size_scan(
             "gamma": gamma,
             "t_f": t_f,
             "omega0": drive.rabi_omega0,
-            "hole_half_width": half_width,
+            "hole_half_width": _hole_half_width(True, hole_half_width, drive.rabi_omega0),
         },
     )

@@ -114,6 +114,13 @@ def test_non_positive_or_non_finite_t_f_rejected(tmp_path, t_f):
     assert run(["sidebands", "--out", tmp_path / "x", "--tf", t_f]) == 2
 
 
+def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FQCSIM_THREADS", "abc")
+    assert run(["sweep", "--out", tmp_path / "x", "--n-min", 5, "--n-max", 5,
+                "--v-min", 0.3, "--v-max", 0.3] + FAST) == 2
+    assert "FQCSIM_THREADS" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert run(["decay", "--config", tmp_path / "nope.json", "--out", tmp_path / "x"]) == 2
 

@@ -22,9 +22,7 @@ from fqcsim import (
     diagonalize,
     memory_kernel,
     propagate,
-    reduce_density,
     source_infinity,
-    source_term,
     source_term_series,
     write_csv,
 )
@@ -117,14 +115,19 @@ def test_zeno_quadratic_law():
     assert series.energy_variance0 == pytest.approx(31 * 0.09, rel=1e-10)
 
 
+def one_point(amps, labels) -> TimeSeries:
+    """A one-point series holding the given amplitudes."""
+    return TimeSeries(np.zeros(1), np.asarray(amps, dtype=complex)[None], labels)
+
+
 def test_reduce_density_examples():
     h = build_two_level(FqcSpec(2, 0.1), DriveSpec(1.0, 0.0))
-    rho_e = reduce_density(basis_state(h, "e")).entries
+    rho_e = one_point(basis_state(h, "e").amplitudes, h.basis_labels).reduced().rho[0]
     np.testing.assert_allclose(rho_e, np.diag([0.0, 1.0]))
 
     amps = np.zeros(h.dim, dtype=complex)
     amps[0] = amps[1] = 1 / math.sqrt(2)
-    rho_plus = reduce_density(StateVector(amps, h.basis_labels)).entries
+    rho_plus = one_point(amps, h.basis_labels).reduced().rho[0]
     np.testing.assert_allclose(rho_plus, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
@@ -132,14 +135,14 @@ def test_reduce_density_subnormalized_with_fqc_weight():
     h = build_two_level(FqcSpec(2, 0.1), DriveSpec(1.0, 0.0))
     amps = np.zeros(h.dim, dtype=complex)
     amps[0] = amps[1] = amps[2] = 1 / math.sqrt(3)
-    rho = reduce_density(StateVector(amps, h.basis_labels)).entries
+    rho = one_point(amps, h.basis_labels).reduced().rho[0]
     assert rho.trace().real < 1.0
     assert rho.trace().real == pytest.approx(2 / 3, rel=1e-10)
 
 
 def test_single_level_reduce_is_scalar():
     h = build_single_level(FqcSpec(2, 0.1))
-    rho = reduce_density(basis_state(h, "e")).entries
+    rho = one_point(basis_state(h, "e").amplitudes, h.basis_labels).reduced().rho[0]
     assert rho.shape == (1, 1)
     assert rho[0, 0].real == pytest.approx(1.0)
 
@@ -147,7 +150,7 @@ def test_single_level_reduce_is_scalar():
 def test_source_term_vanishes_without_fqc_amplitude():
     spec = FqcSpec(3, 0.2)
     h = build_two_level(spec, DriveSpec(1.0, 0.0))
-    s = source_term(basis_state(h, "e"), spec)
+    s = source_term_series(one_point(basis_state(h, "e").amplitudes, h.basis_labels), spec)[0]
     np.testing.assert_allclose(s, 0.0)
 
 
@@ -158,7 +161,7 @@ def test_source_term_single_level_hand_oracle():
     amps = np.array([cg, ce, cf])
     amps /= np.linalg.norm(amps)
     cg, ce, cf = amps
-    s = source_term(StateVector(amps, h.basis_labels), spec)
+    s = source_term_series(one_point(amps, h.basis_labels), spec)[0]
     lam = 0.2 * cg * np.conj(cf)
     eta = 0.2 * (cf * np.conj(ce) - ce * np.conj(cf))
     np.testing.assert_allclose(s, [[0, -lam], [np.conj(lam), eta]], atol=1e-14)

@@ -22,6 +22,8 @@ from fqcsim import (
     propagate,
     trace_distance,
 )
+from fqcsim import NumericalError, diagonalize
+from fqcsim.evolve import Eigensystem
 from fqcsim.metrics import _sample_pairs, _td_two_by_two
 
 
@@ -262,6 +264,16 @@ def test_nonmarkovianity_rejects_bad_window(t_final, grid_points):
     h = build_two_level(FqcSpec(4, 0.2), DriveSpec(1.0, 0.0))
     with pytest.raises(ConfigError):
         nonmarkovianity(h, t_final, count=4, grid_points=grid_points)
+
+
+def test_nonmarkovianity_rejects_non_orthonormal_eigenbasis():
+    # a 1% skew of one eigenvector moved Sigma in the fourth digit unnoticed
+    h = build_two_level(FqcSpec(4, 0.5), DriveSpec(1.0, 0.0))
+    eig = diagonalize(h)
+    skewed = eig.vectors.copy()
+    skewed[:, 0] *= 1.01
+    with pytest.raises(NumericalError, match="orthonormality"):
+        nonmarkovianity(h, 6.0, count=4, eig=Eigensystem(eig.values, skewed))
 
 
 # ------------------------------------------------- non-Markovianity oracles

@@ -115,6 +115,19 @@ def test_sweep_serialization(tmp_path):
     json.dumps(payload)  # must be serializable
 
 
+@pytest.mark.parametrize("t_f", [np.nan, np.inf, 0.0, -1.0])
+def test_sweep_rejects_bad_window_before_the_pool(t_f):
+    # a non-finite t_f used to come back as the same error in every cell
+    with pytest.raises(ConfigError):
+        run_sweep(SweepGrid((5, 6), (0.3,), SweepFixed(t_f=t_f, grid_points=101), "d1"))
+
+
+def test_parallel_workers_rejects_non_integer_cap(monkeypatch):
+    monkeypatch.setenv("FQCSIM_THREADS", "abc")
+    with pytest.raises(ConfigError, match="FQCSIM_THREADS"):
+        parallel_workers()
+
+
 def test_parallel_workers_env_cap(monkeypatch):
     monkeypatch.setenv("FQCSIM_THREADS", "2")
     assert parallel_workers() == 2
