@@ -9,8 +9,6 @@ the two reduced density matrices.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from fqcsim import (
     DriveSpec,
     FqcSpec,
@@ -40,8 +38,7 @@ def main():
     for omega0 in args.omega0:
         drive = DriveSpec(omega0, 0.0)
         series = propagate(build_two_level(FqcSpec(args.n, args.v), drive), "e", times)
-        ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive),
-                                  np.array([0.0, 1.0]), times)
+        ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times)
         value = d2(series, ref, args.tf).value
         path = out_dir / f"omega0_{omega0:g}.csv"
         write_csv(path, {"t": times, "pi_e_fqc": series.pi_e, "pi_e_reference": ref.pi_e})

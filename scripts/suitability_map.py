@@ -31,10 +31,10 @@ def main():
     v_values = tuple(round(args.v_min + i * args.v_step, 10) for i in range(steps + 1))
 
     if args.omega0 is None:
-        fixed = SweepFixed(t_f=args.tf, model="single")
+        fixed = SweepFixed(t_f=args.tf, model="decay")
         metric = "d1"
     else:
-        fixed = SweepFixed(t_f=args.tf, omega0=args.omega0, model="two-level")
+        fixed = SweepFixed(t_f=args.tf, omega0=args.omega0, model="rabi")
         metric = "d2"
 
     result = run_sweep(SweepGrid(n_values, v_values, fixed, metric))

@@ -20,7 +20,6 @@ from .hamiltonian import (
     build_adaptive,
     build_single_level,
     build_two_level,
-    lamb_shift,
     level_energies,
 )
 from .evolve import (

@@ -34,7 +34,8 @@ from .hamiltonian import DriveSpec, HamiltonianMatrix
 from .hamiltonian import build_adaptive, build_single_level, build_two_level  # noqa: F401
 from .metrics import d1, d2, nonmarkovianity
 from .reference import NonHermitianSpec, decay_single, evolve_nonhermitian
-from .sweep import SweepFixed, SweepGrid, build_model, run_size_scan, run_sweep, size_cell
+from .sweep import (MODELS, SweepFixed, SweepGrid, build_model, run_size_scan, run_sweep,
+                    size_cell)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -77,8 +78,8 @@ class RunConfig:
                 raise ConfigError(f"config key {f.name!r} must be {f.type}, "
                                   f"got {data[f.name]!r}")
         cfg = cls(**data)
-        if cfg.model not in ("decay", "rabi", "adaptive"):
-            raise ConfigError(f"model must be decay|rabi|adaptive, got {cfg.model!r}")
+        if cfg.model not in MODELS:
+            raise ConfigError(f"model must be one of {MODELS}, got {cfg.model!r}")
         if cfg.grid_points < 2:
             raise ConfigError("grid_points must be >= 2")
         if not 0 < cfg.t_f < float("inf"):
@@ -174,10 +175,8 @@ def cmd_decay(cfg: RunConfig, out: Path) -> None:
 def _two_level_run(cfg: RunConfig):
     h = _model(cfg)
     times = default_grid(cfg.t_f, cfg.grid_points)
+    ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, h.drive), cfg.initial_state, times)
     series = propagate(h, cfg.initial_state, times)
-    psi0 = np.zeros(2, dtype=complex)
-    psi0[1 if cfg.initial_state == "e" else 0] = 1.0
-    ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, h.drive), psi0, times)
     return h, times, series, ref
 
 
@@ -250,9 +249,6 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
         return
     n_values = cfg.n_values or list(range(2, 41))
     v_values = cfg.v_values or [round(0.05 + 0.01 * i, 4) for i in range(56)]
-    model = cfg.model if cfg.model != "decay" else "single"
-    if model == "rabi":
-        model = "two-level"
     grid = SweepGrid(
         tuple(n_values),
         tuple(v_values),
@@ -260,7 +256,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
             t_f=cfg.t_f,
             omega0=cfg.omega0,
             detuning=cfg.detuning,
-            model=model,
+            model=cfg.model,
             gamma=cfg.gamma,
             grid_points=cfg.grid_points,
             hole_half_width=cfg.hole_half_width,
@@ -285,7 +281,7 @@ def cmd_adaptive_compare(cfg: RunConfig, out: Path) -> None:
     drive = _drive(cfg)
     times = default_grid(cfg.t_f, cfg.grid_points)
     header = _header(cfg)
-    ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, drive), np.array([0.0, 1.0]), times)
+    ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, drive), cfg.initial_state, times)
     ref.to_csv(out / "reference.csv", extra_header=header)
 
     payload = {}
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="suitability map over (N, v), or a size scan")
     common(p)
     p.add_argument("--metric", type=str, choices=("d1", "d2", "fit"))
-    p.add_argument("--model", type=str, choices=("decay", "rabi", "adaptive"))
+    p.add_argument("--model", type=str, choices=MODELS)
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--n-step", type=int, default=1)
@@ -389,8 +385,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             data[key] = value
     if getattr(args, "sizes", None):
         data["sizes"] = [int(s) for s in str(args.sizes).split(",") if s]
-    if getattr(args, "model", None):
-        data["model"] = args.model
     for axis, (lo, hi, step) in {
         "n_values": ("n_min", "n_max", "n_step"),
         "v_values": ("v_min", "v_max", "v_step"),

@@ -164,14 +164,6 @@ class DensitySeries:
         cols.update(_rho_columns(self.rho, ("g", "e")[-self.dim:]))
         write_csv(path, cols, extra_header)
 
-    def to_json(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "pi_e": self.pi_e.tolist(),
-            "rho_re": self.rho.real.tolist(),
-            "rho_im": self.rho.imag.tolist(),
-        }
-
 
 class TimeSeries:
     """Propagated amplitudes on a time grid plus run provenance.

@@ -26,7 +26,6 @@ __all__ = [
     "build_two_level",
     "build_adaptive",
     "adaptive_spec_for_size",
-    "lamb_shift",
 ]
 
 
@@ -192,23 +191,22 @@ def adaptive_spec_for_size(
     The underlying flat grid is extended outward so that removing all levels
     with |k*delta| < half_width leaves n_fqc of them.  This keeps the state
     budget fixed while pushing spectral weight toward the populated sidebands.
+    half_width must be > 0: a zero-width hole removes nothing.
     """
     if n_fqc < 2 or n_fqc % 2:
         raise ConfigError(f"adaptive size must be a positive even integer, got {n_fqc}")
+    if not half_width > 0:  # HoleSpec(0) removes no level, which leaves an odd count
+        raise ConfigError(f"adaptive hole half_width must be > 0, got {half_width}")
     gap = 2.0 * math.pi * coupling_v**2 / gamma_target
     if gap <= 0:
         raise ConfigError("adaptive spec requires coupling_v > 0")
+    # first surviving level k, by the comparison level_indices makes; the
+    # ceil of the rounded quotient is off by one next to a multiple of the gap
     k_min = max(1, math.ceil(half_width / gap))
+    if k_min * gap < half_width:
+        k_min += 1
+    elif k_min > 1 and (k_min - 1) * gap >= half_width:
+        k_min -= 1
     n_half = n_fqc // 2 + k_min - 1
     return FqcSpec(n_half, coupling_v, gamma_target, HoleSpec(half_width))
 
-
-def lamb_shift(spec: FqcSpec, e_energy: float = 0.0) -> float:
-    """Discrete principal-value shift sum_f v^2 / (E_e - E_f), f off-resonant.
-
-    Exactly zero for any symmetric FQC: terms come in +/- pairs and the
-    compensated summation preserves the cancellation bit for bit.
-    """
-    v2 = spec.coupling_v**2
-    terms = [v2 / (e_energy - ef) for ef in level_energies(spec) if ef != e_energy]
-    return math.fsum(terms)

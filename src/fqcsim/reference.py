@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError
 from .evolve import DensitySeries
@@ -64,24 +63,41 @@ def decay_single(gamma: float, pi0: float, times: np.ndarray) -> DensitySeries:
 
 def evolve_nonhermitian(
     spec: NonHermitianSpec,
-    psi0: np.ndarray,
+    psi0: np.ndarray | str,
     times: np.ndarray,
 ) -> DensitySeries:
     """Propagate rho(t) = e^{-i H_eff t} |psi0><psi0| e^{+i H_eff^dag t}.
 
-    Diagonalizes the 2x2 H_eff once and phase-rotates its eigenvectors; near
-    the defective critical point, where the eigenvector matrix is singular,
-    it falls back to a matrix exponential at every time.
+    psi0 is a (g, e) amplitude pair or a basis label, "g" or "e"; any other
+    label is a ConfigError.  One closed form covers every regime, the
+    exceptional point omega0 = gamma/4 included: with tau = tr(H)/2 and
+    K = H - tau I, K^2 = q I, so
+
+        e^{-iHt} = e^{-i tau t} [cos(s t) I - i t sinc(s t) K],   s^2 = q,
+
+    which is even in s.  It is evaluated on the branch Im(s) >= 0 as
+
+        e^{-i(tau+s)t} [(1 + e^z)/2 I - i t (e^z - 1)/z K],   z = 2 i s t,
+
+    where e^{-i(tau+s)t}, e^z and (e^z - 1)/z all stay bounded by 1 (cos and
+    sinc alone overflow once Im(s) t exceeds ~709), and (e^z - 1)/z is 1 at
+    z = 0.
     """
+    if isinstance(psi0, str):
+        if psi0 not in ("g", "e"):
+            raise ConfigError(f"the reference starts in 'g' or 'e', got {psi0!r}")
+        psi0 = np.eye(2)[("g", "e").index(psi0)]
     psi0 = np.asarray(psi0, dtype=complex).reshape(2)
     times = np.asarray(times, dtype=float)
     heff = effective_hamiltonian(spec)
-    w, wv = np.linalg.eig(heff)
-    if np.linalg.cond(wv) < 1e6:
-        c = np.linalg.solve(wv, psi0)
-        psits = (np.exp(-1j * np.outer(times, w)) * c) @ wv.T
-    else:  # defective (critical) point: exponentiate per time
-        psits = np.array([expm(-1j * heff * t) @ psi0 for t in times])
+    tau = 0.5 * np.trace(heff)
+    k = heff - tau * np.eye(2)
+    s = 1j * np.sqrt(-(k[0, 0] ** 2 + k[0, 1] * k[1, 0]))
+    z = 2j * s * times
+    phi = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+    psits = np.exp(-1j * (tau + s) * times)[:, None] * (
+        0.5 * (1.0 + np.exp(z))[:, None] * psi0 - 1j * (times * phi)[:, None] * (k @ psi0)
+    )
     rho = psits[:, :, None] * psits.conj()[:, None, :]
     return DensitySeries(times, rho)
 

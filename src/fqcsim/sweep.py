@@ -44,7 +44,7 @@ __all__ = [
     "run_size_scan",
 ]
 
-MODELS = ("single", "two-level", "adaptive")
+MODELS = ("decay", "rabi", "adaptive")
 METRICS = ("d1", "d2", "fit")
 
 
@@ -107,7 +107,8 @@ def size_cell(
 
     An odd size is a flat ladder of 2N+1 levels.  An even size is adaptive:
     the hole of an adaptive model, in a flat grid extended outward so that
-    `size` levels survive (`adaptive_spec_for_size`).
+    `size` levels survive (`adaptive_spec_for_size`, which rejects a hole
+    of zero width).
     """
     variant, n_half, width = "flat", (size - 1) // 2, None
     if size % 2 == 0:
@@ -137,7 +138,7 @@ def _run_pool(job, tasks: list, max_workers: int | None) -> list:
 class SweepFixed:
     """Parameters held constant across the grid.
 
-    Every cell of a `model` ("single", "two-level" or "adaptive") is built by
+    Every cell of a `model` ("decay", "rabi" or "adaptive") is built by
     `build_model`, so a given `hole_half_width` holes every model.  `run_sweep`
     checks `t_f` and `grid_points` (`default_grid`) before any cell runs.
     """
@@ -145,7 +146,7 @@ class SweepFixed:
     t_f: float = 10.0
     omega0: float = 0.0
     detuning: float = 0.0
-    model: str = "single"
+    model: str = "decay"
     gamma: float = 1.0
     grid_points: int = 2001
     hole_half_width: float | None = None
@@ -227,9 +228,7 @@ def run_sweep(
     drive = DriveSpec(fx.omega0, fx.detuning)
     ref = None
     if grid.metric == "d2":
-        ref = evolve_nonhermitian(
-            NonHermitianSpec(fx.gamma, drive), np.array([0.0, 1.0]), times
-        )
+        ref = evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e", times)
     nv, nn = len(grid.v_values), len(grid.n_values)
     values = np.full((nn, nv), np.nan)
     errors: list[dict] = []
@@ -238,7 +237,7 @@ def run_sweep(
         i, j = idx
         h = build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
                         adaptive=fx.model == "adaptive", hole_half_width=fx.hole_half_width,
-                        single_level=fx.model == "single")
+                        single_level=fx.model == "decay")
         series = propagate(h, "e", times)
         if grid.metric == "d2" and series.system_dim == 2:
             return d2(series, ref, fx.t_f).value
@@ -315,9 +314,7 @@ def run_size_scan(
     removed) whose hole follows the adaptive model's rule of `build_model`.
     """
     times = default_grid(t_f, grid_points)
-    ref = evolve_nonhermitian(
-        NonHermitianSpec(gamma, drive), np.array([0.0, 1.0]), times
-    )
+    ref = evolve_nonhermitian(NonHermitianSpec(gamma, drive), "e", times)
 
     def job(s):
         variant, _, fit, dist = size_cell(

@@ -258,6 +258,47 @@ def test_adaptive_compare(tmp_path):
         assert (out / name).exists()
 
 
+def _data_rows(path):
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_adaptive_compare_reference_starts_in_the_initial_state(tmp_path):
+    grid = ["--v", 0.3, "--omega0", 10.0, "--tf", 4, "--grid-points", 401,
+            "--initial-state", "g"]
+    assert run(["adaptive-compare", "--out", tmp_path / "cmp", "--flat-size", 21,
+                "--adaptive-size", 20] + grid) == 0
+    assert run(["rabi", "--out", tmp_path / "rabi"] + grid) == 0
+    assert (_data_rows(tmp_path / "cmp" / "reference.csv")
+            == _data_rows(tmp_path / "rabi" / "reference.csv"))
+
+
+@pytest.mark.parametrize("command", ["rabi", "fit", "adaptive-compare"])
+def test_fqc_initial_state_is_a_config_error(tmp_path, command, capsys):
+    # the non-Hermitian reference has only |g> and |e> to start from
+    assert run([command, "--out", tmp_path / "x", "--initial-state", "f0"] + FAST) == 2
+    assert "'g' or 'e'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--size-scan", "--sizes", "10,11"],
+    ["adaptive-compare", "--flat-size", 11, "--adaptive-size", 10],
+])
+def test_adaptive_sizes_without_a_hole_rejected(tmp_path, args):
+    # omega0 = 0 and no --hole-half-width leave the adaptive hole zero wide
+    assert run(args + ["--out", tmp_path / "x", "--omega0", 0.0] + FAST) == 2
+
+
+def test_sweep_model_names_are_the_cli_names(tmp_path):
+    assert cli.MODELS == ("decay", "rabi", "adaptive")
+    out = tmp_path / "run"
+    assert run(["sweep", "--out", out, "--model", "rabi", "--metric", "d2",
+                "--n-min", 8, "--n-max", 8, "--v-min", 0.3, "--v-max", 0.3,
+                "--omega0", 1.0, "--tf", 4] + FAST) == 0
+    assert json.loads((out / "map.json").read_text())["fixed"]["model"] == "rabi"
+    with pytest.raises(SystemExit):
+        run(["sweep", "--out", out, "--model", "two-level"])
+
+
 def test_embedded_config_errors(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("a,b\n1,2\n")

@@ -13,7 +13,6 @@ from fqcsim import (
     build_adaptive,
     build_single_level,
     build_two_level,
-    lamb_shift,
     level_energies,
 )
 
@@ -193,8 +192,24 @@ def test_adaptive_spec_for_size():
         adaptive_spec_for_size(35, 0.3, 5.0)
 
 
-def test_lamb_shift_cancels_exactly():
-    assert lamb_shift(FqcSpec(15, 0.3)) == 0.0
-    assert lamb_shift(FqcSpec(40, 0.61)) == 0.0
-    spec = FqcSpec(20, 0.3, hole=HoleSpec(3.0))
-    assert lamb_shift(spec) == 0.0
+@pytest.mark.parametrize("width", [0.0, -1.0, math.nan])
+def test_adaptive_spec_for_size_rejects_a_zero_hole(width):
+    # a zero-width hole removes no level, so no even count could survive
+    with pytest.raises(ConfigError):
+        adaptive_spec_for_size(10, 0.3, width)
+
+
+@pytest.mark.parametrize("v, gamma", [(0.05, 1.0), (0.3, 1.0), (0.41, 0.7), (1.0, 3.0)])
+@pytest.mark.parametrize("n_fqc", [2, 10, 34])
+def test_adaptive_spec_for_size_counts_exactly(v, gamma, n_fqc):
+    # widths on and next to a multiple of the gap, where the ceil of the
+    # rounded quotient width / gap misses the first surviving level by one
+    gap = FqcSpec(0, v, gamma).gap
+    widths = [1e-9, 1.0, 0.5 * gap]
+    for m in range(1, 40):
+        w = m * gap
+        widths += [w, np.nextafter(w, 0.0), np.nextafter(w, np.inf)]
+    for width in widths:
+        spec = adaptive_spec_for_size(n_fqc, v, float(width), gamma)
+        assert spec.n_levels == n_fqc, width
+

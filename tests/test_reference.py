@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from fqcsim import (
     ConfigError,
@@ -19,6 +20,8 @@ from fqcsim import (
 
 E_STATE = np.array([0.0, 1.0], dtype=complex)
 G_STATE = np.array([1.0, 0.0], dtype=complex)
+MIXED_STATE = np.array([0.6, 0.8j])
+EP = 0.25  # the exceptional point omega0 = gamma/4 at gamma = 1
 
 
 def evolve_ode(spec, psi0, times):
@@ -95,8 +98,6 @@ def test_detuned_evolution_matches_ode():
     assert heff[1, 1] == pytest.approx(0.7 - 0.5j)
     a = evolve_nonhermitian(spec, E_STATE, times)
     # independent per-point matrix exponential oracle
-    from scipy.linalg import expm
-
     for i in (50, 150, 300):
         u = expm(-1j * heff * times[i])
         rho = np.outer(u @ E_STATE, (u @ E_STATE).conj())
@@ -144,7 +145,7 @@ def test_damped_oscillator_matches_nonhermitian_propagation(omega0):
 
 def test_critical_point_exact_double_root():
     # at omega0 = gamma/4 the characteristic polynomial has a double root and
-    # the eigenvector matrix of H_eff degenerates; the expm fallback covers it
+    # H_eff is defective; the closed form needs no eigenvectors, so it holds
     times = default_grid(8.0, 801)
     spec = NonHermitianSpec(1.0, DriveSpec(0.25, 0.0))
     series = evolve_nonhermitian(spec, E_STATE, times)
@@ -160,3 +161,57 @@ def test_damped_rabi_population_requires_underdamping():
 def test_damped_oscillator_requires_resonance():
     with pytest.raises(ConfigError):
         damped_oscillator_ce(NonHermitianSpec(1.0, DriveSpec(1.0, 0.5)), np.array([0.0]))
+
+
+def expm_rho(spec, psi0, times):
+    """Oracle: rho(t) from one scipy matrix exponential per time."""
+    heff = effective_hamiltonian(spec)
+    psits = np.array([expm(-1j * heff * t) @ psi0 for t in times])
+    return psits[:, :, None] * psits.conj()[:, None, :]
+
+
+@pytest.mark.parametrize("omega0, detuning", [
+    (0.0, 0.0), (0.1, 0.0), (EP, 0.0), (EP * (1 - 1e-9), 0.0), (EP * (1 + 1e-9), 0.0),
+    (1.0, 0.0), (10.0, 0.0), (1.0, 0.7),
+])
+@pytest.mark.parametrize("psi0", [E_STATE, G_STATE, MIXED_STATE], ids=["e", "g", "mixed"])
+def test_closed_form_matches_expm(omega0, detuning, psi0):
+    times = default_grid(8.0, 161)
+    spec = NonHermitianSpec(1.0, DriveSpec(omega0, detuning))
+    series = evolve_nonhermitian(spec, psi0, times)
+    assert np.abs(series.rho - expm_rho(spec, psi0, times)).max() <= 1e-12
+
+
+def test_closed_form_stays_finite_at_long_times():
+    # gamma t = 3000: cos(s t) and sinc(s t) alone would overflow here, while
+    # the slow, mostly-|g> mode at omega0 = 0.01 still holds a third
+    times = np.array([0.0, 1500.0, 3000.0])
+    spec = NonHermitianSpec(1.0, DriveSpec(0.01, 0.0))
+    series = evolve_nonhermitian(spec, G_STATE, times)
+    assert np.abs(series.rho - expm_rho(spec, G_STATE, times)).max() <= 1e-12
+    assert series.trace[-1] > 0.25
+
+
+@pytest.mark.parametrize("omega0", [EP, EP * (1 - 1e-9), EP * (1 + 1e-9)])
+def test_closed_form_matches_damped_oscillator_at_exceptional_point(omega0):
+    times = default_grid(8.0, 801)
+    spec = NonHermitianSpec(1.0, DriveSpec(omega0, 0.0))
+    closed = damped_oscillator_ce(spec, times)
+    assert closed.regime == ("critical" if omega0 == EP else
+                             "overdamped" if omega0 < EP else "underdamped")
+    series = evolve_nonhermitian(spec, E_STATE, times)
+    assert np.abs(series.pi_e - closed.pi_e).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label, state", [("e", E_STATE), ("g", G_STATE)])
+def test_label_starts_the_reference_in_that_basis_state(label, state):
+    times = default_grid(4.0, 41)
+    spec = NonHermitianSpec(1.0, DriveSpec(1.0, 0.3))
+    assert np.array_equal(evolve_nonhermitian(spec, label, times).rho,
+                          evolve_nonhermitian(spec, state, times).rho)
+
+
+@pytest.mark.parametrize("label", ["f0", "E", ""])
+def test_other_labels_rejected(label):
+    with pytest.raises(ConfigError):
+        evolve_nonhermitian(NonHermitianSpec(1.0), label, np.array([0.0, 1.0]))

@@ -64,7 +64,7 @@ def test_sweep_boundary_tracks_most_occupied_level():
     # small to host them emulates far worse than one that does
     grid = SweepGrid(
         (10, 25), (0.3,),
-        SweepFixed(t_f=8.0, omega0=10.0, model="two-level"),
+        SweepFixed(t_f=8.0, omega0=10.0, model="rabi"),
         "d2",
     )
     values = run_sweep(grid).values[:, 0]
@@ -74,7 +74,7 @@ def test_sweep_boundary_tracks_most_occupied_level():
 def test_sweep_d2_metric_two_level():
     grid = SweepGrid(
         (30,), (0.3,),
-        SweepFixed(t_f=8.0, omega0=1.0, model="two-level"),
+        SweepFixed(t_f=8.0, omega0=1.0, model="rabi"),
         "d2",
     )
     result = run_sweep(grid)
@@ -84,7 +84,7 @@ def test_sweep_d2_metric_two_level():
 def test_sweep_fit_metric():
     grid = SweepGrid(
         (20,), (0.3,),
-        SweepFixed(t_f=8.0, omega0=1.0, model="two-level", grid_points=801),
+        SweepFixed(t_f=8.0, omega0=1.0, model="rabi", grid_points=801),
         "fit",
     )
     result = run_sweep(grid)
