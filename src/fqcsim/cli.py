@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 from dataclasses import dataclass
@@ -233,8 +234,11 @@ def cmd_fit(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = False) -> None:
+    # every cell, and the d2 reference, starts in |e>
+    if cfg.initial_state != "e":
+        raise ConfigError(f"sweep always starts from e, got initial_state {cfg.initial_state!r}")
     if size_scan:
-        sizes = cfg.sizes or list(range(10, 81, 2))
+        sizes = list(range(10, 81, 2)) if cfg.sizes is None else cfg.sizes
         scan = run_size_scan(
             sizes,
             _drive(cfg),
@@ -247,8 +251,10 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
         scan.to_csv(out / "size_scan.csv", extra_header=_header(cfg))
         _dump_json(out / "size_scan.json", scan.to_json(), cfg)
         return
-    n_values = cfg.n_values or list(range(2, 41))
-    v_values = cfg.v_values or [round(0.05 + 0.01 * i, 4) for i in range(56)]
+    n_values = list(range(2, 41)) if cfg.n_values is None else cfg.n_values
+    v_values = cfg.v_values
+    if v_values is None:
+        v_values = [round(0.05 + 0.01 * i, 4) for i in range(56)]
     grid = SweepGrid(
         tuple(n_values),
         tuple(v_values),
@@ -384,17 +390,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if key in overridable and value is not None:
             data[key] = value
     if getattr(args, "sizes", None):
-        data["sizes"] = [int(s) for s in str(args.sizes).split(",") if s]
+        try:
+            data["sizes"] = [int(s) for s in str(args.sizes).split(",") if s]
+        except ValueError:
+            raise ConfigError(f"--sizes must be integers, got {args.sizes!r}") from None
     for axis, (lo, hi, step) in {
         "n_values": ("n_min", "n_max", "n_step"),
         "v_values": ("v_min", "v_max", "v_step"),
     }.items():
-        lo_v, hi_v = getattr(args, lo, None), getattr(args, hi, None)
+        lo_v, hi_v, st = (getattr(args, name, None) for name in (lo, hi, step))
+        lo_f, hi_f, st_f = (f"--{name.replace('_', '-')}" for name in (lo, hi, step))
+        if st is not None and not 0 < st < math.inf:
+            raise ConfigError(f"{st_f} must be finite and > 0, got {st}")
         if (lo_v is None) != (hi_v is None):
-            raise ConfigError(f"--{lo.replace('_', '-')} and --{hi.replace('_', '-')} "
-                              "must be given together")
+            raise ConfigError(f"{lo_f} and {hi_f} must be given together")
         if lo_v is not None:
-            st = getattr(args, step)
+            if not (math.isfinite(lo_v) and math.isfinite(hi_v)):
+                raise ConfigError(f"{lo_f} and {hi_f} must be finite, got {lo_v} and {hi_v}")
+            if lo_v > hi_v:
+                raise ConfigError(f"{lo_f} {lo_v} exceeds {hi_f} {hi_v}")
             if axis == "n_values":
                 data[axis] = list(range(lo_v, hi_v + 1, st))
             else:

@@ -5,6 +5,11 @@ Propagation uses a one-time eigendecomposition followed by phase rotation,
 and no truncation error to tune: the value at any grid time is independent of
 the rest of the grid up to rounding (1e-12), not bit for bit, because uniform
 grids evaluate the phases in blocks.
+
+The eigen step and the phase kernel work on stacks of Hamiltonians of equal
+basis: one batched `eigh` and one batched phase rotation serve many sweep
+cells (`_propagate_stack`), and `propagate` is the same core on a stack of
+one.  Stacked and single calls give the same bits.
 """
 
 from __future__ import annotations
@@ -100,29 +105,63 @@ class Eigensystem:
     `nonmarkovianity`) gets a checked one: ||V^T V - I||_F <= 1e-10 bounds
     the 2-norm of the Gram defect, and with it the norm drift
     | ||psi(t)|| / ||psi(0)|| - 1 | of a propagated state at every time (up
-    to rounding); NumericalError otherwise.
+    to rounding); NumericalError otherwise.  Stacked cells pass the same
+    check, one batched matmul per stack (`_propagate_stack`).
     """
 
     values: np.ndarray
     vectors: np.ndarray
 
     def __post_init__(self):
-        gram = self.vectors.T @ self.vectors
-        defect = np.linalg.norm(gram - np.eye(gram.shape[0]))
-        if not defect <= NORM_TOL:
-            raise NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
+        error = _basis_error(_gram_defect(self.vectors))
+        if error is not None:
+            raise error
+
+
+def _gram_defect(vectors: np.ndarray) -> np.ndarray:
+    """||V^T V - I||_F of every basis of a (..., d, d) stack."""
+    gram = np.swapaxes(vectors, -1, -2) @ vectors
+    gram -= np.eye(gram.shape[-1])
+    return np.sqrt(np.einsum("...ij,...ij->...", gram, gram))
+
+
+def _basis_error(defect: float) -> NumericalError | None:
+    if defect <= NORM_TOL:
+        return None
+    return NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
+
+
+def _eigh_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """Eigenvalues (s, d), eigenvectors (s, d, d) and the error of each
+    matrix of a (s, d, d) stack of real symmetric Hamiltonians, by one
+    batched `eigh`.
+
+    A matrix's error is None, a ConfigError if it is not symmetric, or a
+    NumericalError if LAPACK fails on it.  A LAPACK failure in a stack is
+    retried one matrix at a time, so it stays with its own matrix.  The
+    Gram check of the bases is the caller's (Eigensystem, or one batched
+    `_gram_defect` in `_propagate_stack`).
+    """
+    try:
+        values, vectors = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
+        if len(entries) > 1:
+            parts = [_eigh_stack(m[None]) for m in entries]
+            return (np.concatenate([p[0] for p in parts]),
+                    np.concatenate([p[1] for p in parts]), [p[2][0] for p in parts])
+        nan = np.full(entries.shape, np.nan)
+        return nan[..., 0], nan, [NumericalError(f"eigensolver failed: {exc}")]
+    symmetric = (entries == np.swapaxes(entries, -1, -2)).all(axis=(-2, -1))
+    return values, vectors, [None if sym else ConfigError("Hamiltonian matrix is not symmetric")
+                             for sym in symmetric]
 
 
 def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
-    """Dense symmetric eigendecomposition of the Hamiltonian."""
-    m = h.entries
-    if not np.array_equal(m, m.T):
-        raise ConfigError("Hamiltonian matrix is not symmetric")
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    return Eigensystem(values, vectors)
+    """Dense symmetric eigendecomposition of the Hamiltonian (a stack of one)."""
+    values, vectors, (error,) = _eigh_stack(h.entries[None])
+    if error is not None:
+        raise error
+    return Eigensystem(values[0], vectors[0])
 
 
 def default_grid(t_f: float, points: int = 2001) -> np.ndarray:
@@ -264,6 +303,13 @@ class TimeSeries:
             json.dump(self.to_json(), fh, sort_keys=True)
 
 
+def _time_grid(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
+        raise ConfigError("time grid must be 1d and strictly increasing")
+    return times
+
+
 def propagate(
     h: HamiltonianMatrix,
     psi0: StateVector | str | None,
@@ -280,57 +326,95 @@ def propagate(
 
     A precomputed Eigensystem may be shared read-only across many calls; its
     basis was checked for orthonormality when it was made (see Eigensystem),
-    which bounds the norm drift at every grid time.
+    which bounds the norm drift at every grid time.  The phase rotation is
+    the stacked core of `_propagate_stack` on a stack of one.
     """
     if psi0 is None or isinstance(psi0, str):
         psi0 = basis_state(h, psi0 or "e")
     if psi0.dim != h.dim:
         raise ConfigError(f"state dim {psi0.dim} does not match Hamiltonian dim {h.dim}")
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
-        raise ConfigError("time grid must be 1d and strictly increasing")
+    times = _time_grid(times)
     if eig is None:
         eig = diagonalize(h)
-    values, vectors = eig.values, eig.vectors
-    a = vectors.T @ psi0.amplitudes
-    rows = vectors[:1]
-    if h.basis_labels[0] == "g":
-        rows = np.vstack([vectors[:2], vectors[2:].sum(axis=0)])
+    return _evolve([h], psi0.amplitudes[None], times, eig.values[None], eig.vectors[None])[0]
 
-    hpsi = h.entries @ psi0.amplitudes
-    mean = np.real(np.vdot(psi0.amplitudes, hpsi))
-    variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
-    series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, variance)
-    series._proj = _phase_sum(values, (rows * a).T, times)
-    series._build = lambda: _phase_sum(values, (vectors * a).T, times)
-    return series
+
+def _propagate_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
+    """`propagate` from |e> for Hamiltonians of equal basis labels: one
+    TimeSeries per cell, or the FqcsimError of its own eigendecomposition
+    (`_eigh_stack`, then the Eigensystem bound on its basis).  Every series
+    has the bits `propagate` gives for its cell alone.
+    """
+    times = _time_grid(times)
+    values, vectors, errors = _eigh_stack(np.stack([h.entries for h in hs]))
+    errors = [err or _basis_error(defect) for err, defect in zip(errors, _gram_defect(vectors))]
+    psi = np.zeros(values.shape, dtype=complex)
+    psi[:, hs[0].basis_labels.index("e")] = 1.0
+    series = _evolve(hs, psi, times, values, vectors)
+    return [s if err is None else err for s, err in zip(series, errors)]
+
+
+def _evolve(hs, psi: np.ndarray, times: np.ndarray, values: np.ndarray,
+            vectors: np.ndarray) -> list[TimeSeries]:
+    """The propagation core: states psi (s, d) under a stack of s
+    decomposed Hamiltonians of equal basis labels, one batched phase sum of
+    the projections for the whole stack."""
+    # a_n = <psi_n|psi_0>, real and imaginary parts apart: no complex copy of V
+    a = (psi.real[:, None] @ vectors)[:, 0] + 1j * (psi.imag[:, None] @ vectors)[:, 0]
+    rows = vectors[:, :1]
+    if hs[0].basis_labels[0] == "g":
+        rows = np.concatenate([vectors[:, :2], vectors[:, 2:].sum(axis=1, keepdims=True)], axis=1)
+    proj = _phase_sum(values, np.swapaxes(rows * a[:, None, :], -1, -2), times)
+
+    out = []
+    for k, h in enumerate(hs):
+        hpsi = h.entries @ psi[k]
+        mean = np.real(np.vdot(psi[k], hpsi))
+        variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
+        series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, variance)
+        series._proj = proj[k]
+        series._build = lambda e=values[k], v=vectors[k], c=a[k]: _phase_sum(e, (v * c).T, times)
+        out.append(series)
+    return out
 
 
 def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """sum_n weights[n, r] exp(-i values[n] t) at every grid time, shape (nt, r).
+    """sum_n weights[..., n, r] exp(-i values[..., n] t) at every grid time,
+    shape (..., nt, r).
 
-    On a uniform grid the phase of time index b*B + j factors as
-    exp(-iE t_{bB}) exp(-iE j dt) with B = ceil(sqrt(nt)), so about
-    (nt/B + B) * dim exponentials and one matmul do the work.  Any other grid
-    runs the same code with B = 1, which is the direct formula.
+    Leading axes stack independent cells (values (..., dim), weights
+    (..., dim, r)) that share the grid; each cell gets the bits it gets
+    alone, since numpy's batched elementwise ops and matmuls repeat the
+    per-matrix ones.  On a uniform grid the phase of time index b*B + j
+    factors as exp(-iE t_{bB}) exp(-iE j dt) with B = ceil(sqrt(nt)), so
+    about (nt/B + B) * dim exponentials and one matmul per cell do the work.
+    Any other grid runs the same code with B = 1, which is the direct formula.
     """
-    nt, (dim, r) = times.size, weights.shape
+    nt, (*stack, dim, r) = times.size, weights.shape
     dt = (times[-1] - times[0]) / max(nt - 1, 1)
     # within a few ulp of t_0 + k dt (as np.linspace makes it) counts as uniform
     drift = np.abs(times - (times[0] + dt * np.arange(nt))).max()
     uniform = drift <= 4 * np.finfo(float).eps * np.abs(times).max()
     block = math.isqrt(nt - 1) + 1 if uniform else 1
-    outer = np.exp(-1j * np.outer(times[::block], values))
-    inner = np.exp(-1j * np.outer(dt * np.arange(block), values))
-    nb = outer.shape[0]
+    outer = _phases(times[::block], values)
+    inner = _phases(dt * np.arange(block), values)
+    nb = outer.shape[-2]
     if r < block:
         # fold the weights into the outer phases: nb * r * dim products
-        out = (outer[:, None, :] * weights.T).reshape(nb * r, dim) @ inner.T
-        out = out.reshape(nb, r, block).transpose(0, 2, 1)
+        folded = outer[..., :, None, :] * np.swapaxes(weights, -1, -2)[..., None, :, :]
+        out = folded.reshape(*stack, nb * r, dim) @ np.swapaxes(inner, -1, -2)
+        out = np.swapaxes(out.reshape(*stack, nb, r, block), -1, -2)
     else:
         # form the phases themselves: nt * dim products
-        out = (outer[:, None, :] * inner).reshape(nb * block, dim) @ weights
-    return out.reshape(nb * block, r)[:nt]
+        phases = outer[..., :, None, :] * inner[..., None, :, :]
+        out = phases.reshape(*stack, nb * block, dim) @ weights
+    return out.reshape(*stack, nb * block, r)[..., :nt, :]
+
+
+def _phases(t: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """exp(-i E t) for every t and every E of values (..., dim): (..., t.size, dim)."""
+    phases = -1j * (t[:, None] * values[..., None, :])
+    return np.exp(phases, out=phases)
 
 
 def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.ndarray:

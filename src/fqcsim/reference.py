@@ -7,6 +7,7 @@ excited state, H_d = -(gamma/2) |e><e|.  The decaying norm is physical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,8 @@ class NonHermitianSpec:
     drive: DriveSpec | None = None
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 def effective_hamiltonian(spec: NonHermitianSpec) -> np.ndarray:

@@ -1,7 +1,11 @@
 """Model dispatch (`build_model`) and parameter grids: suitability maps, size scans.
 
-Cells run as an independent task pool; results are aggregated by index, so
-the output is bit-identical regardless of schedule or worker count.
+Tasks run in a thread pool; results are aggregated by index, so the output
+is bit-identical regardless of schedule or worker count.  A map task is a
+stack of cells of one N row, propagated by one batched `eigh` and phase sum
+(`evolve._propagate_stack`); that work runs in LAPACK/BLAS with the GIL
+released, which is what lets the threads scale.  A size-scan task is one
+size (`size_cell`, through `propagate`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import default_grid, propagate, write_csv
+from .evolve import _propagate_stack, default_grid, propagate, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -46,6 +50,11 @@ __all__ = [
 
 MODELS = ("decay", "rabi", "adaptive")
 METRICS = ("d1", "d2", "fit")
+# Peak bytes of one stack of map cells (see `_stack_cells`): enough cells to
+# pay the per-stack Python glue once, few enough that a stack per thread
+# keeps the map's peak memory near that of single cells (2 MiB already cost
+# the default map 3% more peak RSS on two threads).
+_STACK_BYTES = 3 << 19
 
 
 def parallel_workers(requested: int | None = None) -> int:
@@ -120,18 +129,30 @@ def size_cell(
     return variant, series, fit_effective_params(series, t_f), d2(series, ref, t_f)
 
 
+def _attempt(fn, *args):
+    """fn(*args), or the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # handed back to the caller
+        return exc
+
+
 def _run_pool(job, tasks: list, max_workers: int | None) -> list:
     """Run job on every task in a thread pool; each result, or the exception
     it raised, comes back in task order."""
-
-    def safe(task):
-        try:
-            return job(task)
-        except Exception as exc:  # handed back to the caller
-            return exc
-
     with ThreadPoolExecutor(max_workers=parallel_workers(max_workers)) as pool:
-        return list(pool.map(safe, tasks))
+        return list(pool.map(lambda task: _attempt(job, task), tasks))
+
+
+def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
+    """Cells per stack of an N row: `_STACK_BYTES` over the peak bytes of one
+    cell in `_propagate_stack`, about 16 (d (d + (2 + r) B) + (2r - 1) nt)
+    (measured) for dimension d (at most 2N + 3), phase block
+    B = ceil(sqrt(nt)) and r projections (1 on a one-level basis, else 3)."""
+    dim, block = 2 * n_half + 3, math.isqrt(grid_points - 1) + 1
+    r = 1 if one_level else 3
+    cell_bytes = 16 * (dim * (dim + (2 + r) * block) + (2 * r - 1) * grid_points)
+    return max(1, _STACK_BYTES // cell_bytes)
 
 
 @dataclass(frozen=True)
@@ -139,8 +160,9 @@ class SweepFixed:
     """Parameters held constant across the grid.
 
     Every cell of a `model` ("decay", "rabi" or "adaptive") is built by
-    `build_model`, so a given `hole_half_width` holes every model.  `run_sweep`
-    checks `t_f` and `grid_points` (`default_grid`) before any cell runs.
+    `build_model`, so a given `hole_half_width` holes every model.  `gamma`
+    must be finite and > 0 (ConfigError here), and `run_sweep` checks `t_f`
+    and `grid_points` (`default_grid`), all before any cell runs.
     """
 
     t_f: float = 10.0
@@ -154,6 +176,8 @@ class SweepFixed:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
+        if not 0 < self.gamma < math.inf:
+            raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -166,8 +190,10 @@ class SweepGrid:
     def __post_init__(self):
         if not self.n_values or not self.v_values:
             raise ConfigError("sweep axes must be non-empty")
-        if any(v <= 0 for v in self.v_values):
-            raise ConfigError("v_values must be positive")
+        if any(n < 0 for n in self.n_values):
+            raise ConfigError("n_values must be >= 0")
+        if not all(0 < v < math.inf for v in self.v_values):
+            raise ConfigError("v_values must be finite and positive")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
 
@@ -219,9 +245,16 @@ def run_sweep(
 ) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
 
-    Individual cell failures are recorded per cell (value NaN) and do not
-    abort the map.  Nothing here samples randomness; the seed is recorded in
-    the provenance for uniformity with sampled metrics.
+    Each pool task is a stack: consecutive cells of one N row, as many as
+    the byte budget `_STACK_BYTES` admits at that N.  Its cells are built by
+    `build_model`; each group of equal basis labels is then propagated by
+    one batched `eigh`, Gram check and phase sum, and every cell's series is
+    scored alone, with the bits a single `propagate` gives.  Individual cell
+    failures are recorded per cell (value NaN) and do not abort the map: a
+    cell whose build, eigenbasis or metric fails keeps its own error and
+    leaves its stack-mates' values alone.  Nothing here samples randomness;
+    the seed is recorded in the provenance for uniformity with sampled
+    metrics.
     """
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
@@ -233,12 +266,12 @@ def run_sweep(
     values = np.full((nn, nv), np.nan)
     errors: list[dict] = []
 
-    def job(idx):
-        i, j = idx
-        h = build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
-                        adaptive=fx.model == "adaptive", hole_half_width=fx.hole_half_width,
-                        single_level=fx.model == "decay")
-        series = propagate(h, "e", times)
+    def build(i, j):
+        return build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
+                           adaptive=fx.model == "adaptive", hole_half_width=fx.hole_half_width,
+                           single_level=fx.model == "decay")
+
+    def score(series):
         if grid.metric == "d2" and series.system_dim == 2:
             return d2(series, ref, fx.t_f).value
         if grid.metric != "fit":  # d1, which is also d2 of a one-level model
@@ -248,13 +281,28 @@ def run_sweep(
             raise FqcsimError("effective-parameter fit did not converge")
         return report.residual_norm / math.sqrt(report.grid_points)
 
-    indices = [(i, j) for i in range(nn) for j in range(nv)]
-    results = _run_pool(job, indices, max_workers)
-    for (i, j), res in zip(indices, results):
-        if isinstance(res, Exception):
-            errors.append({"i": i, "j": j, "error": str(res)})
-        else:
-            values[i, j] = res
+    def job(cells):
+        results, groups = {}, {}
+        for idx in cells:
+            h = results[idx] = _attempt(build, *idx)
+            if not isinstance(h, Exception):
+                groups.setdefault(h.basis_labels, []).append(idx)
+        for group in groups.values():
+            stack = _propagate_stack([results[idx] for idx in group], times)
+            for idx, series in zip(group, stack):
+                results[idx] = series if isinstance(series, Exception) else _attempt(score, series)
+        return [results[idx] for idx in cells]
+
+    chunks = []
+    for i, n in enumerate(grid.n_values):
+        size = _stack_cells(n, fx.grid_points, fx.model == "decay")
+        chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
+    for cells, res in zip(chunks, _run_pool(job, chunks, max_workers)):
+        for (i, j), cell in zip(cells, res if isinstance(res, list) else [res] * len(cells)):
+            if isinstance(cell, Exception):
+                errors.append({"i": i, "j": j, "error": str(cell)})
+            else:
+                values[i, j] = cell
 
     return SweepMap(
         grid,
@@ -313,6 +361,8 @@ def run_size_scan(
     levels, even sizes adaptive ones (symmetric, with the central levels
     removed) whose hole follows the adaptive model's rule of `build_model`.
     """
+    if not sizes:
+        raise ConfigError("a size scan needs at least one size")
     times = default_grid(t_f, grid_points)
     ref = evolve_nonhermitian(NonHermitianSpec(gamma, drive), "e", times)
 

@@ -104,6 +104,60 @@ def test_sweep_half_given_axis_bounds_rejected(tmp_path, bounds):
     assert run(["sweep", "--out", tmp_path / "x", "--metric", "d1"] + bounds) == 2
 
 
+@pytest.mark.parametrize("axis", [
+    ["--n-min", 3, "--n-max", 2],
+    ["--n-min", -2, "--n-max", 1],
+    ["--v-min", 0.3, "--v-max", 0.2],
+    ["--v-step", -0.1],
+    ["--n-min", 2, "--n-max", 3, "--n-step", 0],
+    ["--n-min", 2, "--n-max", 3, "--n-step", -1],
+    ["--v-min", 0.1, "--v-max", 0.2, "--v-step", 0],
+    ["--v-min", 0.1, "--v-max", 0.2, "--v-step", "nan"],
+    ["--v-min", "nan", "--v-max", "nan"],
+    ["--v-min", 0.1, "--v-max", "inf"],
+    ["--v-min=-inf", "--v-max", 0.2],
+])
+def test_sweep_bad_axis_rejected(tmp_path, axis, capsys):
+    # each of these used to run the default axis or end in a traceback
+    assert run(["sweep", "--out", tmp_path / "x", "--n-min", 5, "--n-max", 5,
+                "--v-min", 0.3, "--v-max", 0.3] + axis + FAST) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"n_values": []}, {"v_values": []}, {"sizes": []},
+                                   {"v_values": [0.3, float("nan")]}])
+def test_sweep_empty_or_bad_config_axis_rejected(tmp_path, entry):
+    # an empty axis is not the default axis; a NaN v failed every cell of its column
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entry))
+    args = ["sweep", "--config", cfg, "--out", tmp_path / "x", "--omega0", 2] + FAST
+    assert run(args + (["--size-scan"] if "sizes" in entry else [])) == 2
+
+
+def test_sweep_non_integer_sizes_rejected(tmp_path, capsys):
+    assert run(["sweep", "--size-scan", "--sizes", "10,x", "--out", tmp_path / "x"]) == 2
+    assert "--sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1", "nan"])
+@pytest.mark.parametrize("mode", [["--metric", "d1"], ["--metric", "d2"], ["--metric", "fit"],
+                                  ["--size-scan", "--sizes", "11", "--omega0", 2]])
+def test_sweep_bad_gamma_rejected_before_the_pool(tmp_path, gamma, mode, capsys):
+    # a map used to exit 0 with every cell failed
+    assert run(["sweep", "--out", tmp_path / "x", "--gamma", gamma, "--n-min", 5,
+                "--n-max", 6, "--v-min", 0.3, "--v-max", 0.4] + mode + FAST) == 2
+    assert "gamma must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "map.json").exists()
+
+
+@pytest.mark.parametrize("mode", [[], ["--size-scan", "--sizes", "11", "--omega0", 2]])
+def test_sweep_initial_state_other_than_e_rejected(tmp_path, mode, capsys):
+    # every cell and the d2 reference start in |e>
+    assert run(["sweep", "--out", tmp_path / "x", "--initial-state", "g", "--n-min", 5,
+                "--n-max", 5, "--v-min", 0.3, "--v-max", 0.3] + mode + FAST) == 2
+    assert "starts from e" in capsys.readouterr().err
+
+
 def test_invalid_value_rejected(tmp_path):
     assert run(["decay", "--out", tmp_path / "x", "--v", -0.3]) == 2
 

@@ -114,6 +114,17 @@ def test_d1_grid_doubling_convergence():
     assert abs(values[1] - values[0]) < 1e-4
 
 
+@pytest.mark.parametrize("n, v, t_final", [(15, 0.3, 10.0), (25, 0.25, 24.0)])
+def test_nonmarkovianity_grid_doubling_convergence(n, v, t_final):
+    # undriven (omega0 = 0): driven cases can move more, e.g. 5.8e-4
+    # relative at N = 25, v = 0.25, omega0 = 2
+    h = build_two_level(FqcSpec(n, v), DriveSpec(0.0, 0.0))
+    a, b = (nonmarkovianity(h, t_final, count=64, seed=0, grid_points=points).value
+            for points in (2001, 4001))
+    assert b > 0
+    assert abs(b - a) < 1e-4 * b
+
+
 def test_d1_rejects_short_series():
     series = decay_single(1.0, 1.0, default_grid(5.0, 101))
     with pytest.raises(ConfigError):

@@ -1,0 +1,182 @@
+"""Stacked sweep cells: one batched `eigh` and phase sum per stack of cells.
+
+Each stacked cell must equal `propagate` plus the metric on that cell alone,
+bit for bit; a few are also checked against a `scipy.linalg.expm`
+propagation, an oracle that shares no code with the phase kernel.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from fqcsim import DriveSpec, SweepFixed, SweepGrid, d1, d2, propagate, run_sweep
+from fqcsim import sweep
+from fqcsim.analysis import fit_effective_params
+from fqcsim.cli import main
+from fqcsim.evolve import _propagate_stack, default_grid
+from fqcsim.reference import NonHermitianSpec, evolve_nonhermitian
+
+N_VALUES = (2, 5, 9)
+V_VALUES = (0.2, 0.3, 0.45)
+
+
+def _grid(model, metric, **fixed):
+    fixed = {"t_f": 4.0, "omega0": 2.0, "model": model, "grid_points": 401, **fixed}
+    return SweepGrid(N_VALUES, V_VALUES, SweepFixed(**fixed), metric)
+
+
+def _single_cell(grid, i, j):
+    """The value of one cell through `propagate`, or the message of its error."""
+    fx = grid.fixed
+    drive = DriveSpec(fx.omega0, fx.detuning)
+    times = default_grid(fx.t_f, fx.grid_points)
+    try:
+        h = sweep.build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
+                              adaptive=fx.model == "adaptive",
+                              hole_half_width=fx.hole_half_width,
+                              single_level=fx.model == "decay")
+        series = propagate(h, "e", times)
+        if grid.metric == "d2" and series.system_dim == 2:
+            ref = evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e", times)
+            return d2(series, ref, fx.t_f).value
+        if grid.metric != "fit":
+            return d1(series, fx.gamma, fx.t_f).value
+        report = fit_effective_params(series, fx.t_f)
+        if not report.converged:
+            return "effective-parameter fit did not converge"
+        return report.residual_norm / math.sqrt(report.grid_points)
+    except Exception as exc:
+        return str(exc)
+
+
+def _cells(result):
+    """Every cell of a map as its value or its error message."""
+    got = {(e["i"], e["j"]): e["error"] for e in result.cell_errors}
+    for (i, j), value in np.ndenumerate(result.values):
+        if (i, j) not in got:
+            got[(i, j)] = float(value)
+    return got
+
+
+@pytest.mark.parametrize("model", ["decay", "rabi", "adaptive"])
+@pytest.mark.parametrize("metric", ["d1", "d2", "fit"])
+def test_stacked_cells_equal_single_cells_bit_for_bit(model, metric):
+    grid = _grid(model, metric)
+    # every row is one stack of all its cells
+    assert all(sweep._stack_cells(n, 401, model == "decay") >= len(V_VALUES)
+               for n in N_VALUES)
+    got = _cells(run_sweep(grid))
+    for (i, j), value in got.items():
+        assert value == _single_cell(grid, i, j), (i, j)
+
+
+def test_stack_size_does_not_change_a_bit(monkeypatch):
+    grid = _grid("rabi", "d2")
+    stacked = run_sweep(grid)
+    monkeypatch.setattr(sweep, "_STACK_BYTES", 1)  # stacks of one
+    alone = run_sweep(grid)
+    assert stacked.values.tobytes() == alone.values.tobytes()
+
+
+@pytest.mark.parametrize("model, single_level, omega0", [
+    ("decay", True, 0.0), ("rabi", False, 1.5), ("adaptive", False, 3.0),
+])
+def test_stacked_cells_match_expm(model, single_level, omega0):
+    drive = DriveSpec(omega0, 0.3)
+    hs = [sweep.build_model(6, v, 1.0, drive, adaptive=model == "adaptive",
+                            single_level=single_level) for v in (0.5, 0.55, 0.6)]
+    assert len({h.basis_labels for h in hs}) == 1
+    times = default_grid(5.0, 51)
+    for h, series in zip(hs, _propagate_stack(hs, times)):
+        psi0 = np.zeros(h.dim, dtype=complex)
+        psi0[h.basis_labels.index("e")] = 1.0
+        exact = np.array([expm(-1j * h.entries * t) @ psi0 for t in times])
+        np.testing.assert_allclose(series.amplitudes, exact, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(series.pi_e, np.abs(exact[:, series.e_index]) ** 2,
+                                   rtol=0, atol=1e-10)
+
+
+def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
+    # several stacks per row, so both threads take stacks of every row
+    monkeypatch.setattr(sweep, "_STACK_BYTES", 1 << 17)
+    args = ["sweep", "--model", "rabi", "--metric", "d2", "--omega0", "2",
+            "--n-min", "2", "--n-max", "20", "--n-step", "6",
+            "--v-min", "0.1", "--v-max", "0.5", "--v-step", "0.05",
+            "--tf", "4", "--grid-points", "401"]
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FQCSIM_THREADS", threads)
+        out = tmp_path / threads
+        assert main(args + ["--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("map.csv", "map.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_adaptive_rows_of_mixed_dimension_keep_per_cell_errors():
+    # omega0 = 2 holes |E| < 1: the dimension varies along a row, and at
+    # small N and v the hole swallows the band (fewer than 2 levels survive)
+    grid = SweepGrid((2, 3, 6, 12), tuple(np.round(np.arange(0.2, 0.75, 0.05), 4)),
+                     SweepFixed(t_f=4.0, omega0=2.0, model="adaptive", grid_points=401), "d2")
+    got = _cells(run_sweep(grid))
+    for (i, j), value in got.items():
+        assert value == _single_cell(grid, i, j), (i, j)
+    dims = {}
+    for i, n in enumerate(grid.n_values):
+        for v in grid.v_values:
+            try:
+                dims.setdefault(i, set()).add(sweep.build_model(
+                    n, v, 1.0, DriveSpec(2.0), adaptive=True).dim)
+            except Exception:
+                pass
+    mixed = [i for i in dims if len(dims[i]) > 1]
+    failing = {i for (i, _), value in got.items() if isinstance(value, str)}
+    assert mixed and any(i in failing for i in mixed)
+    assert any("2 surviving levels" in str(v) for v in got.values())
+    assert all(any(isinstance(got[i, j], float) for j in range(len(grid.v_values)))
+               for i in failing)
+
+
+def _marked(entries, coupling):
+    """Which matrices of a stack couple the top FQC level to |e> by `coupling`."""
+    return np.atleast_1d(entries[..., -1, :2].max(axis=-1) == coupling)
+
+
+def test_gram_check_failure_stays_in_its_cell(monkeypatch):
+    grid = _grid("decay", "d1")
+    clean = _cells(run_sweep(grid))
+    eigh = np.linalg.eigh
+
+    def skewed_eigh(entries):
+        values, vectors = eigh(entries)
+        vectors[_marked(entries, 0.3), :, 0] *= 1.0 + 1e-8
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    got = _cells(run_sweep(grid))
+    bad = {(i, 1) for i in range(len(N_VALUES))}  # v = 0.3
+    for key, value in got.items():
+        if key in bad:
+            assert "orthonormality defect" in value
+        else:
+            assert value == clean[key], key
+
+
+def test_lapack_failure_stays_in_its_cell(monkeypatch):
+    grid = _grid("rabi", "d2")
+    clean = _cells(run_sweep(grid))
+    eigh = np.linalg.eigh
+
+    def failing_eigh(entries):
+        if _marked(entries, 0.45).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(entries)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    got = _cells(run_sweep(grid))
+    for (i, j), value in got.items():
+        if j == 2:  # v = 0.45
+            assert value == "eigensolver failed: Eigenvalues did not converge"
+        else:
+            assert value == clean[i, j], (i, j)
