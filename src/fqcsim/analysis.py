@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError
 from .evolve import TimeSeries, diagonalize, write_csv
@@ -312,7 +311,15 @@ def fit_effective_params(
     Nonlinear least squares of pi_e(t) against
     exp(-gamma_eff t / 2) cos^2(omega_eff t), seeded with the drive Rabi
     frequency and the target decay rate from the series provenance.
+
+    The fit stops on `least_squares`' default tolerances, in practice on
+    `ftol` (status 2), so its parameters lie within about 1e-4 relative of
+    the tight least-squares minimum, not within 1e-6: 1.6e-4 at worst over
+    the sizes 10..80 of the default size scan.  scipy is imported on the
+    first call; this is the only function of the package that needs it.
     """
+    from scipy.optimize import least_squares
+
     if series.drive is None or series.spec is None:
         raise ConfigError("fit_effective_params needs series with spec and drive")
     mask = (

@@ -1,8 +1,17 @@
 """Distance and non-Markovianity measures between reduced dynamics.
 
-All integrals are trapezoidal on the sampling grid; the integrands are smooth
-and the values must be stable to 1e-4 under grid doubling at the default
-resolution.
+All integrals are trapezoidal on the sampling grid and the integrands are
+smooth.  `d1` and `d2` are stable to 1e-4 under grid doubling at the default
+resolution (tests pin this over the default map and size-scan domains).
+
+The non-Markovianity Sigma is less stable, because it adds up the rises of a
+sampled trace distance.  From 2001 to 4001 points (64 pairs, seed 0) it moved
+by less than 1e-4 relative in 9 of 10 system-subspace cases (N = 15,
+v = 0.3, t_f = 10 and N = 25, v = 0.25, t_f = 24, each at omega0 in
+{0, 0.5, 1, 2, 10}), but by 5.8e-4 at N = 25, omega0 = 2; on the full
+subspace 7 of the 10 cases moved by more than 1e-4, up to 1.1e-3
+(N = 25, omega0 = 10).  A further doubling to 8001 points moved those two
+by 2.3e-6 and 2.0e-4.
 """
 
 from __future__ import annotations

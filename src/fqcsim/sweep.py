@@ -196,6 +196,9 @@ class SweepGrid:
             raise ConfigError("v_values must be finite and positive")
         if self.metric not in METRICS:
             raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        if self.metric == "fit" and self.fixed.model == "decay":
+            raise ConfigError("metric 'fit' needs a driven model ('rabi' or 'adaptive'), "
+                              "got model 'decay'")
 
 
 @dataclass(eq=False)

@@ -150,6 +150,15 @@ def test_sweep_bad_gamma_rejected_before_the_pool(tmp_path, gamma, mode, capsys)
     assert not (tmp_path / "x" / "map.json").exists()
 
 
+@pytest.mark.parametrize("model", [[], ["--model", "decay"]])
+def test_sweep_fit_of_the_decay_model_rejected(tmp_path, model, capsys):
+    # every cell used to fail the same way while the command exited 0
+    assert run(["sweep", "--out", tmp_path / "x", "--metric", "fit", "--n-min", 5,
+                "--n-max", 6, "--v-min", 0.3, "--v-max", 0.4] + model + FAST) == 2
+    assert "needs a driven model" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "map.json").exists()
+
+
 @pytest.mark.parametrize("mode", [[], ["--size-scan", "--sizes", "11", "--omega0", 2]])
 def test_sweep_initial_state_other_than_e_rejected(tmp_path, mode, capsys):
     # every cell and the d2 reference start in |e>

@@ -1,0 +1,57 @@
+"""scipy stays off the import path: only a fit loads it.
+
+Each check runs in a fresh interpreter, because several test modules import
+scipy themselves, so this process's `sys.modules` says nothing.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+_CELL = ["--n", "8", "--v", "0.3", "--tf", "4", "--grid-points", "401"]
+# every command that does not fit, at small sizes
+NON_FITTING = [
+    ["decay"] + _CELL,
+    ["rabi", "--sidebands", "--omega0", "1"] + _CELL,
+    ["sidebands", "--n", "8", "--v", "0.3", "--omega0", "10"],
+    ["markov", "--count", "8", "--omega0", "1"] + _CELL,
+    ["sweep", "--n-min", "5", "--n-max", "6", "--v-min", "0.2", "--v-max", "0.3",
+     "--v-step", "0.1", "--tf", "4", "--grid-points", "401"],
+]
+
+
+def _fresh_python(code: str, tmp_path: Path) -> None:
+    env = {k: v for k, v in os.environ.items() if k != "FQCSIM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_only_a_fit_loads_scipy(tmp_path):
+    _fresh_python(f"""
+        import sys
+        import fqcsim, fqcsim.cli
+        assert "scipy" not in sys.modules, "import fqcsim loaded scipy"
+        for i, argv in enumerate({NON_FITTING!r}):
+            assert fqcsim.cli.main(argv + ["--out", f"run{{i}}"]) == 0, argv
+            assert "scipy" not in sys.modules, argv
+        assert fqcsim.cli.main(["fit", "--omega0", "10", "--out", "fit"] + {_CELL!r}) == 0
+        assert "scipy.optimize" in sys.modules
+    """, tmp_path)
+
+
+def test_concurrent_first_fit_gives_the_serial_rows(tmp_path):
+    # the first fits of a two-worker size scan import scipy from both threads
+    _fresh_python("""
+        import sys
+        from fqcsim import DriveSpec, run_size_scan
+        assert "scipy" not in sys.modules
+        scan = lambda workers: run_size_scan([10, 11, 12, 13], DriveSpec(10.0, 0.0), t_f=4.0,
+                                             grid_points=401, max_workers=workers).rows
+        pair, serial = scan(2), scan(1)
+        assert [r.__dict__ for r in pair] == [r.__dict__ for r in serial]
+    """, tmp_path)

@@ -373,7 +373,7 @@ def test_nonmarkovianity_matches_expm_oracle(subspace):
 
 
 # ---------------------------------------------------------------- grid doubling
-# default_grid and the metrics module promise values stable to 1e-4 under
+# default_grid and the metrics module promise d1 and d2 stable to 1e-4 under
 # doubling of the grid points.  Cells: a stride over the default d1 map
 # (N 2..40, v 0.05..0.60, t_f 10) and over the flat/adaptive size scan
 # (sizes 10..80, omega0 10, v 0.3, t_f 16), plus the worst cells measured

@@ -60,8 +60,11 @@ def _cells(result):
     return got
 
 
-@pytest.mark.parametrize("model", ["decay", "rabi", "adaptive"])
-@pytest.mark.parametrize("metric", ["d1", "d2", "fit"])
+# a fit needs a driven model (SweepGrid rejects decay with fit)
+@pytest.mark.parametrize("metric, model", [
+    (metric, model) for model in ("decay", "rabi", "adaptive")
+    for metric in ("d1", "d2", "fit") if (model, metric) != ("decay", "fit")
+])
 def test_stacked_cells_equal_single_cells_bit_for_bit(model, metric):
     grid = _grid(model, metric)
     # every row is one stack of all its cells

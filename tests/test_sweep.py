@@ -100,6 +100,9 @@ def test_sweep_validation():
         SweepGrid((5,), (0.3,), SweepFixed(), "bogus")
     with pytest.raises(ConfigError):
         SweepFixed(model="bogus")
+    # a fit needs a driven model, and the sweep's default model is decay
+    with pytest.raises(ConfigError, match="needs a driven model"):
+        SweepGrid((5,), (0.3,), SweepFixed(), "fit")
 
 
 def test_sweep_serialization(tmp_path):
