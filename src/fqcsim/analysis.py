@@ -301,6 +301,18 @@ def n_max(spec: FqcSpec, drive: DriveSpec) -> int:
     return int(ks[pos][np.argmax(occ[pos])])
 
 
+def _damped_cos2(t: np.ndarray, omega: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The fit model exp(-gamma t / 2) cos^2(omega t) on t, and its exact
+    (nt, 2) Jacobian: d/d omega = -t exp(-gamma t / 2) sin(2 omega t) and
+    d/d gamma = -(t / 2) exp(-gamma t / 2) cos^2(omega t)."""
+    decay = np.exp(-0.5 * gamma * t)
+    model = decay * np.cos(omega * t) ** 2
+    jac = np.empty((t.size, 2))
+    np.multiply(-t * decay, np.sin(2.0 * omega * t), out=jac[:, 0])
+    np.multiply(-0.5 * t, model, out=jac[:, 1])
+    return model, jac
+
+
 def fit_effective_params(
     series: TimeSeries,
     t_f: float | None = None,
@@ -312,11 +324,16 @@ def fit_effective_params(
     exp(-gamma_eff t / 2) cos^2(omega_eff t), seeded with the drive Rabi
     frequency and the target decay rate from the series provenance.
 
-    The fit stops on `least_squares`' default tolerances, in practice on
-    `ftol` (status 2), so its parameters lie within about 1e-4 relative of
-    the tight least-squares minimum, not within 1e-6: 1.6e-4 at worst over
-    the sizes 10..80 of the default size scan.  scipy is imported on the
-    first call; this is the only function of the package that needs it.
+    `least_squares` (`trf`, bounds at 0) gets the exact Jacobian of the
+    model from `_damped_cos2`, computed with each residual and handed back
+    when `trf` asks for it at the same point, instead of finite differences.
+    The fit stops on the default tolerances, in practice on `ftol` (status
+    2), so its parameters lie within about 1e-4 relative of the tight
+    least-squares minimum, not within 1e-6: over the sizes 10..80 of the
+    default size scan, 1.6e-4 at worst for `gamma_eff` and 2.0e-6 for
+    `omega_eff` (against ftol/xtol/gtol = 1e-15, `trf` and `lm` alike).
+    scipy is imported on the first call; this is the only function of the
+    package that needs it.
     """
     from scipy.optimize import least_squares
 
@@ -329,13 +346,19 @@ def fit_effective_params(
     t = series.times[mask]
     pie = series.pi_e[mask]
 
+    latest = [None, None]  # (p, Jacobian) of the last residual: `trf` asks for it next
+
     def resid(p):
-        om, ga = p
-        return np.exp(-0.5 * ga * t) * np.cos(om * t) ** 2 - pie
+        model, jac = _damped_cos2(t, *p)
+        latest[:] = p.copy(), jac
+        return model - pie
+
+    def jac(p):
+        return latest[1] if np.array_equal(p, latest[0]) else _damped_cos2(t, *p)[1]
 
     x0 = np.array([max(series.drive.rabi_omega0, 1e-3), series.spec.gamma_target])
     sol = least_squares(
-        resid, x0, bounds=([0.0, 0.0], [np.inf, np.inf]), max_nfev=max_nfev
+        resid, x0, jac=jac, bounds=([0.0, 0.0], [np.inf, np.inf]), max_nfev=max_nfev
     )
     return FitReport(
         params={"omega_eff": float(sol.x[0]), "gamma_eff": float(sol.x[1])},

@@ -1,11 +1,14 @@
 """Model dispatch (`build_model`) and parameter grids: suitability maps, size scans.
 
-Tasks run in a thread pool; results are aggregated by index, so the output
-is bit-identical regardless of schedule or worker count.  A map task is a
-stack of cells of one N row, propagated by one batched `eigh` and phase sum
-(`evolve._propagate_stack`); that work runs in LAPACK/BLAS with the GIL
-released, which is what lets the threads scale.  A size-scan task is one
-size (`size_cell`, through `propagate`).
+Map tasks run in a thread pool; results are aggregated by index, so the
+output is bit-identical regardless of schedule or worker count.  A map task
+is a stack of cells of one N row, propagated by one batched `eigh` and phase
+sum (`evolve._propagate_stack`); that work runs in LAPACK/BLAS with the GIL
+released, which is what lets the threads scale.  A size scan runs its sizes
+one after another in the calling thread (`size_cell`, through `propagate`):
+most of its time is the Python-level iteration of the fits, which holds the
+GIL, so a second thread only adds hand-overs: on 2 cores, two threads ran
+the default scan slower than one and spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations
@@ -356,34 +359,33 @@ def run_size_scan(
     t_f: float = 16.0,
     grid_points: int = 4001,
     hole_half_width: float | None = None,
-    max_workers: int | None = None,
 ) -> SizeScanResult:
     """Effective (omega, gamma) fits and mean trace distance versus FQC size.
 
     Each size is one `size_cell`: odd sizes are flat quasi-continua of 2N+1
     levels, even sizes adaptive ones (symmetric, with the central levels
     removed) whose hole follows the adaptive model's rule of `build_model`.
+    The sizes run in order in the calling thread, whatever FQCSIM_THREADS
+    says: a scan's time is mostly GIL-bound fitting, which threads slow
+    down (see the module docstring).  The first size that fails raises its
+    exception; no partial result is returned.
     """
     if not sizes:
         raise ConfigError("a size scan needs at least one size")
     times = default_grid(t_f, grid_points)
     ref = evolve_nonhermitian(NonHermitianSpec(gamma, drive), "e", times)
 
-    def job(s):
+    rows = []
+    for s in sizes:
         variant, _, fit, dist = size_cell(
             s, drive, coupling_v, gamma, hole_half_width, times, ref, t_f
         )
-        return SizeScanRow(
+        rows.append(SizeScanRow(
             variant, s,
             fit.params.get("omega_eff", math.nan),
             fit.params.get("gamma_eff", math.nan),
             dist.value, fit.converged,
-        )
-
-    rows = _run_pool(job, sizes, max_workers)
-    failed = next((r for r in rows if isinstance(r, Exception)), None)
-    if failed is not None:
-        raise failed
+        ))
     return SizeScanResult(
         rows,
         provenance={

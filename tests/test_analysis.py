@@ -21,7 +21,7 @@ from fqcsim import (
     sideband_spectrum,
     zeno_time,
 )
-from fqcsim.analysis import _refine_parabolic
+from fqcsim.analysis import _damped_cos2, _refine_parabolic
 
 
 def decay_series(n_half, v, t_f=10.0, points=2001):
@@ -278,6 +278,21 @@ def test_fit_scale_consistent_recovery(omega0, gamma):
     omega = math.sqrt(underdamped_discriminant(gamma, omega0)) / 2
     assert report.params["omega_eff"] == pytest.approx(omega, rel=1e-6)
     assert report.params["gamma_eff"] == pytest.approx(gamma, rel=1e-6)
+
+
+@pytest.mark.parametrize("omega,gamma", [
+    (10.0, 1.0), (10.0, 0.0), (10.0, 1e-9), (0.0, 1.0), (1e-3, 0.5), (200.0, 0.3), (3.0, 50.0),
+])
+def test_fit_jacobian_matches_central_differences(omega, gamma):
+    # gamma -> 0, no oscillation, omega t up to 3200 and a fast decay
+    t = default_grid(16.0, 4001)
+    _, jac = _damped_cos2(t, omega, gamma)
+    h = 1e-6
+    for col, (d_omega, d_gamma) in enumerate(((h, 0.0), (0.0, h))):
+        hi = _damped_cos2(t, omega + d_omega, gamma + d_gamma)[0]
+        lo = _damped_cos2(t, omega - d_omega, gamma - d_gamma)[0]
+        central = (hi - lo) / (2 * h)
+        assert np.abs(jac[:, col] - central).max() <= 1e-6 * np.abs(central).max()
 
 
 def test_fit_flags_nonconvergence():

@@ -48,8 +48,7 @@ CASES = {
     "adaptive_compare": ["adaptive-compare", "--v", "0.3", "--omega0", "10",
                          "--flat-size", "21", "--adaptive-size", "20", "--tf", "8",
                          "--grid-points", "801"],
-    # a fit needs a driven model: `--model decay --metric fit` exits 2, so the
-    # stored sweep_decay_fit values (every cell an error) have no case
+    # a fit needs a driven model: `--model decay --metric fit` exits 2
     **{f"sweep_{model}_{metric}": ["sweep", "--model", model, "--metric", metric] + _MAP
        for model in ("decay", "rabi", "adaptive") for metric in ("d1", "d2", "fit")
        if (model, metric) != ("decay", "fit")},

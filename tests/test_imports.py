@@ -45,13 +45,16 @@ def test_only_a_fit_loads_scipy(tmp_path):
 
 
 def test_concurrent_first_fit_gives_the_serial_rows(tmp_path):
-    # the first fits of a two-worker size scan import scipy from both threads
+    # the first fits of a two-worker fit map import scipy from both threads:
+    # each N row is its own task (the size scan runs in the calling thread)
     _fresh_python("""
         import sys
-        from fqcsim import DriveSpec, run_size_scan
+        import numpy as np
+        from fqcsim import SweepFixed, SweepGrid, run_sweep
         assert "scipy" not in sys.modules
-        scan = lambda workers: run_size_scan([10, 11, 12, 13], DriveSpec(10.0, 0.0), t_f=4.0,
-                                             grid_points=401, max_workers=workers).rows
-        pair, serial = scan(2), scan(1)
-        assert [r.__dict__ for r in pair] == [r.__dict__ for r in serial]
+        grid = SweepGrid((8, 9, 10, 11), (0.25, 0.3), SweepFixed(
+            t_f=4.0, omega0=4.0, model="rabi", grid_points=401), metric="fit")
+        pair, serial = run_sweep(grid, max_workers=2), run_sweep(grid, max_workers=1)
+        assert not pair.cell_errors and not serial.cell_errors
+        assert np.array_equal(pair.values, serial.values)
     """, tmp_path)

@@ -1,4 +1,6 @@
 import json
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,11 @@ from fqcsim import (
     run_size_scan,
     run_sweep,
 )
+import fqcsim.sweep
+from fqcsim.cli import main
 from fqcsim.sweep import parallel_workers
+
+_EXPECTED_SCAN = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "scan.json"
 
 
 def test_single_cell_d1():
@@ -177,3 +183,40 @@ def test_size_scan_reraises_failing_task():
     with pytest.raises(ConfigError, match="coupling_v > 0"):
         run_size_scan([10, 11], DriveSpec(2.0, 0.0), coupling_v=0.0,
                       t_f=6.0, grid_points=301)
+
+
+def test_size_scan_within_the_benchmark_gate():
+    # sizes at both ends and in the middle of the benchmark's default scan,
+    # against its stored rows and its tolerance
+    want = json.loads(_EXPECTED_SCAN.read_text())
+    scan = run_size_scan([10, 11, 40, 41, 79, 80], DriveSpec(10.0, 0.0),
+                         t_f=16.0, grid_points=4001)
+    for row in scan.rows:
+        omega, gamma, dist, converged = want[f"{row.variant}@{row.n_fqc}"]
+        for got, stored in ((row.omega_eff, omega), (row.gamma_eff, gamma), (row.d2, dist)):
+            assert abs(got - stored) <= 1e-9 + 1e-6 * abs(stored), (row, stored)
+        assert row.converged == bool(converged)
+
+
+def test_size_scan_fits_run_on_the_calling_thread(monkeypatch):
+    fit, threads = fqcsim.sweep.fit_effective_params, []
+
+    def recording_fit(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(fqcsim.sweep, "fit_effective_params", recording_fit)
+    monkeypatch.setenv("FQCSIM_THREADS", "2")
+    run_size_scan([10, 11, 12, 13], DriveSpec(2.0, 0.0), t_f=6.0, grid_points=301)
+    assert threads == [threading.get_ident()] * 4
+
+
+def test_size_scan_csv_independent_of_thread_cap(tmp_path, monkeypatch):
+    argv = ["sweep", "--size-scan", "--sizes", "10,11,12,13", "--omega0", "2",
+            "--tf", "6", "--grid-points", "301"]
+    written = {}
+    for cap in ("1", "2"):
+        monkeypatch.setenv("FQCSIM_THREADS", cap)
+        assert main(argv + ["--out", str(tmp_path / cap)]) == 0
+        written[cap] = (tmp_path / cap / "size_scan.csv").read_bytes()
+    assert written["1"] == written["2"]
