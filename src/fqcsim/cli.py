@@ -3,8 +3,8 @@
 Every output file embeds the fully resolved configuration (JSON blob in a
 leading comment line for CSV, a "config" key for JSON), so any result can be
 reproduced bit-exactly by re-running from the file itself.  Exit codes:
-0 success, 2 configuration error, 3 numerical failure or any other package
-error, 4 I/O error.
+0 success, 2 configuration error, 3 numerical failure (a model too large
+for memory included) or any other package error, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -288,13 +288,14 @@ def cmd_adaptive_compare(cfg: RunConfig, out: Path) -> None:
     times = default_grid(cfg.t_f, cfg.grid_points)
     header = _header(cfg)
     ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, drive), cfg.initial_state, times)
+    # both sizes first: a rejected size writes no file
+    cells = [size_cell(size, drive, cfg.coupling_v, cfg.gamma, cfg.hole_half_width, times,
+                       ref, cfg.t_f, cfg.initial_state)
+             for size in (cfg.flat_size, cfg.adaptive_size)]
     ref.to_csv(out / "reference.csv", extra_header=header)
 
     payload = {}
-    for size in (cfg.flat_size, cfg.adaptive_size):
-        name, series, fit, dist = size_cell(size, drive, cfg.coupling_v, cfg.gamma,
-                                            cfg.hole_half_width, times, ref, cfg.t_f,
-                                            cfg.initial_state)
+    for name, series, fit, dist in cells:
         series.to_csv(out / f"{name}.csv", extra_header=header)
         payload[name] = {
             "n_fqc": series.spec.n_levels,
@@ -444,6 +445,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print("numerical failure: out of memory" + (f": {exc}" if str(exc) else ""),
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -7,9 +7,13 @@ the rest of the grid up to rounding (1e-12), not bit for bit, because uniform
 grids evaluate the phases in blocks.
 
 The eigen step and the phase kernel work on stacks of Hamiltonians of equal
-basis: one batched `eigh` and one batched phase rotation serve many sweep
-cells (`_propagate_stack`), and `propagate` is the same core on a stack of
-one.  Stacked and single calls give the same bits.
+basis: one batched decomposition and one batched phase rotation serve many
+sweep cells (`_propagate_stack`), and `propagate` is the same core on a
+stack of one.  Stacked and single calls give the same bits.  A single-level
+Hamiltonian is bipartite in the symmetric/antisymmetric combinations of the
+levels +-k, so from |e> it needs only the SVD of its half-size e/FQC
+coupling block, c_e(t) = sum_n U[e, n]^2 cos(sigma_n t); two-level models,
+other initial states and a caller's Eigensystem use `eigh` of H.
 """
 
 from __future__ import annotations
@@ -131,29 +135,42 @@ def _basis_error(defect: float) -> NumericalError | None:
     return NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
 
 
+def _lapack_stack(solve, entries: np.ndarray, ranks: tuple[int, ...]) -> tuple[tuple, list]:
+    """The outputs of `solve` (a batched LAPACK routine of numpy.linalg) on a
+    (s, d, d) stack of matrices, and the error of each matrix: None, or a
+    NumericalError if LAPACK fails on it.  Output k has ranks[k] axes of
+    size d per matrix (`eigh`: (1, 2)).
+
+    A LAPACK failure in a stack is retried one matrix at a time, so it stays
+    with its own matrix, whose outputs are NaN.
+    """
+    try:
+        return solve(entries), [None] * len(entries)
+    except np.linalg.LinAlgError as exc:
+        if len(entries) > 1:
+            parts = [_lapack_stack(solve, m[None], ranks) for m in entries]
+            return (tuple(np.concatenate(out) for out in zip(*(p[0] for p in parts))),
+                    [p[1][0] for p in parts])
+        d = entries.shape[-1]
+        nan = tuple(np.full((1,) + (d,) * rank, np.nan) for rank in ranks)
+        return nan, [NumericalError(f"eigensolver failed: {exc}")]
+
+
 def _eigh_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Eigenvalues (s, d), eigenvectors (s, d, d) and the error of each
     matrix of a (s, d, d) stack of real symmetric Hamiltonians, by one
-    batched `eigh`.
+    batched `eigh` (`_lapack_stack`).
 
-    A matrix's error is None, a ConfigError if it is not symmetric, or a
-    NumericalError if LAPACK fails on it.  A LAPACK failure in a stack is
-    retried one matrix at a time, so it stays with its own matrix.  The
-    Gram check of the bases is the caller's (Eigensystem, or one batched
-    `_gram_defect` in `_propagate_stack`).
+    A matrix's error is None, a NumericalError if LAPACK fails on it, or a
+    ConfigError if it is not symmetric.  The Gram check of the bases is the
+    caller's (Eigensystem, or one batched `_gram_defect` in
+    `_propagate_stack`).
     """
-    try:
-        values, vectors = np.linalg.eigh(entries)
-    except np.linalg.LinAlgError as exc:
-        if len(entries) > 1:
-            parts = [_eigh_stack(m[None]) for m in entries]
-            return (np.concatenate([p[0] for p in parts]),
-                    np.concatenate([p[1] for p in parts]), [p[2][0] for p in parts])
-        nan = np.full(entries.shape, np.nan)
-        return nan[..., 0], nan, [NumericalError(f"eigensolver failed: {exc}")]
+    (values, vectors), errors = _lapack_stack(np.linalg.eigh, entries, (1, 2))
     symmetric = (entries == np.swapaxes(entries, -1, -2)).all(axis=(-2, -1))
-    return values, vectors, [None if sym else ConfigError("Hamiltonian matrix is not symmetric")
-                             for sym in symmetric]
+    return values, vectors, [
+        err or (None if sym else ConfigError("Hamiltonian matrix is not symmetric"))
+        for err, sym in zip(errors, symmetric)]
 
 
 def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
@@ -324,13 +341,22 @@ def propagate(
     are built through the same phase kernel on first read (by
     `fqc_populations`, `to_csv(include_fqc=True)` or `to_json`).
 
-    A precomputed Eigensystem may be shared read-only across many calls; its
-    basis was checked for orthonormality when it was made (see Eigensystem),
-    which bounds the norm drift at every grid time.  The phase rotation is
-    the stacked core of `_propagate_stack` on a stack of one.
+    A single-level Hamiltonian started in |e> (psi0 "e" or None) without a
+    given `eig` takes the singular-value path of `_propagate_stack` on a
+    stack of one.  Everything else is phase-rotated in the eigenbasis of h:
+    a precomputed Eigensystem may be shared read-only across many calls;
+    its basis was checked for orthonormality when it was made (see
+    Eigensystem), which bounds the norm drift at every grid time.
     """
-    if psi0 is None or isinstance(psi0, str):
-        psi0 = basis_state(h, psi0 or "e")
+    if psi0 is None:
+        psi0 = "e"
+    if eig is None and psi0 == "e" and h.n_system == 1:
+        (series,) = _propagate_stack([h], times)
+        if isinstance(series, Exception):
+            raise series
+        return series
+    if isinstance(psi0, str):
+        psi0 = basis_state(h, psi0)
     if psi0.dim != h.dim:
         raise ConfigError(f"state dim {psi0.dim} does not match Hamiltonian dim {h.dim}")
     times = _time_grid(times)
@@ -341,11 +367,18 @@ def propagate(
 
 def _propagate_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
     """`propagate` from |e> for Hamiltonians of equal basis labels: one
-    TimeSeries per cell, or the FqcsimError of its own eigendecomposition
-    (`_eigh_stack`, then the Eigensystem bound on its basis).  Every series
-    has the bits `propagate` gives for its cell alone.
+    TimeSeries per cell, or the FqcsimError of its own decomposition.
+    Every series has the bits `propagate` gives for its cell alone.
+
+    Single-level cells go through one batched SVD of their half-size
+    coupling blocks (`_single_level_stack`); two-level cells through one
+    batched `eigh` (`_eigh_stack`).  Either way each basis gets the
+    Eigensystem bound (`_gram_defect`, `_basis_error`), one batched matmul
+    per stack.
     """
     times = _time_grid(times)
+    if hs[0].n_system == 1:
+        return _single_level_stack(hs, times)
     values, vectors, errors = _eigh_stack(np.stack([h.entries for h in hs]))
     errors = [err or _basis_error(defect) for err, defect in zip(errors, _gram_defect(vectors))]
     psi = np.zeros(values.shape, dtype=complex)
@@ -354,28 +387,101 @@ def _propagate_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
     return [s if err is None else err for s, err in zip(series, errors)]
 
 
+def _series(h: HamiltonianMatrix, psi: np.ndarray, times: np.ndarray, proj: np.ndarray,
+            build) -> TimeSeries:
+    """The TimeSeries of state psi under h: its projections, the builder of
+    its full amplitudes and the energy variance of psi."""
+    hpsi = h.entries @ psi
+    mean = np.real(np.vdot(psi, hpsi))
+    variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
+    series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, variance)
+    series._proj = proj
+    series._build = build
+    return series
+
+
 def _evolve(hs, psi: np.ndarray, times: np.ndarray, values: np.ndarray,
             vectors: np.ndarray) -> list[TimeSeries]:
-    """The propagation core: states psi (s, d) under a stack of s
-    decomposed Hamiltonians of equal basis labels, one batched phase sum of
-    the projections for the whole stack."""
+    """The eigenbasis propagation core: states psi (s, d) under a stack of
+    s decomposed Hamiltonians of equal basis labels, one batched phase sum
+    of the projections for the whole stack."""
     # a_n = <psi_n|psi_0>, real and imaginary parts apart: no complex copy of V
     a = (psi.real[:, None] @ vectors)[:, 0] + 1j * (psi.imag[:, None] @ vectors)[:, 0]
     rows = vectors[:, :1]
     if hs[0].basis_labels[0] == "g":
         rows = np.concatenate([vectors[:, :2], vectors[:, 2:].sum(axis=1, keepdims=True)], axis=1)
     proj = _phase_sum(values, np.swapaxes(rows * a[:, None, :], -1, -2), times)
+    return [_series(h, psi[k], times, proj[k],
+                    lambda e=values[k], v=vectors[k], c=a[k]: _phase_sum(e, (v * c).T, times))
+            for k, h in enumerate(hs)]
 
-    out = []
-    for k, h in enumerate(hs):
-        hpsi = h.entries @ psi[k]
-        mean = np.real(np.vdot(psi[k], hpsi))
-        variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
-        series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, variance)
-        series._proj = proj[k]
-        series._build = lambda e=values[k], v=vectors[k], c=a[k]: _phase_sum(e, (v * c).T, times)
-        out.append(series)
-    return out
+
+def _coupling_blocks(hs: list[HamiltonianMatrix]) -> np.ndarray:
+    """The e/FQC coupling blocks B of single-level Hamiltonians of equal
+    basis labels, shape (s, m, m) with m = n_pos + 1 for n_pos levels k > 0.
+
+    Every single-level ladder is symmetric about |e> at E = 0 (a hole is
+    symmetric too).  In the basis s_k = (f_k + f_-k)/sqrt(2),
+    a_k = (f_k - f_-k)/sqrt(2) (k > 0), H is bipartite between
+    A = (e, a_1, ...) and (f0, s_1, ...): H = [[0, B], [B^T, 0]] with
+    B[e, f0] = v, B[e, s_k] = sqrt(2) v and B[a_k, s_k] = k delta.  A
+    ladder without f0 gets a zero column in its place.
+    """
+    ks = hs[0].spec.level_indices
+    pos = ks[ks > 0]
+    v = np.array([h.spec.coupling_v for h in hs])
+    gap = np.array([h.spec.gap for h in hs])
+    blocks = np.zeros((len(hs), pos.size + 1, pos.size + 1))
+    if 0 in ks:
+        blocks[:, 0, 0] = v
+    blocks[:, 0, 1:] = math.sqrt(2.0) * v[:, None]
+    diag = np.arange(1, pos.size + 1)
+    blocks[:, diag, diag] = pos * gap[:, None]
+    return blocks
+
+
+def _single_level_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
+    """`_propagate_stack` for single-level cells, through the SVD
+    B = U diag(sigma) W^T of their coupling blocks (`_coupling_blocks`).
+
+    The eigenvectors of H are (u_n, +-w_n)/sqrt(2) at +-sigma_n, so from |e>
+    c_e(t) = sum_n U[e, n]^2 cos(sigma_n t): the real part of one phase sum
+    over the m singular values, half the phases of H.  U and W get the
+    Eigensystem bound, and a LAPACK failure stays with its own cell
+    (`_lapack_stack`).
+    """
+    (u, sigma, vh), errors = _lapack_stack(np.linalg.svd, _coupling_blocks(hs), (2, 1, 2))
+    w = np.swapaxes(vh, -1, -2)
+    defects = np.maximum(_gram_defect(u), _gram_defect(w))
+    errors = [err or _basis_error(defect) for err, defect in zip(errors, defects)]
+    ue = u[:, 0]
+    # a copy: no series keeps the complex stack alive through a view
+    c_e = _phase_sum(sigma, (ue * ue)[..., None], times).real.copy()
+    psi = np.zeros(hs[0].dim, dtype=complex)
+    psi[0] = 1.0
+    series = [_series(h, psi, times, c_e[k],
+                      lambda k=k, h=h: _single_level_amplitudes(h, sigma[k], u[k], w[k], times))
+              for k, h in enumerate(hs)]
+    return [s if err is None else err for s, err in zip(series, errors)]
+
+
+def _single_level_amplitudes(h: HamiltonianMatrix, sigma: np.ndarray, u: np.ndarray,
+                             w: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The full (nt, dim) amplitudes from |e> of a single-level cell, from
+    the SVD factors of its coupling block: sum_n U[:, n] U[e, n] cos(sigma_n t)
+    on the A side, -i sum_n W[:, n] U[e, n] sin(sigma_n t) on the other, then
+    rotated back to the f_k levels."""
+    m = sigma.size
+    p = _phase_sum(sigma, np.concatenate([u * u[0], w * u[0]]).T, times)
+    side_a, side_b = p[:, :m].real, 1j * p[:, m:].imag
+    n_pos = m - 1
+    amps = np.empty((times.size, h.dim), dtype=complex)
+    amps[:, 0] = side_a[:, 0]
+    if h.dim - 1 > 2 * n_pos:  # f0, on the B side
+        amps[:, 1 + n_pos] = side_b[:, 0]
+    amps[:, h.dim - n_pos:] = (side_b[:, 1:] + side_a[:, 1:]) / math.sqrt(2.0)
+    amps[:, 1:1 + n_pos] = ((side_b[:, 1:] - side_a[:, 1:]) / math.sqrt(2.0))[:, ::-1]
+    return amps
 
 
 def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -36,8 +36,8 @@ class HoleSpec:
     half_width: float
 
     def __post_init__(self):
-        if self.half_width < 0:
-            raise ConfigError(f"hole half_width must be >= 0, got {self.half_width}")
+        if not 0 <= self.half_width < math.inf:
+            raise ConfigError(f"hole half_width must be finite and >= 0, got {self.half_width}")
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,8 @@ class FqcSpec:
     n_half levels on each side of E = 0 plus the central one (2*n_half + 1
     levels for a flat spectrum).  coupling_v = 0 is the decoupled limit; the
     spacing then degenerates to 0, which is harmless because the levels no
-    longer influence the dynamics.
+    longer influence the dynamics.  Every value must be finite
+    (ConfigError otherwise, naming the field).
     """
 
     n_half: int
@@ -58,10 +59,10 @@ class FqcSpec:
     def __post_init__(self):
         if self.n_half < 0:
             raise ConfigError(f"n_half must be >= 0, got {self.n_half}")
-        if self.coupling_v < 0:
-            raise ConfigError(f"coupling_v must be >= 0, got {self.coupling_v}")
-        if self.gamma_target <= 0:
-            raise ConfigError(f"gamma_target must be > 0, got {self.gamma_target}")
+        if not 0 <= self.coupling_v < math.inf:
+            raise ConfigError(f"coupling_v must be finite and >= 0, got {self.coupling_v}")
+        if not 0 < self.gamma_target < math.inf:
+            raise ConfigError(f"gamma_target must be finite and > 0, got {self.gamma_target}")
         if self.hole is not None and self.coupling_v == 0:
             raise ConfigError("a spectral hole requires coupling_v > 0")
 
@@ -85,14 +86,17 @@ class FqcSpec:
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Rotating-frame drive: Rabi frequency and detuning, in units of gamma."""
+    """Rotating-frame drive: Rabi frequency (finite, >= 0) and detuning
+    (finite), in units of gamma."""
 
     rabi_omega0: float
     detuning_delta: float = 0.0
 
     def __post_init__(self):
-        if self.rabi_omega0 < 0:
-            raise ConfigError(f"rabi_omega0 must be >= 0, got {self.rabi_omega0}")
+        if not 0 <= self.rabi_omega0 < math.inf:
+            raise ConfigError(f"rabi_omega0 must be finite and >= 0, got {self.rabi_omega0}")
+        if not math.isfinite(self.detuning_delta):
+            raise ConfigError(f"detuning_delta must be finite, got {self.detuning_delta}")
 
 
 @dataclass(eq=False)
@@ -191,15 +195,15 @@ def adaptive_spec_for_size(
     The underlying flat grid is extended outward so that removing all levels
     with |k*delta| < half_width leaves n_fqc of them.  This keeps the state
     budget fixed while pushing spectral weight toward the populated sidebands.
-    half_width must be > 0: a zero-width hole removes nothing.
+    half_width must be finite and > 0: a zero-width hole removes nothing.
     """
     if n_fqc < 2 or n_fqc % 2:
         raise ConfigError(f"adaptive size must be a positive even integer, got {n_fqc}")
-    if not half_width > 0:  # HoleSpec(0) removes no level, which leaves an odd count
-        raise ConfigError(f"adaptive hole half_width must be > 0, got {half_width}")
+    if not 0 < half_width < math.inf:  # HoleSpec(0) removes no level: an odd count
+        raise ConfigError(f"adaptive hole half_width must be finite and > 0, got {half_width}")
     gap = 2.0 * math.pi * coupling_v**2 / gamma_target
-    if gap <= 0:
-        raise ConfigError("adaptive spec requires coupling_v > 0")
+    if not gap > 0:  # NaN too
+        raise ConfigError(f"adaptive spec requires a finite coupling_v > 0, got {coupling_v}")
     # first surviving level k, by the comparison level_indices makes; the
     # ceil of the rounded quotient is off by one next to a multiple of the gap
     k_min = max(1, math.ceil(half_width / gap))

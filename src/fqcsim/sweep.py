@@ -2,13 +2,15 @@
 
 Map tasks run in a thread pool; results are aggregated by index, so the
 output is bit-identical regardless of schedule or worker count.  A map task
-is a stack of cells of one N row, propagated by one batched `eigh` and phase
-sum (`evolve._propagate_stack`); that work runs in LAPACK/BLAS with the GIL
-released, which is what lets the threads scale.  A size scan runs its sizes
-one after another in the calling thread (`size_cell`, through `propagate`):
-most of its time is the Python-level iteration of the fits, which holds the
-GIL, so a second thread only adds hand-overs: on 2 cores, two threads ran
-the default scan slower than one and spent about 1.5 times its CPU time.
+is a stack of cells of one N row, propagated by one batched decomposition and
+phase sum (`evolve._propagate_stack`): an SVD of the (N+1)-square e/FQC
+coupling blocks for the single-level `decay` model, `eigh` of H for the
+others.  That work runs in LAPACK/BLAS with the GIL released, which is what
+lets the threads scale.  A size scan runs its sizes one after another in
+the calling thread (`size_cell`, through `propagate`): most of its time is
+the Python-level iteration of the fits, which holds the GIL, so a second
+thread only adds hand-overs: on 2 cores, two threads ran the default scan
+slower than one and spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations
@@ -149,12 +151,21 @@ def _run_pool(job, tasks: list, max_workers: int | None) -> list:
 
 def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
     """Cells per stack of an N row: `_STACK_BYTES` over the peak bytes of one
-    cell in `_propagate_stack`, about 16 (d (d + (2 + r) B) + (2r - 1) nt)
-    (measured) for dimension d (at most 2N + 3), phase block
-    B = ceil(sqrt(nt)) and r projections (1 on a one-level basis, else 3)."""
-    dim, block = 2 * n_half + 3, math.isqrt(grid_points - 1) + 1
-    r = 1 if one_level else 3
-    cell_bytes = 16 * (dim * (dim + (2 + r) * block) + (2 * r - 1) * grid_points)
+    cell in `_propagate_stack`, with phase block B = ceil(sqrt(nt)).
+
+    A two-level cell peaks at about 16 (d (d + 5 B) + 5 nt) bytes
+    (measured) for dimension d (at most 2N + 3) and its 3 projections.  A
+    one-level cell works on its coupling block, of size m = N + 1, and one
+    real projection: 16 (m (m + 3 B) + 3 nt / 2), of which the tracemalloc
+    peaks measured for N up to 150 and nt up to 8001 are 0.7 to 0.95.
+    """
+    block = math.isqrt(grid_points - 1) + 1
+    if one_level:
+        m = n_half + 1
+        cell_bytes = 16 * m * (m + 3 * block) + 24 * grid_points
+    else:
+        dim = 2 * n_half + 3
+        cell_bytes = 16 * (dim * (dim + 5 * block) + 5 * grid_points)
     return max(1, _STACK_BYTES // cell_bytes)
 
 
@@ -164,8 +175,9 @@ class SweepFixed:
 
     Every cell of a `model` ("decay", "rabi" or "adaptive") is built by
     `build_model`, so a given `hole_half_width` holes every model.  `gamma`
-    must be finite and > 0 (ConfigError here), and `run_sweep` checks `t_f`
-    and `grid_points` (`default_grid`), all before any cell runs.
+    must be finite and > 0 and a given `hole_half_width` finite and >= 0
+    (ConfigError here), and `run_sweep` checks `t_f` and `grid_points`
+    (`default_grid`) and the drive (`DriveSpec`), all before any cell runs.
     """
 
     t_f: float = 10.0
@@ -181,6 +193,8 @@ class SweepFixed:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if not 0 < self.gamma < math.inf:
             raise ConfigError(f"gamma must be finite and > 0, got {self.gamma}")
+        if self.hole_half_width is not None:
+            HoleSpec(self.hole_half_width)
 
 
 @dataclass(frozen=True)
@@ -254,7 +268,8 @@ def run_sweep(
     Each pool task is a stack: consecutive cells of one N row, as many as
     the byte budget `_STACK_BYTES` admits at that N.  Its cells are built by
     `build_model`; each group of equal basis labels is then propagated by
-    one batched `eigh`, Gram check and phase sum, and every cell's series is
+    one batched SVD (single-level cells) or `eigh`, Gram check and phase
+    sum (`evolve._propagate_stack`), and every cell's series is
     scored alone, with the bits a single `propagate` gives.  Individual cell
     failures are recorded per cell (value NaN) and do not abort the map: a
     cell whose build, eigenbasis or metric fails keeps its own error and

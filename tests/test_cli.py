@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fqcsim import FqcsimError
-from fqcsim import cli
+from fqcsim import cli, sweep
 from fqcsim.cli import embedded_config, main
 
 FAST = ["--grid-points", "301"]
@@ -169,6 +169,46 @@ def test_sweep_initial_state_other_than_e_rejected(tmp_path, mode, capsys):
 
 def test_invalid_value_rejected(tmp_path):
     assert run(["decay", "--out", tmp_path / "x", "--v", -0.3]) == 2
+
+
+@pytest.mark.parametrize("args, field", [
+    (["rabi", "--omega0", "inf"], "rabi_omega0"),
+    (["rabi", "--omega0", "nan"], "rabi_omega0"),
+    (["rabi", "--detuning", "nan"], "detuning_delta"),
+    (["rabi", "--detuning", "inf"], "detuning_delta"),
+    (["rabi", "--gamma", "nan"], "gamma_target"),
+    (["decay", "--gamma", "inf"], "gamma_target"),
+    (["decay", "--v", "nan"], "coupling_v"),
+    (["decay", "--v", "inf"], "coupling_v"),
+    (["decay", "--hole-half-width", "nan"], "half_width"),
+    (["rabi", "--hole-half-width", "inf"], "half_width"),
+    (["adaptive-compare", "--hole-half-width", "inf"], "half_width"),
+    (["sweep", "--hole-half-width", "nan", "--n-min", 5, "--n-max", 5, "--v-min", 0.3,
+      "--v-max", 0.3], "half_width"),
+    (["sweep", "--size-scan", "--sizes", 20, "--omega0", 2, "--v", "nan"], "coupling_v"),
+])
+def test_non_finite_model_input_rejected(tmp_path, args, field, capsys):
+    # rabi --omega0 inf wrote all-NaN outputs and decay --hole-half-width nan
+    # cut no hole, both with exit 0; a NaN v, gamma, omega0 or detuning was
+    # caught only by the symmetry check of `eigh`, which single-level cells
+    # no longer run
+    assert run(args + ["--out", tmp_path / "x"] + FAST) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and field in err and "finite" in err
+    assert not any((tmp_path / "x").iterdir())
+
+
+def test_model_too_large_for_memory_exits_3(tmp_path, monkeypatch, capsys):
+    # rabi --n 100000 ended in a MemoryError traceback with exit 1
+    def too_large(spec, drive):
+        raise MemoryError("Unable to allocate 298. GiB for an array with shape "
+                          "(200003, 200003) and data type float64")
+
+    monkeypatch.setattr(sweep, "build_two_level", too_large)
+    assert run(["rabi", "--n", 100000, "--out", tmp_path / "x"] + FAST) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: out of memory: Unable to allocate")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("t_f", ["nan", "inf", "0", "-2"])

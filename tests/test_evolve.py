@@ -26,7 +26,7 @@ from fqcsim import (
     source_term_series,
     write_csv,
 )
-from fqcsim.evolve import Eigensystem
+from fqcsim.evolve import Eigensystem, _evolve
 
 
 def test_diagonalize_two_by_two_closed_form():
@@ -392,3 +392,78 @@ def test_propagate_rejects_non_orthonormal_eigenbasis():
     skewed[:, 0] *= 1.0 + 1e-8
     with pytest.raises(NumericalError, match="orthonormality"):
         propagate(h, "e", default_grid(2.0, 21), eig=Eigensystem(eig.values, skewed))
+
+
+# ------------------------------------------- the single-level path: SVD of the coupling block
+
+
+def _eigh_path(h, times):
+    """`propagate` from |e> through the eigenbasis of h: a given `eig` keeps
+    a single-level h off the singular-value path."""
+    return propagate(h, "e", times, eig=diagonalize(h))
+
+
+def test_single_level_path_matches_eigh_over_the_default_map():
+    times = default_grid(10.0, 2001)
+    worst = 0.0
+    for n in range(2, 41):
+        hs = [build_single_level(FqcSpec(n, round(0.05 + 0.01 * i, 4))) for i in range(56)]
+        # the eigenbasis core, one batched eigh per row
+        values, vectors = np.linalg.eigh(np.stack([h.entries for h in hs]))
+        psi = np.zeros(values.shape, dtype=complex)
+        psi[:, 0] = 1.0
+        oracle = _evolve(hs, psi, times, values, vectors)
+        for h, want in zip(hs, oracle):
+            worst = max(worst, np.abs(propagate(h, "e", times).pi_e - want.pi_e).max())
+    assert worst <= 1e-12  # measured 4.9e-14
+
+
+@pytest.mark.parametrize("spec, t_f", [
+    # holed ladders have no f0: a zero column, so a zero singular value
+    (FqcSpec(15, 0.3, hole=HoleSpec(1.0)), 50.0),
+    (FqcSpec(40, 0.45, hole=HoleSpec(3.0)), 50.0),
+    (FqcSpec(10, 0.3, hole=HoleSpec(0.0)), 20.0),  # a zero-width hole keeps f0
+    (FqcSpec(0, 0.3), 20.0),                         # |e> and f0 alone
+    (FqcSpec(300, 0.1), 50.0),
+    (FqcSpec(5, 0.0), 10.0),                         # decoupled: every sigma is 0
+])
+def test_single_level_path_matches_eigh(spec, t_f):
+    h = build_single_level(spec)
+    times = default_grid(t_f, 2001)
+    series, oracle = propagate(h, "e", times), _eigh_path(h, times)
+    assert np.abs(series.pi_e - oracle.pi_e).max() <= 1e-12
+    assert np.abs(series.amplitudes - oracle.amplitudes).max() <= 1e-12
+    assert np.abs(np.linalg.norm(series.amplitudes, axis=1) - 1.0).max() <= 1e-12
+    assert series.energy_variance0 == oracle.energy_variance0
+
+
+@pytest.mark.parametrize("n_half", [50, 100, 200, 400])
+def test_single_level_path_follows_the_bixon_jortner_law(n_half):
+    # an infinite flat ladder gives c_e(t) = exp(-gamma t / 2) exactly up to
+    # the first revival at 2 pi / delta (Bixon and Jortner, J. Chem. Phys.
+    # 48, 715 (1968)); a ladder of 2N + 1 levels misses it by about 0.31 / N
+    spec = FqcSpec(n_half, 0.3)
+    t_rev = 2 * math.pi / spec.gap
+    times = np.linspace(0.05 * t_rev, 0.95 * t_rev, 1001)
+    h = build_single_level(spec)
+    c_e = propagate(h, "e", times).amplitudes[:, h.basis_labels.index("e")]
+    assert n_half * np.abs(c_e.real - np.exp(-times / 2)).max() <= 0.35
+    # the path takes c_e real; the eigenbasis agrees
+    assert np.abs(_eigh_path(h, times).amplitudes[:, 0].imag).max() <= 1e-13
+
+
+def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
+    h = build_single_level(FqcSpec(6, 0.3))
+    times = default_grid(2.0, 21)
+
+    def failing_svd(blocks):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    for start in ("e", None):
+        with pytest.raises(NumericalError, match="eigensolver failed: SVD did not converge"):
+            propagate(h, start, times)
+    # any other start, and a given eig, stay on the eigenbasis
+    for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times),
+                   _eigh_path(h, times)):
+        assert np.isfinite(series.pi_e).all()

@@ -1,4 +1,5 @@
-"""Stacked sweep cells: one batched `eigh` and phase sum per stack of cells.
+"""Stacked sweep cells: one batched SVD (single-level cells) or `eigh`
+(two-level cells) and one phase sum per stack of cells.
 
 Each stacked cell must equal `propagate` plus the metric on that cell alone,
 bit for bit; a few are also checked against a `scipy.linalg.expm`
@@ -146,9 +147,38 @@ def _marked(entries, coupling):
     return np.atleast_1d(entries[..., -1, :2].max(axis=-1) == coupling)
 
 
-def test_gram_check_failure_stays_in_its_cell(monkeypatch):
-    grid = _grid("decay", "d1")
+def _marked_blocks(blocks, coupling):
+    """Which single-level coupling blocks of a stack couple |e> to the top
+    level pair by sqrt(2) `coupling`."""
+    return np.atleast_1d(np.isclose(blocks[..., 0, -1], math.sqrt(2.0) * coupling))
+
+
+def _failed_column(monkeypatch, grid, name, patched, j):
+    """Run the map with np.linalg.<name> patched: every cell outside column j
+    keeps its clean value; the cells of column j come back, as a list."""
     clean = _cells(run_sweep(grid))
+    monkeypatch.setattr(np.linalg, name, patched)
+    got = _cells(run_sweep(grid))
+    for (i, jj), value in got.items():
+        if jj != j:
+            assert value == clean[i, jj], (i, jj)
+    return [value for (_, jj), value in got.items() if jj == j]
+
+
+def test_gram_check_failure_stays_in_its_cell(monkeypatch):
+    # single-level cells: the Gram check of the SVD's U
+    svd = np.linalg.svd
+
+    def skewed_svd(blocks):
+        u, sigma, vh = svd(blocks)
+        u[_marked_blocks(blocks, 0.3), :, 0] *= 1.0 + 1e-8
+        return u, sigma, vh
+
+    column = _failed_column(monkeypatch, _grid("decay", "d1"), "svd", skewed_svd, 1)  # v = 0.3
+    assert all("orthonormality defect" in value for value in column)
+
+
+def test_eigh_gram_check_failure_stays_in_its_cell(monkeypatch):
     eigh = np.linalg.eigh
 
     def skewed_eigh(entries):
@@ -156,14 +186,8 @@ def test_gram_check_failure_stays_in_its_cell(monkeypatch):
         vectors[_marked(entries, 0.3), :, 0] *= 1.0 + 1e-8
         return values, vectors
 
-    monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
-    got = _cells(run_sweep(grid))
-    bad = {(i, 1) for i in range(len(N_VALUES))}  # v = 0.3
-    for key, value in got.items():
-        if key in bad:
-            assert "orthonormality defect" in value
-        else:
-            assert value == clean[key], key
+    column = _failed_column(monkeypatch, _grid("rabi", "d2"), "eigh", skewed_eigh, 1)  # v = 0.3
+    assert all("orthonormality defect" in value for value in column)
 
 
 def test_lapack_failure_stays_in_its_cell(monkeypatch):
@@ -183,3 +207,15 @@ def test_lapack_failure_stays_in_its_cell(monkeypatch):
             assert value == "eigensolver failed: Eigenvalues did not converge"
         else:
             assert value == clean[i, j], (i, j)
+
+
+def test_svd_lapack_failure_stays_in_its_cell(monkeypatch):
+    svd = np.linalg.svd
+
+    def failing_svd(blocks):
+        if _marked_blocks(blocks, 0.45).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(blocks)
+
+    column = _failed_column(monkeypatch, _grid("decay", "d1"), "svd", failing_svd, 2)  # v = 0.45
+    assert column == ["eigensolver failed: SVD did not converge"] * len(N_VALUES)
