@@ -225,7 +225,9 @@ class TimeSeries:
     """Propagated amplitudes on a time grid plus run provenance.
 
     `energy_variance0` is <H^2> - <H>^2 in the initial state; it sets the
-    curvature of the short-time survival probability (Zeno time).
+    curvature of the short-time survival probability (Zeno time).  A series
+    from `propagate` (energy_variance0 None) computes it on first read, from
+    the dense H.
 
     Everything but `amplitudes`, `fqc_populations` and the FQC columns of the
     outputs reads only the projections: the system amplitudes and, on a
@@ -240,16 +242,26 @@ class TimeSeries:
         basis_labels: tuple[str, ...],
         spec: FqcSpec | None = None,
         drive: DriveSpec | None = None,
-        energy_variance0: float = 0.0,
+        energy_variance0: float | None = 0.0,
     ):
         self.times = times
         self.basis_labels = basis_labels
         self.spec = spec
         self.drive = drive
-        self.energy_variance0 = energy_variance0
+        self._variance = energy_variance0
         self._amplitudes = amplitudes
         self._build = None
         self._proj = None
+        self._state = None
+
+    @property
+    def energy_variance0(self) -> float:
+        if self._variance is None:
+            h, psi = self._state
+            hpsi = h.entries @ psi
+            mean = np.real(np.vdot(psi, hpsi))
+            self._variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
+        return self._variance
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -285,9 +297,7 @@ class TimeSeries:
 
     def reduced(self) -> DensitySeries:
         """Project every state onto the system block: rho_ab = c_a c_b*."""
-        c = self._projected()[:, :self.system_dim]
-        rho = c[:, :, None] * c.conj()[:, None, :]
-        return DensitySeries(self.times, rho)
+        return DensitySeries(self.times, _outer(self._projected()[:, :self.system_dim]))
 
     def fqc_populations(self) -> np.ndarray:
         return np.abs(self.amplitudes[:, self.system_dim:]) ** 2
@@ -389,15 +399,16 @@ def _propagate_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
 
 def _series(h: HamiltonianMatrix, psi: np.ndarray, times: np.ndarray, proj: np.ndarray,
             build) -> TimeSeries:
-    """The TimeSeries of state psi under h: its projections, the builder of
-    its full amplitudes and the energy variance of psi."""
-    hpsi = h.entries @ psi
-    mean = np.real(np.vdot(psi, hpsi))
-    variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
-    series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, variance)
-    series._proj = proj
-    series._build = build
+    """The TimeSeries of state psi under h: its projections and the
+    builders of its full amplitudes and of its energy variance."""
+    series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, None)
+    series._proj, series._build, series._state = proj, build, (h, psi)
     return series
+
+
+def _outer(c: np.ndarray) -> np.ndarray:
+    """rho_ab = c_a c_b* of system amplitudes c (..., s): shape (..., s, s)."""
+    return c[..., :, None] * c.conj()[..., None, :]
 
 
 def _evolve(hs, psi: np.ndarray, times: np.ndarray, values: np.ndarray,
@@ -427,7 +438,7 @@ def _coupling_blocks(hs: list[HamiltonianMatrix]) -> np.ndarray:
     B[e, f0] = v, B[e, s_k] = sqrt(2) v and B[a_k, s_k] = k delta.  A
     ladder without f0 gets a zero column in its place.
     """
-    ks = hs[0].spec.level_indices
+    ks = hs[0].level_indices
     pos = ks[ks > 0]
     v = np.array([h.spec.coupling_v for h in hs])
     gap = np.array([h.spec.gap for h in hs])

@@ -1,4 +1,4 @@
-"""Dense Hamiltonians for a system coupled to a finite quasi-continuum (FQC).
+"""Arrowhead Hamiltonians for a system coupled to a finite quasi-continuum (FQC).
 
 The FQC is a ladder of equidistant levels, all coupled with the same strength
 v to the unstable state |e>.  Fermi's golden rule fixes the level spacing
@@ -9,8 +9,9 @@ measured in units of hbar*gamma and times in 1/gamma (hbar = 1 throughout).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,19 +102,42 @@ class DriveSpec:
 
 @dataclass(eq=False)
 class HamiltonianMatrix:
-    """Real symmetric Hamiltonian with its basis bookkeeping.
+    """Real symmetric arrowhead Hamiltonian, kept as its structure.
 
-    Basis order is fixed: [g], e, then FQC levels ascending in energy.
+    Basis order is fixed: [g], e, then FQC levels ascending in energy.  The
+    FQC levels are the ladder indices k (energies k*delta of `spec`), each
+    coupled to |e> by v; a drive adds the g-e Rabi element and the e-e
+    detuning.  The dense `entries` are built on first read, for the `eigh`
+    paths; the single-level SVD path never reads them.
     """
 
-    entries: np.ndarray
-    basis_labels: tuple[str, ...]
     spec: FqcSpec
-    drive: DriveSpec | None = None
+    drive: DriveSpec | None
+    level_indices: np.ndarray
+    basis_labels: tuple[str, ...]
+    _entries: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense (dim, dim) matrix."""
+        if self._entries is None:
+            self._entries = self._dense()
+        return self._entries
+
+    def _dense(self) -> np.ndarray:
+        s, dim = self.n_system, self.dim
+        h = np.zeros((dim, dim))
+        if self.drive is not None:
+            h[0, 1] = h[1, 0] = self.drive.rabi_omega0
+            h[1, 1] = self.drive.detuning_delta
+        h[s - 1, s:] = self.spec.coupling_v
+        h[s:, s - 1] = self.spec.coupling_v
+        h[np.arange(s, dim), np.arange(s, dim)] = self.level_indices * self.spec.gap
+        return h
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return len(self.basis_labels)
 
     @property
     def n_system(self) -> int:
@@ -139,21 +163,26 @@ def _check_band(spec: FqcSpec) -> np.ndarray:
     return ks
 
 
+@functools.lru_cache(maxsize=64)
+def _labels(system: tuple[str, ...], ks: tuple[int, ...]) -> tuple[str, ...]:
+    """The basis labels of a ladder: one tuple for every cell that has it."""
+    return system + tuple(f"f{k}" for k in ks)
+
+
+def _arrowhead(spec: FqcSpec, drive: DriveSpec | None) -> HamiltonianMatrix:
+    """The one constructor: system [g], e coupled to the checked ladder of spec."""
+    ks = _check_band(spec)
+    system = ("e",) if drive is None else ("g", "e")
+    return HamiltonianMatrix(spec, drive, ks, _labels(system, tuple(ks.tolist())))
+
+
 def build_single_level(spec: FqcSpec) -> HamiltonianMatrix:
     """Unstable state |e> at E = 0 equally coupled to every FQC level.
 
     Row/column 0 is |e>; the off-diagonal couplings are all v and the FQC
     block is diagonal with energies k*delta.
     """
-    ks = _check_band(spec)
-    nf = ks.size
-    dim = 1 + nf
-    h = np.zeros((dim, dim))
-    h[0, 1:] = spec.coupling_v
-    h[1:, 0] = spec.coupling_v
-    h[np.arange(1, dim), np.arange(1, dim)] = ks * spec.gap
-    labels = ("e",) + tuple(f"f{k}" for k in ks)
-    return HamiltonianMatrix(h, labels, spec)
+    return _arrowhead(spec, None)
 
 
 def build_two_level(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:
@@ -162,17 +191,7 @@ def build_two_level(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:
     In the rotating frame the g-e coupling is the bare Rabi element omega0 and
     the e-e diagonal carries the detuning.  Only |e> talks to the FQC.
     """
-    ks = _check_band(spec)
-    nf = ks.size
-    dim = 2 + nf
-    h = np.zeros((dim, dim))
-    h[0, 1] = h[1, 0] = drive.rabi_omega0
-    h[1, 1] = drive.detuning_delta
-    h[1, 2:] = spec.coupling_v
-    h[2:, 1] = spec.coupling_v
-    h[np.arange(2, dim), np.arange(2, dim)] = ks * spec.gap
-    labels = ("g", "e") + tuple(f"f{k}" for k in ks)
-    return HamiltonianMatrix(h, labels, spec, drive)
+    return _arrowhead(spec, drive)
 
 
 def build_adaptive(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:
@@ -181,7 +200,7 @@ def build_adaptive(spec: FqcSpec, drive: DriveSpec) -> HamiltonianMatrix:
         raise ConfigError("build_adaptive requires a spec with a hole")
     if spec.level_indices.size < 2:
         raise ConfigError("adaptive FQC needs at least 2 surviving levels")
-    return build_two_level(spec, drive)
+    return _arrowhead(spec, drive)
 
 
 def adaptive_spec_for_size(

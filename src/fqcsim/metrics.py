@@ -117,12 +117,24 @@ def d1(series, gamma: float, t_f: float) -> MetricResult:
     (1/t_f) integral of |pi_e(t) - pi_e(0) exp(-gamma t)| over [0, t_f].
     """
     times = np.asarray(series.times, dtype=float)
-    pie = np.asarray(series.pi_e, dtype=float)
+    value, points = _d1_values(times, np.asarray(series.pi_e, dtype=float), gamma, t_f)
+    return MetricResult(float(value), t_f, points, "trapezoid of |pi_e - pi_ref|")
+
+
+def _d1_values(times: np.ndarray, pie: np.ndarray, gamma: float, t_f: float):
+    """d1 of every pi_e series of pie (..., nt) on the grid times, shape
+    (...), and the number of grid points it integrates.
+
+    A row of a stack gets the bits it gets alone, because the trapezoid
+    sums a C-ordered stack one row after another.  `np.compress` keeps C
+    order; `pie[..., mask]` would not, and numpy sums along the slow axis
+    of an F-ordered stack in another order.
+    """
     mask = _window(times, t_f)
     t = times[mask]
-    gap = np.abs(pie[mask] - pie[0] * np.exp(-gamma * t))
-    value = float(np.trapezoid(gap, t) / t_f)
-    return MetricResult(value, t_f, int(t.size), "trapezoid of |pi_e - pi_ref|")
+    gap = np.compress(mask, pie, axis=-1)
+    gap -= pie[..., :1] * np.exp(-gamma * t)
+    return np.trapezoid(np.abs(gap, out=gap), t, axis=-1) / t_f, int(t.size)
 
 
 def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
@@ -142,12 +154,20 @@ def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
     ra, rb = a.rho, b.rho
     if a.dim == 1:
         ra, rb = _embed_classical(ra), _embed_classical(rb)
-    mask = _window(ta, t_f)
-    t = ta[mask]
-    diff = ra[mask] - rb[mask]
-    td = _td_two_by_two(diff[:, 0, 0].real, diff[:, 1, 1].real, diff[:, 0, 1])
-    value = float(np.trapezoid(td, t) / t_f)
-    return MetricResult(value, t_f, int(t.size), "trapezoid of trace distance")
+    value, points = _d2_values(ta, ra, rb, t_f)
+    return MetricResult(float(value), t_f, points, "trapezoid of trace distance")
+
+
+def _d2_values(times: np.ndarray, ra: np.ndarray, rb: np.ndarray, t_f: float):
+    """d2 between 2x2 density series ra (..., nt, 2, 2) and rb (nt, 2, 2) on
+    the grid times, shape (...), and the number of grid points it
+    integrates; windowed in C order, as in `_d1_values`."""
+    mask = _window(times, t_f)
+    t = times[mask]
+    diff = np.compress(mask, ra, axis=-3)
+    diff -= rb[mask]
+    td = _td_two_by_two(diff[..., 0, 0].real, diff[..., 1, 1].real, diff[..., 0, 1])
+    return np.trapezoid(td, t, axis=-1) / t_f, int(t.size)
 
 
 @dataclass

@@ -5,12 +5,18 @@ output is bit-identical regardless of schedule or worker count.  A map task
 is a stack of cells of one N row, propagated by one batched decomposition and
 phase sum (`evolve._propagate_stack`): an SVD of the (N+1)-square e/FQC
 coupling blocks for the single-level `decay` model, `eigh` of H for the
-others.  That work runs in LAPACK/BLAS with the GIL released, which is what
-lets the threads scale.  A size scan runs its sizes one after another in
-the calling thread (`size_cell`, through `propagate`): most of its time is
-the Python-level iteration of the fits, which holds the GIL, so a second
-thread only adds hand-overs: on 2 cores, two threads ran the default scan
-slower than one and spent about 1.5 times its CPU time.
+others.  The stack is then scored at once (one `d1` or `d2` trapezoid over
+all its cells); only fits run cell by cell.  That work runs in LAPACK/BLAS
+and numpy with the GIL released, which is what lets the threads scale.
+Python run per cell holds the GIL and so caps the second thread (a dense
+build, label formatting, energy variance and `d1` per cell did, at about a
+third of the map), so a cell does little of it: a structural Hamiltonian
+with cached labels and a series object.  A size scan runs its sizes one
+after another in the calling thread (`size_cell`, through `propagate`):
+most of its time is the Python-level iteration of the fits, which holds
+the GIL, so a second thread only adds hand-overs: on 2 cores, two threads
+ran the default scan slower than one and spent about 1.5 times its CPU
+time.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import _propagate_stack, default_grid, propagate, write_csv
+from .evolve import _outer, _propagate_stack, default_grid, propagate, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -36,7 +42,8 @@ from .hamiltonian import (
     build_single_level,
     build_two_level,
 )
-from .metrics import d1, d2
+# perfbench/tracing.py wraps d1 at this module too, so it stays imported
+from .metrics import _d1_values, _d2_values, d1, d2  # noqa: F401
 from .analysis import fit_effective_params
 from .reference import NonHermitianSpec, evolve_nonhermitian
 
@@ -269,20 +276,22 @@ def run_sweep(
     the byte budget `_STACK_BYTES` admits at that N.  Its cells are built by
     `build_model`; each group of equal basis labels is then propagated by
     one batched SVD (single-level cells) or `eigh`, Gram check and phase
-    sum (`evolve._propagate_stack`), and every cell's series is
-    scored alone, with the bits a single `propagate` gives.  Individual cell
-    failures are recorded per cell (value NaN) and do not abort the map: a
-    cell whose build, eigenbasis or metric fails keeps its own error and
-    leaves its stack-mates' values alone.  Nothing here samples randomness;
+    sum (`evolve._propagate_stack`), and its propagated cells are scored
+    together: `d1` (also the `d2` of a one-level model) or `d2` as one
+    trapezoid over the stack, a fit cell by cell.  Every value has the bits
+    a single `propagate` and metric give.  Individual cell failures are
+    recorded per cell (value NaN) and do not abort the map: a cell whose
+    build, eigenbasis or fit fails keeps its own error and leaves its
+    stack-mates' values alone.  Nothing here samples randomness;
     the seed is recorded in the provenance for uniformity with sampled
     metrics.
     """
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
     drive = DriveSpec(fx.omega0, fx.detuning)
-    ref = None
+    ref_rho = None
     if grid.metric == "d2":
-        ref = evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e", times)
+        ref_rho = evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e", times).rho
     nv, nn = len(grid.v_values), len(grid.n_values)
     values = np.full((nn, nv), np.nan)
     errors: list[dict] = []
@@ -292,15 +301,28 @@ def run_sweep(
                            adaptive=fx.model == "adaptive", hole_half_width=fx.hole_half_width,
                            single_level=fx.model == "decay")
 
-    def score(series):
-        if grid.metric == "d2" and series.system_dim == 2:
-            return d2(series, ref, fx.t_f).value
-        if grid.metric != "fit":  # d1, which is also d2 of a one-level model
-            return d1(series, fx.gamma, fx.t_f).value
+    def fit(series):
         report = fit_effective_params(series, fx.t_f)
         if not report.converged:
             raise FqcsimError("effective-parameter fit did not converge")
         return report.residual_norm / math.sqrt(report.grid_points)
+
+    def score(stack: list) -> list:
+        """The values of one group's propagated cells; an error stays put."""
+        done = [series for series in stack if not isinstance(series, Exception)]
+        if grid.metric == "fit" or not done:
+            return [s if isinstance(s, Exception) else _attempt(fit, s) for s in stack]
+        # the projections are sliced after stacking, so each elementwise op
+        # sees the strides it sees on one series (`reduced`, `pi_e`): same bits
+        if grid.metric == "d2" and done[0].system_dim == 2:
+            rho = _outer(np.stack([series._projected() for series in done])[..., :2])
+            scored = _d2_values(times, rho, ref_rho, fx.t_f)[0]
+        else:  # d1, which is also d2 of a one-level model
+            e = done[0].e_index
+            pie = np.abs(np.stack([series._projected() for series in done])[..., e]) ** 2
+            scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0]
+        scored = iter(scored.tolist())
+        return [s if isinstance(s, Exception) else next(scored) for s in stack]
 
     def job(cells):
         results, groups = {}, {}
@@ -310,8 +332,7 @@ def run_sweep(
                 groups.setdefault(h.basis_labels, []).append(idx)
         for group in groups.values():
             stack = _propagate_stack([results[idx] for idx in group], times)
-            for idx, series in zip(group, stack):
-                results[idx] = series if isinstance(series, Exception) else _attempt(score, series)
+            results.update(zip(group, score(stack)))
         return [results[idx] for idx in cells]
 
     chunks = []

@@ -10,9 +10,12 @@ from fqcsim import (
     ConfigError,
     DriveSpec,
     FqcSpec,
+    HamiltonianMatrix,
     HoleSpec,
     NumericalError,
     StateVector,
+    SweepFixed,
+    SweepGrid,
     TimeSeries,
     basis_state,
     build_adaptive,
@@ -22,11 +25,12 @@ from fqcsim import (
     diagonalize,
     memory_kernel,
     propagate,
+    run_sweep,
     source_infinity,
     source_term_series,
     write_csv,
 )
-from fqcsim.evolve import Eigensystem, _evolve
+from fqcsim.evolve import Eigensystem, _evolve, _propagate_stack
 
 
 def test_diagonalize_two_by_two_closed_form():
@@ -467,3 +471,62 @@ def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
     for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times),
                    _eigh_path(h, times)):
         assert np.isfinite(series.pi_e).all()
+
+
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """The number of dense Hamiltonian matrices built from here on."""
+    count = [0]
+    dense = HamiltonianMatrix._dense
+
+    def counted(h):
+        count[0] += 1
+        return dense(h)
+
+    monkeypatch.setattr(HamiltonianMatrix, "_dense", counted)
+    return count
+
+
+def test_decay_map_and_propagate_build_no_dense_matrix(dense_builds):
+    for n_values, width in (((0, 3, 8), None), ((3, 8), 0.3)):  # flat, and with a hole
+        grid = SweepGrid(n_values, (0.25, 0.4), SweepFixed(t_f=4.0, grid_points=401,
+                                                          hole_half_width=width))
+        result = run_sweep(grid)
+        assert not result.cell_errors and np.isfinite(result.values).all()
+    series = propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(4.0, 401))
+    assert np.isfinite(series.pi_e).all() and np.isfinite(series.reduced().rho).all()
+    assert dense_builds[0] == 0
+    # reading the energy variance builds it, and so does any eigh path
+    assert series.energy_variance0 > 0
+    assert dense_builds[0] == 1
+    run_sweep(SweepGrid((3,), (0.3,), SweepFixed(t_f=4.0, omega0=1.0, model="rabi",
+                                                 grid_points=401), "d2"))
+    assert dense_builds[0] == 2
+
+
+def _dense_variance(h, psi):
+    """<H^2> - <H>^2 of psi by the dense formula."""
+    hpsi = h.entries @ psi
+    mean = np.real(np.vdot(psi, hpsi))
+    return float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_single_level(FqcSpec(15, 0.3)),
+    lambda: build_single_level(FqcSpec(0, 0.3)),
+    lambda: build_single_level(FqcSpec(10, 0.3, hole=HoleSpec(0.4))),
+    lambda: build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4)),
+    lambda: build_two_level(FqcSpec(0, 0.3), DriveSpec(1.0, 0.0)),
+    lambda: build_adaptive(FqcSpec(10, 0.3, hole=HoleSpec(1.0)), DriveSpec(2.0, 0.0)),
+], ids=["single", "single-n0", "single-holed", "two-level", "two-level-n0", "adaptive"])
+def test_lazy_energy_variance_equals_the_dense_formula(make, dense_builds):
+    h = make()
+    times = default_grid(2.0, 21)
+    lazy = [propagate(h, "e", times), _propagate_stack([h, make()], times)[0]]
+    if h.n_system == 1:  # the SVD path: no dense matrix until the variance is read
+        assert dense_builds[0] == 0
+    psi = basis_state(h, "e").amplitudes
+    for series in lazy:
+        assert series.energy_variance0 == _dense_variance(h, psi)
+    state = random_state(h, 3)
+    assert propagate(h, state, times).energy_variance0 == _dense_variance(h, state.amplitudes)

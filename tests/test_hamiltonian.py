@@ -213,3 +213,16 @@ def test_adaptive_spec_for_size_counts_exactly(v, gamma, n_fqc):
         spec = adaptive_spec_for_size(n_fqc, v, float(width), gamma)
         assert spec.n_levels == n_fqc, width
 
+
+def test_equal_ladders_share_one_label_tuple():
+    # the labels are cached per ladder, so a map row formats them once
+    one, other = build_single_level(FqcSpec(7, 0.2)), build_single_level(FqcSpec(7, 0.45))
+    assert one.basis_labels is other.basis_labels
+    assert one.basis_labels == ("e",) + tuple(f"f{k}" for k in range(-7, 8))
+    drive = DriveSpec(1.0, 0.0)
+    driven = build_two_level(FqcSpec(7, 0.2), drive)
+    assert driven.basis_labels == ("g",) + one.basis_labels
+    holed = build_adaptive(FqcSpec(7, 0.3, hole=HoleSpec(0.5)), drive)
+    assert holed.basis_labels == ("g", "e") + tuple(
+        f"f{k}" for k in holed.level_indices.tolist())
+    assert "f0" not in holed.basis_labels and holed.dim == len(holed.basis_labels)

@@ -219,3 +219,30 @@ def test_svd_lapack_failure_stays_in_its_cell(monkeypatch):
 
     column = _failed_column(monkeypatch, _grid("decay", "d1"), "svd", failing_svd, 2)  # v = 0.45
     assert column == ["eigensolver failed: SVD did not converge"] * len(N_VALUES)
+
+
+@pytest.mark.parametrize("model, metric, name, size", [
+    ("decay", "d1", "svd", 6),     # the (N + 1)-square coupling block of N = 5
+    ("rabi", "d2", "eigh", 13),    # the (2N + 3)-square H of N = 5
+])
+def test_gram_failure_of_one_cell_leaves_its_stack_mates_alone(monkeypatch, model, metric,
+                                                               name, size):
+    # skew the basis of the cell N = 5, v = 0.3 alone; its row is one stack
+    solve = getattr(np.linalg, name)
+    marked = _marked_blocks if name == "svd" else _marked
+
+    def skewed(matrices):
+        out = solve(matrices)
+        basis = out[0] if name == "svd" else out[1]
+        if matrices.shape[-1] == size:
+            basis[marked(matrices, 0.3), :, 0] *= 1.0 + 1e-8
+        return out
+
+    grid = _grid(model, metric)
+    monkeypatch.setattr(np.linalg, name, skewed)
+    got = _cells(run_sweep(grid))
+    assert [idx for idx, value in got.items() if isinstance(value, str)] == [(1, 1)]
+    assert "orthonormality defect" in got[1, 1]
+    for (i, j), value in got.items():
+        if (i, j) != (1, 1):
+            assert value == _single_cell(grid, i, j), (i, j)
