@@ -11,9 +11,13 @@ basis: one batched decomposition and one batched phase rotation serve many
 sweep cells (`_propagate_stack`), and `propagate` is the same core on a
 stack of one.  Stacked and single calls give the same bits.  A single-level
 Hamiltonian is bipartite in the symmetric/antisymmetric combinations of the
-levels +-k, so from |e> it needs only the SVD of its half-size e/FQC
-coupling block, c_e(t) = sum_n U[e, n]^2 cos(sigma_n t); two-level models,
-other initial states and a caller's Eigensystem use `eigh` of H.
+levels +-k, so from |e> it needs only the spectrum of its half-size e/FQC
+coupling block B: c_e(t) = sum_n U[e, n]^2 cos(sigma_n t).  B^T B is a
+rank-one change of a diagonal, so the sigma_n (a values-only SVD, refined on
+the secular equation) and the weights U[e, n]^2 (a closed form) come
+without singular vectors (`_single_level_weights`); only the lazy full
+amplitudes of one cell take its full SVD.  Two-level models, other initial
+states and a caller's Eigensystem use `eigh` of H.
 """
 
 from __future__ import annotations
@@ -352,7 +356,7 @@ def propagate(
     `fqc_populations`, `to_csv(include_fqc=True)` or `to_json`).
 
     A single-level Hamiltonian started in |e> (psi0 "e" or None) without a
-    given `eig` takes the singular-value path of `_propagate_stack` on a
+    given `eig` takes the secular path of `_propagate_stack` on a
     stack of one.  Everything else is phase-rotated in the eigenbasis of h:
     a precomputed Eigensystem may be shared read-only across many calls;
     its basis was checked for orthonormality when it was made (see
@@ -380,9 +384,10 @@ def _propagate_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
     TimeSeries per cell, or the FqcsimError of its own decomposition.
     Every series has the bits `propagate` gives for its cell alone.
 
-    Single-level cells go through one batched SVD of their half-size
-    coupling blocks (`_single_level_stack`); two-level cells through one
-    batched `eigh` (`_eigh_stack`).  Either way each basis gets the
+    Single-level cells go through one values-only SVD of their half-size
+    coupling blocks and the secular equation (`_single_level_stack`), with
+    a sum rule and a secular residual for health checks.  Two-level cells
+    go through one batched `eigh` (`_eigh_stack`), and each basis gets the
     Eigensystem bound (`_gram_defect`, `_basis_error`), one batched matmul
     per stack.
     """
@@ -407,8 +412,17 @@ def _series(h: HamiltonianMatrix, psi: np.ndarray, times: np.ndarray, proj: np.n
 
 
 def _outer(c: np.ndarray) -> np.ndarray:
-    """rho_ab = c_a c_b* of system amplitudes c (..., s): shape (..., s, s)."""
-    return c[..., :, None] * c.conj()[..., None, :]
+    """rho_ab = c_a c_b* of system amplitudes c (..., s): shape (..., s, s).
+
+    The diagonal is exactly real: the imaginary part of c_a c_a*, which a
+    fused complex multiply may leave at about 1e-30 depending on the CPU, is
+    set to 0; every real part keeps its bits.
+    """
+    rho = c[..., :, None] * c.conj()[..., None, :]
+    if np.iscomplexobj(rho):
+        diag = np.arange(rho.shape[-1])
+        rho.imag[..., diag, diag] = 0.0
+    return rho
 
 
 def _evolve(hs, psi: np.ndarray, times: np.ndarray, values: np.ndarray,
@@ -451,37 +465,133 @@ def _coupling_blocks(hs: list[HamiltonianMatrix]) -> np.ndarray:
     return blocks
 
 
-def _single_level_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
-    """`_propagate_stack` for single-level cells, through the SVD
-    B = U diag(sigma) W^T of their coupling blocks (`_coupling_blocks`).
+def _single_level_weights(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The spectrum of c_e(t) = sum_n weights[n] cos(sigma_n t) for
+    single-level cells of equal basis labels: sigma and weights (s, m), and
+    the error of each cell, without singular vectors.
 
-    The eigenvectors of H are (u_n, +-w_n)/sqrt(2) at +-sigma_n, so from |e>
-    c_e(t) = sum_n U[e, n]^2 cos(sigma_n t): the real part of one phase sum
-    over the m singular values, half the phases of H.  U and W get the
-    Eigensystem bound, and a LAPACK failure stays with its own cell
-    (`_lapack_stack`).
+    The coupling block B (`_coupling_blocks`) has first row z = (v, sqrt(2)
+    v, ...) and poles d_j = p_j delta (p_j = 0, 1, ... on a flat ladder), so
+    B^T B = D^2 + z z^T.  Its sigma_n are the roots of the secular equation
+    1 + sum_j z_j^2 / (d_j^2 - sigma^2) = 0, one in each pole interval
+    (p_n, p_n + 1) delta and the last above the top pole, and
+    U[e, n]^2 = 1 / (sigma_n^2 sum_j z_j^2 / (d_j^2 - sigma_n^2)^2).  A
+    values-only SVD of the stacked blocks starts the roots, and one Newton
+    step refines them (`_secular_roots`).  A holed ladder has no f0: its
+    zero column is dropped, and the dark state at E = 0 comes first, with
+    weight 1 / (1 + sum_j z_j^2 / d_j^2).  A cell with v = 0 is decoupled:
+    sigma = 0 and c_e = 1, with no division by its zero gap.
+
+    Two checks take the place of the Gram check of U and W, each within
+    NORM_TOL: the sum rule |sum_n U[e, n]^2 - 1| and the relative secular
+    residual (`_secular_roots`).  A cell that fails either, or whose LAPACK
+    call fails (`_lapack_stack`), keeps its own error.
     """
-    (u, sigma, vh), errors = _lapack_stack(np.linalg.svd, _coupling_blocks(hs), (2, 1, 2))
-    w = np.swapaxes(vh, -1, -2)
-    defects = np.maximum(_gram_defect(u), _gram_defect(w))
-    errors = [err or _basis_error(defect) for err, defect in zip(errors, defects)]
-    ue = u[:, 0]
+    ks = hs[0].level_indices
+    flat = 0 in ks
+    poles = ks[ks >= 0].astype(float)
+    v = np.array([h.spec.coupling_v for h in hs])
+    gap = np.array([h.spec.gap for h in hs])
+    (roots,), errors = _lapack_stack(lambda b: (np.linalg.svd(b, compute_uv=False),),
+                                     _coupling_blocks(hs)[:, :, 0 if flat else 1:], (1,))
+    n = poles.size
+    sigma = np.zeros((len(hs), n + (not flat)))
+    weights = np.zeros_like(sigma)
+    weights[:, 0] = 1.0  # v = 0
+    residual = np.zeros(len(hs))
+    live = v > 0
+    if live.any():
+        delta = gap[live, None]
+        w = (v[live, None] / delta) ** 2 * np.where(poles > 0, 2.0, 1.0)  # z_j^2 / delta^2
+        with np.errstate(divide="ignore", invalid="ignore"):  # a bad root fails its check
+            x, s2, residual[live] = _secular_roots(roots[live, ::-1] / delta, poles, w)
+        sigma[live, -n:] = x * delta
+        weights[live, -n:] = 1.0 / (x * x * s2)
+        if not flat:
+            weights[live, 0] = 1.0 / (1.0 + (w / poles**2).sum(axis=-1))
+    defect = np.abs(weights.sum(axis=-1) - 1.0)
+    errors = [err or _secular_error(r, d) for err, r, d in zip(errors, residual, defect)]
+    return sigma, weights, errors
+
+
+def _secular_roots(x0: np.ndarray, poles: np.ndarray, w: np.ndarray):
+    """One Newton step on f(x) = 1 + sum_j w_j / (p_j^2 - x^2) = 0 from the
+    roots x0 (s, n), ascending, in units of the gap (x = sigma / delta, poles
+    p_j, w_j = z_j^2 / delta^2 of shape (s, n)).
+
+    Root n is written x = k + t, with k the pole of its interval nearest to
+    it, so p_j^2 - x^2 = (p_j - k - t)(p_j + k + t) with exact integers
+    p_j - k: the step restores the digits that the SVD's absolute accuracy
+    loses next to a pole.  Returns x, sum_j w_j / (p_j^2 - x^2)^2 (so that
+    U[e, n]^2 = 1 / (x^2 times it)) and each cell's largest relative
+    residual |f(x)| / (1 + sum_j |w_j / (p_j^2 - x^2)|), infinite for a
+    root that is NaN or outside its interval.
+    """
+    n = poles.size
+    top = np.arange(n) == n - 1
+    k = poles + ((x0 - poles > 0.5) & ~top)
+    t = x0 - k
+    w = w[..., None]
+
+    def inverse_gaps(t, out=None):
+        # 1 / ((p_j - k - t)(p_j + k + t)), in two (s, n, n) arrays
+        r = np.subtract(poles, k[..., None], out=out)
+        r -= t[..., None]
+        q = poles + k[..., None]
+        q += t[..., None]
+        r *= q
+        return np.reciprocal(r, out=r)
+
+    r = inverse_gaps(t)
+    f = 1.0 + (r @ w)[..., 0]
+    t = t - f / (2.0 * (k + t) * (np.square(r, out=r) @ w)[..., 0])
+    r = inverse_gaps(t, out=r)
+    f = 1.0 + (r @ w)[..., 0]
+    scale = 1.0 + (np.abs(r, out=r) @ w)[..., 0]
+    r *= r
+    lower = (k - poles) + t  # the offset from the interval's lower pole
+    inside = (lower > 0) & ((lower < 1) | top)
+    residual = np.where(inside, np.abs(f) / scale, np.inf).max(axis=-1)
+    return k + t, (r @ w)[..., 0], residual
+
+
+def _secular_error(residual: float, defect: float) -> NumericalError | None:
+    if not residual <= NORM_TOL:
+        return NumericalError(f"secular residual {residual} exceeds {NORM_TOL}")
+    if not defect <= NORM_TOL:
+        return NumericalError(f"sum rule defect {defect} exceeds {NORM_TOL}")
+    return None
+
+
+def _single_level_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
+    """`_propagate_stack` for single-level cells: c_e(t) = sum_n
+    U[e, n]^2 cos(sigma_n t) from `_single_level_weights`, the real part of
+    one phase sum over the m values of the coupling block, half the phases
+    of H.  The full amplitudes, built on first read, take the full SVD of
+    their one cell (`_single_level_amplitudes`).
+    """
+    sigma, weights, errors = _single_level_weights(hs)
     # a copy: no series keeps the complex stack alive through a view
-    c_e = _phase_sum(sigma, (ue * ue)[..., None], times).real.copy()
+    c_e = _phase_sum(sigma, weights[..., None], times).real.copy()
     psi = np.zeros(hs[0].dim, dtype=complex)
     psi[0] = 1.0
-    series = [_series(h, psi, times, c_e[k],
-                      lambda k=k, h=h: _single_level_amplitudes(h, sigma[k], u[k], w[k], times))
+    series = [_series(h, psi, times, c_e[k], lambda h=h: _single_level_amplitudes(h, times))
               for k, h in enumerate(hs)]
     return [s if err is None else err for s, err in zip(series, errors)]
 
 
-def _single_level_amplitudes(h: HamiltonianMatrix, sigma: np.ndarray, u: np.ndarray,
-                             w: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _single_level_amplitudes(h: HamiltonianMatrix, times: np.ndarray) -> np.ndarray:
     """The full (nt, dim) amplitudes from |e> of a single-level cell, from
-    the SVD factors of its coupling block: sum_n U[:, n] U[e, n] cos(sigma_n t)
-    on the A side, -i sum_n W[:, n] U[e, n] sin(sigma_n t) on the other, then
-    rotated back to the f_k levels."""
+    the SVD B = U diag(sigma) W^T of its coupling block: sum_n U[:, n]
+    U[e, n] cos(sigma_n t) on the A side, -i sum_n W[:, n] U[e, n]
+    sin(sigma_n t) on the other, then rotated back to the f_k levels.  U and
+    W get the Eigensystem bound; NumericalError otherwise, or if LAPACK
+    fails."""
+    (u, sigma, vh), (error,) = _lapack_stack(np.linalg.svd, _coupling_blocks([h]), (2, 1, 2))
+    u, sigma, w = u[0], sigma[0], vh[0].T
+    error = error or _basis_error(max(_gram_defect(u), _gram_defect(w)))
+    if error is not None:
+        raise error
     m = sigma.size
     p = _phase_sum(sigma, np.concatenate([u * u[0], w * u[0]]).T, times)
     side_a, side_b = p[:, :m].real, 1j * p[:, m:].imag

@@ -108,7 +108,7 @@ class HamiltonianMatrix:
     FQC levels are the ladder indices k (energies k*delta of `spec`), each
     coupled to |e> by v; a drive adds the g-e Rabi element and the e-e
     detuning.  The dense `entries` are built on first read, for the `eigh`
-    paths; the single-level SVD path never reads them.
+    paths; the single-level secular path never reads them.
     """
 
     spec: FqcSpec

@@ -1,22 +1,25 @@
 """Model dispatch (`build_model`) and parameter grids: suitability maps, size scans.
 
 Map tasks run in a thread pool; results are aggregated by index, so the
-output is bit-identical regardless of schedule or worker count.  A map task
-is a stack of cells of one N row, propagated by one batched decomposition and
-phase sum (`evolve._propagate_stack`): an SVD of the (N+1)-square e/FQC
-coupling blocks for the single-level `decay` model, `eigh` of H for the
-others.  The stack is then scored at once (one `d1` or `d2` trapezoid over
-all its cells); only fits run cell by cell.  That work runs in LAPACK/BLAS
-and numpy with the GIL released, which is what lets the threads scale.
+output is bit-identical regardless of schedule or worker count.  A task of
+the two-level models is a stack of cells of one N row, propagated by one
+batched `eigh` of H and phase sum (`evolve._propagate_stack`).  A task of
+the single-level `decay` model is a whole N row: one values-only SVD of its
+(N+1)-square e/FQC coupling blocks and one secular pass for the row
+(`evolve._single_level_weights`), then phase sums in stacks.  Stacks are
+scored at once (one `d1` or `d2` trapezoid over all their cells); only fits
+run cell by cell.  That work runs in LAPACK/BLAS and numpy with the GIL
+released, which is what lets the threads scale, as long as each numpy call
+is large: on 2 cores, the secular maths in stacks of 13 or 14 cells took
+0.55-0.81 s of the default map on two threads against 0.36-0.43 s in rows.
 Python run per cell holds the GIL and so caps the second thread (a dense
 build, label formatting, energy variance and `d1` per cell did, at about a
 third of the map), so a cell does little of it: a structural Hamiltonian
-with cached labels and a series object.  A size scan runs its sizes one
-after another in the calling thread (`size_cell`, through `propagate`):
-most of its time is the Python-level iteration of the fits, which holds
-the GIL, so a second thread only adds hand-overs: on 2 cores, two threads
-ran the default scan slower than one and spent about 1.5 times its CPU
-time.
+with cached labels.  A size scan runs its sizes one after another in the
+calling thread (`size_cell`, through `propagate`): most of its time is the
+Python-level iteration of the fits, which holds the GIL, so a second thread
+only adds hand-overs: on 2 cores, two threads ran the default scan slower
+than one and spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import _outer, _propagate_stack, default_grid, propagate, write_csv
+from .evolve import (_outer, _phase_sum, _propagate_stack, _single_level_weights, default_grid,
+                     propagate, write_csv)
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -62,10 +66,11 @@ __all__ = [
 
 MODELS = ("decay", "rabi", "adaptive")
 METRICS = ("d1", "d2", "fit")
-# Peak bytes of one stack of map cells (see `_stack_cells`): enough cells to
-# pay the per-stack Python glue once, few enough that a stack per thread
-# keeps the map's peak memory near that of single cells (2 MiB already cost
-# the default map 3% more peak RSS on two threads).
+# Peak bytes of one stack of map cells (see `_stack_cells`, and `_row_cells`
+# for the secular pass of a decay row): enough cells to pay the per-stack
+# Python glue once, few enough that a stack per thread keeps the map's peak
+# memory near that of single cells (2 MiB already cost the default map 3%
+# more peak RSS on two threads).
 _STACK_BYTES = 3 << 19
 
 
@@ -158,22 +163,31 @@ def _run_pool(job, tasks: list, max_workers: int | None) -> list:
 
 def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
     """Cells per stack of an N row: `_STACK_BYTES` over the peak bytes of one
-    cell in `_propagate_stack`, with phase block B = ceil(sqrt(nt)).
+    cell, with phase block B = ceil(sqrt(nt)).
 
-    A two-level cell peaks at about 16 (d (d + 5 B) + 5 nt) bytes
-    (measured) for dimension d (at most 2N + 3) and its 3 projections.  A
-    one-level cell works on its coupling block, of size m = N + 1, and one
-    real projection: 16 (m (m + 3 B) + 3 nt / 2), of which the tracemalloc
-    peaks measured for N up to 150 and nt up to 8001 are 0.7 to 0.95.
+    A two-level cell in `_propagate_stack` peaks at about
+    16 (d (d + 5 B) + 5 nt) bytes (measured) for dimension d (at most
+    2N + 3) and its 3 projections.  A one-level cell's stack is only its
+    phase sum over the m = N + 1 values of `_single_level_weights` and its
+    `d1`: the tracemalloc peaks measured for m up to 151 and nt up to 8001
+    are within 12% of max(16 (3 m B + nt), 56 nt), the phase sum or the
+    trapezoid.
     """
     block = math.isqrt(grid_points - 1) + 1
     if one_level:
-        m = n_half + 1
-        cell_bytes = 16 * m * (m + 3 * block) + 24 * grid_points
+        cell_bytes = max(16 * (3 * (n_half + 1) * block + grid_points), 56 * grid_points)
     else:
         dim = 2 * n_half + 3
         cell_bytes = 16 * (dim * (dim + 5 * block) + 5 * grid_points)
     return max(1, _STACK_BYTES // cell_bytes)
+
+
+def _row_cells(n_half: int, count: int) -> int:
+    """Cells per task of a `decay` row of `count` cells: the whole row, or
+    equal parts of it if the two (cells, m, m) arrays of its secular pass
+    (m = N + 1, `evolve._secular_roots`) would outgrow `_STACK_BYTES`."""
+    parts = -(-count * 16 * (n_half + 1) ** 2 // _STACK_BYTES)
+    return -(-count // parts)
 
 
 @dataclass(frozen=True)
@@ -272,19 +286,22 @@ def run_sweep(
 ) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
 
-    Each pool task is a stack: consecutive cells of one N row, as many as
-    the byte budget `_STACK_BYTES` admits at that N.  Its cells are built by
-    `build_model`; each group of equal basis labels is then propagated by
-    one batched SVD (single-level cells) or `eigh`, Gram check and phase
-    sum (`evolve._propagate_stack`), and its propagated cells are scored
-    together: `d1` (also the `d2` of a one-level model) or `d2` as one
-    trapezoid over the stack, a fit cell by cell.  Every value has the bits
-    a single `propagate` and metric give.  Individual cell failures are
-    recorded per cell (value NaN) and do not abort the map: a cell whose
-    build, eigenbasis or fit fails keeps its own error and leaves its
-    stack-mates' values alone.  Nothing here samples randomness;
-    the seed is recorded in the provenance for uniformity with sampled
-    metrics.
+    Each pool task is consecutive cells of one N row, and its cells are
+    built by `build_model`.  A `decay` task is the whole row (`_row_cells`
+    splits it only where its secular pass would outgrow `_STACK_BYTES`):
+    each group of equal basis labels gets one values-only SVD and secular
+    pass with its health checks (`evolve._single_level_weights`), then
+    phase sums and `d1` (which is also its `d2`) in stacks of
+    `_stack_cells`.  Any other task is a stack of as many cells as
+    `_STACK_BYTES` admits at that N: each group gets one batched `eigh`,
+    Gram check and phase sum (`evolve._propagate_stack`) and is scored
+    together, `d1` or `d2` as one trapezoid, a fit cell by cell.  Every
+    value has the bits a single `propagate` and metric give.  Individual
+    cell failures are recorded per cell (value NaN) and do not abort the
+    map: a cell whose build, decomposition, health check or fit fails keeps
+    its own error and leaves its stack-mates' values alone.  Nothing here
+    samples randomness; the seed is recorded in the provenance for
+    uniformity with sampled metrics.
     """
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
@@ -308,21 +325,35 @@ def run_sweep(
         return report.residual_norm / math.sqrt(report.grid_points)
 
     def score(stack: list) -> list:
-        """The values of one group's propagated cells; an error stays put."""
+        """The values of one group's propagated two-level cells; an error
+        stays put."""
         done = [series for series in stack if not isinstance(series, Exception)]
         if grid.metric == "fit" or not done:
             return [s if isinstance(s, Exception) else _attempt(fit, s) for s in stack]
         # the projections are sliced after stacking, so each elementwise op
         # sees the strides it sees on one series (`reduced`, `pi_e`): same bits
-        if grid.metric == "d2" and done[0].system_dim == 2:
+        if grid.metric == "d2":
             rho = _outer(np.stack([series._projected() for series in done])[..., :2])
             scored = _d2_values(times, rho, ref_rho, fx.t_f)[0]
-        else:  # d1, which is also d2 of a one-level model
+        else:
             e = done[0].e_index
             pie = np.abs(np.stack([series._projected() for series in done])[..., e]) ** 2
             scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0]
         scored = iter(scored.tolist())
         return [s if isinstance(s, Exception) else next(scored) for s in stack]
+
+    def decay_values(hs: list) -> list:
+        """The d1 values of one group of decay cells (d1 is also their d2):
+        one secular pass for the group, then c_e and d1 in stacks of
+        `_stack_cells`; an error stays put."""
+        sigma, weights, errs = _single_level_weights(hs)
+        size = _stack_cells(hs[0].spec.n_half, fx.grid_points, True)
+        scored = []
+        for lo in range(0, len(hs), size):
+            c_e = _phase_sum(sigma[lo:lo + size], weights[lo:lo + size, :, None], times).real
+            # |c_e|^2 as `pi_e` forms it, so every value has the bits of `d1`
+            scored += _d1_values(times, np.abs(c_e[..., 0]) ** 2, fx.gamma, fx.t_f)[0].tolist()
+        return [value if err is None else err for value, err in zip(scored, errs)]
 
     def job(cells):
         results, groups = {}, {}
@@ -331,13 +362,19 @@ def run_sweep(
             if not isinstance(h, Exception):
                 groups.setdefault(h.basis_labels, []).append(idx)
         for group in groups.values():
-            stack = _propagate_stack([results[idx] for idx in group], times)
-            results.update(zip(group, score(stack)))
+            hs = [results[idx] for idx in group]
+            if fx.model == "decay":
+                results.update(zip(group, decay_values(hs)))
+            else:
+                results.update(zip(group, score(_propagate_stack(hs, times))))
         return [results[idx] for idx in cells]
 
     chunks = []
     for i, n in enumerate(grid.n_values):
-        size = _stack_cells(n, fx.grid_points, fx.model == "decay")
+        if fx.model == "decay":
+            size = _row_cells(n, nv)
+        else:
+            size = _stack_cells(n, fx.grid_points, False)
         chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
     for cells, res in zip(chunks, _run_pool(job, chunks, max_workers)):
         for (i, j), cell in zip(cells, res if isinstance(res, list) else [res] * len(cells)):

@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +32,9 @@ from fqcsim import (
     source_term_series,
     write_csv,
 )
-from fqcsim.evolve import Eigensystem, _evolve, _propagate_stack
+from fqcsim import evolve, sweep
+from fqcsim.evolve import (Eigensystem, _coupling_blocks, _evolve, _propagate_stack,
+                           _single_level_weights)
 
 
 def test_diagonalize_two_by_two_closed_form():
@@ -398,12 +402,12 @@ def test_propagate_rejects_non_orthonormal_eigenbasis():
         propagate(h, "e", default_grid(2.0, 21), eig=Eigensystem(eig.values, skewed))
 
 
-# ------------------------------------------- the single-level path: SVD of the coupling block
+# ------------------------------ the single-level path: the spectrum of the coupling block
 
 
 def _eigh_path(h, times):
     """`propagate` from |e> through the eigenbasis of h: a given `eig` keeps
-    a single-level h off the singular-value path."""
+    a single-level h off the secular path."""
     return propagate(h, "e", times, eig=diagonalize(h))
 
 
@@ -460,7 +464,7 @@ def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
     h = build_single_level(FqcSpec(6, 0.3))
     times = default_grid(2.0, 21)
 
-    def failing_svd(blocks):
+    def failing_svd(blocks, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
@@ -471,6 +475,193 @@ def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
     for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times),
                    _eigh_path(h, times)):
         assert np.isfinite(series.pi_e).all()
+
+
+def _secular_cases():
+    """Every (N, v, hole half-width) of the secular oracles whose ladder
+    exists: a hole wider than the band, or one that leaves no level, is a
+    ConfigError."""
+    cases = []
+    for n in (0, 1, 2, 10, 40, 100, 300):
+        for v in (0.05, 0.3, 0.6):
+            for width in (None, 0.05, 1.0):
+                try:
+                    build_single_level(FqcSpec(n, v, hole=width and HoleSpec(width)))
+                except ConfigError:
+                    continue
+                cases.append(pytest.param(n, v, width, id=f"{n}-{v}-{width or 'flat'}"))
+    return cases
+
+
+SECULAR_CASES = _secular_cases()
+
+
+def _weights(h):
+    """sigma and U[e, n]^2 of one cell by `_single_level_weights`, which
+    must pass its checks."""
+    sigma, weights, (error,) = _single_level_weights([h])
+    assert error is None
+    return sigma[0], weights[0]
+
+
+def test_secular_cases_cover_flat_and_both_holes():
+    widths = {case.values[2] for case in SECULAR_CASES}
+    assert widths == {None, 0.05, 1.0}
+    assert {case.values[0] for case in SECULAR_CASES} == {0, 1, 2, 10, 40, 100, 300}
+
+
+@pytest.mark.parametrize("n_half, v, width", SECULAR_CASES)
+def test_secular_spectrum_matches_the_full_svd(n_half, v, width):
+    h = build_single_level(FqcSpec(n_half, v, hole=width and HoleSpec(width)))
+    sigma, weights = _weights(h)
+    u, s, _ = np.linalg.svd(_coupling_blocks([h])[0])
+    # ascending; a holed ladder's zero column gives the dark state, first
+    assert np.abs(sigma - s[::-1]).max() <= 1e-13 * s.max()
+    assert np.abs(weights - u[0, ::-1] ** 2).max() <= 1e-13
+    assert abs(weights.sum() - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n_half, v, width", SECULAR_CASES)
+def test_secular_spectrum_matches_dlasd4(n_half, v, width):
+    lapack = pytest.importorskip("scipy.linalg.lapack")
+    if not hasattr(lapack, "dlasd4"):
+        pytest.skip("this scipy has no dlasd4")
+    # LAPACK's own root finder for D^2 + z z^T, one root at a time (i 0-based)
+    h = build_single_level(FqcSpec(n_half, v, hole=width and HoleSpec(width)))
+    ks = h.level_indices
+    poles = ks[ks >= 0] * h.spec.gap
+    z = np.where(ks[ks >= 0] == 0, v, math.sqrt(2.0) * v)
+    want_sigma, want_weights = [], []
+    for i in range(poles.size):
+        delta, root, work, info = lapack.dlasd4(i, poles, z)
+        assert info == 0
+        if poles.size == 1:  # dlasd4 then returns delta = work = 1
+            delta, work = poles - root, poles + root
+        want_sigma.append(root)
+        want_weights.append(1.0 / (root**2 * np.sum(z**2 / (delta * work) ** 2)))
+    sigma, weights = _weights(h)
+    if 0 not in ks:
+        sigma, weights = sigma[1:], weights[1:]
+    assert np.abs(sigma / want_sigma - 1.0).max() <= 1e-13
+    assert np.abs(weights - want_weights).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n_half, v, width", SECULAR_CASES)
+def test_secular_path_pi_e_matches_eigh(n_half, v, width):
+    # N = 300 needs the Newton step: the SVD's roots alone fail the secular
+    # residual check at v = 0.6 (2.7e-10); with it pi_e is within 2e-13
+    h = build_single_level(FqcSpec(n_half, v, hole=width and HoleSpec(width)))
+    times = default_grid(20.0, 401)
+    values, vectors = np.linalg.eigh(h.entries)
+    want = np.abs((vectors[0] ** 2 * np.exp(-1j * np.outer(times, values))).sum(axis=1)) ** 2
+    assert np.abs(propagate(h, "e", times).pi_e - want).max() <= 1e-12
+
+
+def test_decoupled_cell_deflates_without_dividing_by_its_gap():
+    h = build_single_level(FqcSpec(4, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no 0 / 0 on the way
+        sigma, weights = _weights(h)
+        series = propagate(h, "e", default_grid(5.0, 51))
+    assert (sigma == 0.0).all() and weights.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert (series.pi_e == 1.0).all()
+
+
+def test_one_level_ladder_has_one_root_at_v():
+    # |e> and f0 alone: sigma = v with all the weight, c_e = cos(v t)
+    sigma, weights = _weights(build_single_level(FqcSpec(0, 0.3)))
+    assert sigma.tolist() == pytest.approx([0.3], rel=1e-15)
+    assert weights.tolist() == pytest.approx([1.0], rel=1e-15)
+
+
+def test_holed_ladder_has_a_dark_state_at_zero():
+    spec = FqcSpec(12, 0.3, hole=HoleSpec(1.0))
+    h = build_single_level(spec)
+    sigma, weights = _weights(h)
+    pos = h.level_indices[h.level_indices > 0] * spec.gap
+    assert sigma[0] == 0.0 and (sigma[1:] > 0).all() and sigma.size == pos.size + 1
+    # the null vector of B^T: u_e z_j + u_{a_j} d_j = 0
+    assert weights[0] == pytest.approx(1.0 / (1.0 + np.sum(2 * 0.3**2 / pos**2)), rel=1e-14)
+    u, s, _ = np.linalg.svd(_coupling_blocks([h])[0])
+    assert s[-1] == 0.0 and abs(weights[0] - u[0, -1] ** 2) <= 1e-13
+
+
+def test_sum_rule_failure_stays_in_its_cell(monkeypatch):
+    roots = evolve._secular_roots
+
+    def halved_weights(x0, poles, w):  # the cell v = 0.3 gets every U[e, n]^2 halved
+        x, s2, residual = roots(x0, poles, w)
+        s2[np.isclose(w[:, -1], 2 * 0.3**2 / FqcSpec(1, 0.3).gap ** 2)] *= 2.0
+        return x, s2, residual
+
+    monkeypatch.setattr(evolve, "_secular_roots", halved_weights)
+    hs = [build_single_level(FqcSpec(6, v)) for v in (0.2, 0.3, 0.4)]
+    series = _propagate_stack(hs, default_grid(2.0, 21))
+    assert str(series[1]) == "sum rule defect 0.5 exceeds 1e-10"
+    assert not isinstance(series[0], Exception) and not isinstance(series[2], Exception)
+
+
+def test_decay_map_takes_no_singular_vectors(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    for width in (None, 0.3):
+        grid = SweepGrid((3, 8), (0.25, 0.4), SweepFixed(t_f=4.0, grid_points=401,
+                                                       hole_half_width=width))
+        assert not run_sweep(grid).cell_errors
+    assert calls and not any(calls)
+    # the lazy full amplitudes of one cell take its full SVD
+    propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(2.0, 21)).amplitudes
+    assert calls[-1] is True
+
+
+def test_lazy_amplitudes_keep_the_gram_check(monkeypatch):
+    svd = np.linalg.svd
+
+    def skewed(a, compute_uv=True):
+        out = svd(a, compute_uv=compute_uv)
+        if compute_uv:
+            out[0][..., 0] *= 1.0 + 1e-8
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", skewed)
+    series = propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(2.0, 21))
+    assert np.isfinite(series.pi_e).all()  # c_e takes no singular vectors
+    with pytest.raises(NumericalError, match="orthonormality defect"):
+        series.amplitudes
+
+
+def test_decay_row_task_peak_memory():
+    # one N = 40 row of the default map is one task: one secular pass over
+    # its 56 cells, then phase sums and d1 in stacks of `_stack_cells`
+    v_values = tuple(round(0.05 + 0.01 * i, 4) for i in range(56))
+    assert sweep._row_cells(40, len(v_values)) == len(v_values)
+    grid = SweepGrid((40,), v_values, SweepFixed())
+    run_sweep(grid, max_workers=1)  # caches warm
+    tracemalloc.start()
+    try:
+        result = run_sweep(grid, max_workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not result.cell_errors
+    assert peak <= 2 * sweep._STACK_BYTES  # measured 2.0 MiB
+
+
+def test_reduced_diagonal_is_exactly_real():
+    h = build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4))
+    series = propagate(h, "e", default_grid(3.0, 301))
+    c = series._projected()[:, :2]
+    rho = series.reduced().rho
+    assert (rho[:, [0, 1], [0, 1]].imag == 0.0).all()
+    # every real part, and the coherence, keeps its bits
+    np.testing.assert_array_equal(rho.real, (c[:, :, None] * c.conj()[:, None, :]).real)
+    np.testing.assert_array_equal(rho[:, 0, 1], c[:, 0] * c[:, 1].conj())
 
 
 @pytest.fixture
@@ -523,7 +714,7 @@ def test_lazy_energy_variance_equals_the_dense_formula(make, dense_builds):
     h = make()
     times = default_grid(2.0, 21)
     lazy = [propagate(h, "e", times), _propagate_stack([h, make()], times)[0]]
-    if h.n_system == 1:  # the SVD path: no dense matrix until the variance is read
+    if h.n_system == 1:  # the secular path: no dense matrix until the variance is read
         assert dense_builds[0] == 0
     psi = basis_state(h, "e").amplitudes
     for series in lazy:

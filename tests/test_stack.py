@@ -1,5 +1,6 @@
-"""Stacked sweep cells: one batched SVD (single-level cells) or `eigh`
-(two-level cells) and one phase sum per stack of cells.
+"""Stacked sweep cells: one values-only SVD and secular pass per row of
+single-level cells, one batched `eigh` per stack of two-level cells, and
+one phase sum per stack.
 
 Each stacked cell must equal `propagate` plus the metric on that cell alone,
 bit for bit; a few are also checked against a `scipy.linalg.expm`
@@ -77,11 +78,13 @@ def test_stacked_cells_equal_single_cells_bit_for_bit(model, metric):
 
 
 def test_stack_size_does_not_change_a_bit(monkeypatch):
-    grid = _grid("rabi", "d2")
-    stacked = run_sweep(grid)
-    monkeypatch.setattr(sweep, "_STACK_BYTES", 1)  # stacks of one
-    alone = run_sweep(grid)
-    assert stacked.values.tobytes() == alone.values.tobytes()
+    grids = [_grid("rabi", "d2"), _grid("decay", "d1"), _grid("decay", "d1", hole_half_width=0.3)]
+    stacked = [run_sweep(grid) for grid in grids]
+    monkeypatch.setattr(sweep, "_STACK_BYTES", 1)  # stacks, and decay tasks, of one
+    assert sweep._row_cells(9, len(V_VALUES)) == sweep._stack_cells(9, 401, True) == 1
+    for grid, result in zip(grids, stacked):
+        assert not result.cell_errors
+        assert result.values.tobytes() == run_sweep(grid).values.tobytes()
 
 
 @pytest.mark.parametrize("model, single_level, omega0", [
@@ -103,19 +106,22 @@ def test_stacked_cells_match_expm(model, single_level, omega0):
 
 
 def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
-    # several stacks per row, so both threads take stacks of every row
-    monkeypatch.setattr(sweep, "_STACK_BYTES", 1 << 17)
-    args = ["sweep", "--model", "rabi", "--metric", "d2", "--omega0", "2",
-            "--n-min", "2", "--n-max", "20", "--n-step", "6",
+    # several stacks per two-level row, and two tasks for the decay row N = 20,
+    # so both threads take cells of one row
+    grid = ["--n-min", "2", "--n-max", "20", "--n-step", "6",
             "--v-min", "0.1", "--v-max", "0.5", "--v-step", "0.05",
             "--tf", "4", "--grid-points", "401"]
-    outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FQCSIM_THREADS", threads)
-        out = tmp_path / threads
-        assert main(args + ["--out", str(out)]) == 0
-        outputs.append([(out / name).read_bytes() for name in ("map.csv", "map.json")])
-    assert outputs[0] == outputs[1]
+    for model, budget in ((["--model", "rabi", "--metric", "d2", "--omega0", "2"], 1 << 17),
+                          (["--model", "decay"], 1 << 15)):
+        monkeypatch.setattr(sweep, "_STACK_BYTES", budget)
+        assert model[1] == "rabi" or sweep._row_cells(20, 9) < 9
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("FQCSIM_THREADS", threads)
+            out = tmp_path / model[1] / threads
+            assert main(["sweep"] + model + grid + ["--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes() for name in ("map.csv", "map.json")])
+        assert outputs[0] == outputs[1]
 
 
 def test_adaptive_rows_of_mixed_dimension_keep_per_cell_errors():
@@ -166,16 +172,20 @@ def _failed_column(monkeypatch, grid, name, patched, j):
 
 
 def test_gram_check_failure_stays_in_its_cell(monkeypatch):
-    # single-level cells: the Gram check of the SVD's U
+    # single-level cells: the health checks of the secular roots, which take
+    # the place of the Gram check of U; the smallest root of the marked
+    # cells turns NaN, or moves into the next pole interval
     svd = np.linalg.svd
+    for fault in (lambda sigma: np.nan, lambda sigma: sigma[:, -2]):
+        def faulty_svd(blocks, compute_uv):
+            sigma = svd(blocks, compute_uv=compute_uv)
+            marked = _marked_blocks(blocks, 0.3)
+            sigma[marked, -1] = fault(sigma[marked])
+            return sigma
 
-    def skewed_svd(blocks):
-        u, sigma, vh = svd(blocks)
-        u[_marked_blocks(blocks, 0.3), :, 0] *= 1.0 + 1e-8
-        return u, sigma, vh
-
-    column = _failed_column(monkeypatch, _grid("decay", "d1"), "svd", skewed_svd, 1)  # v = 0.3
-    assert all("orthonormality defect" in value for value in column)
+        with monkeypatch.context() as patch:
+            column = _failed_column(patch, _grid("decay", "d1"), "svd", faulty_svd, 1)  # v = 0.3
+        assert column == ["secular residual inf exceeds 1e-10"] * len(N_VALUES)
 
 
 def test_eigh_gram_check_failure_stays_in_its_cell(monkeypatch):
@@ -212,10 +222,10 @@ def test_lapack_failure_stays_in_its_cell(monkeypatch):
 def test_svd_lapack_failure_stays_in_its_cell(monkeypatch):
     svd = np.linalg.svd
 
-    def failing_svd(blocks):
+    def failing_svd(blocks, **kwargs):
         if _marked_blocks(blocks, 0.45).any():
             raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(blocks)
+        return svd(blocks, **kwargs)
 
     column = _failed_column(monkeypatch, _grid("decay", "d1"), "svd", failing_svd, 2)  # v = 0.45
     assert column == ["eigensolver failed: SVD did not converge"] * len(N_VALUES)
@@ -227,22 +237,25 @@ def test_svd_lapack_failure_stays_in_its_cell(monkeypatch):
 ])
 def test_gram_failure_of_one_cell_leaves_its_stack_mates_alone(monkeypatch, model, metric,
                                                                name, size):
-    # skew the basis of the cell N = 5, v = 0.3 alone; its row is one stack
+    # break the decomposition of the cell N = 5, v = 0.3 alone; its row is
+    # one stack.  A two-level cell gets a skewed basis; a single-level one,
+    # which has no basis, its smallest secular root in the next pole interval
     solve = getattr(np.linalg, name)
-    marked = _marked_blocks if name == "svd" else _marked
 
-    def skewed(matrices):
-        out = solve(matrices)
-        basis = out[0] if name == "svd" else out[1]
-        if matrices.shape[-1] == size:
-            basis[marked(matrices, 0.3), :, 0] *= 1.0 + 1e-8
+    def skewed(matrices, **kwargs):
+        out = solve(matrices, **kwargs)
+        if matrices.shape[-1] == size and name == "svd":
+            marked = _marked_blocks(matrices, 0.3)
+            out[marked, -1] = out[marked, -2]
+        elif matrices.shape[-1] == size:
+            out[1][_marked(matrices, 0.3), :, 0] *= 1.0 + 1e-8
         return out
 
     grid = _grid(model, metric)
     monkeypatch.setattr(np.linalg, name, skewed)
     got = _cells(run_sweep(grid))
     assert [idx for idx, value in got.items() if isinstance(value, str)] == [(1, 1)]
-    assert "orthonormality defect" in got[1, 1]
+    assert ("secular residual" if name == "svd" else "orthonormality defect") in got[1, 1]
     for (i, j), value in got.items():
         if (i, j) != (1, 1):
             assert value == _single_cell(grid, i, j), (i, j)
