@@ -20,7 +20,6 @@ from .hamiltonian import (
     build_adaptive,
     build_single_level,
     build_two_level,
-    level_energies,
 )
 from .evolve import (
     DensitySeries,
@@ -29,7 +28,6 @@ from .evolve import (
     basis_state,
     default_grid,
     diagonalize,
-    memory_kernel,
     propagate,
     source_term_series,
     write_csv,
@@ -37,11 +35,9 @@ from .evolve import (
 from .reference import (
     NonHermitianSpec,
     damped_oscillator_ce,
-    damped_rabi_population,
     decay_single,
     effective_hamiltonian,
     evolve_nonhermitian,
-    source_infinity,
     underdamped_discriminant,
 )
 from .metrics import MetricResult, NonMarkovianityResult, d1, d2, nonmarkovianity, trace_distance
@@ -58,4 +54,16 @@ from .analysis import (
 )
 from .sweep import SweepFixed, SweepGrid, SweepMap, run_size_scan, run_sweep
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ConfigError", "FqcsimError", "NumericalError",
+    "DriveSpec", "FqcSpec", "HamiltonianMatrix", "HoleSpec", "adaptive_spec_for_size",
+    "build_adaptive", "build_single_level", "build_two_level",
+    "DensitySeries", "StateVector", "TimeSeries", "basis_state", "default_grid",
+    "diagonalize", "propagate", "source_term_series", "write_csv",
+    "NonHermitianSpec", "damped_oscillator_ce", "decay_single", "effective_hamiltonian",
+    "evolve_nonhermitian", "underdamped_discriminant",
+    "MetricResult", "NonMarkovianityResult", "d1", "d2", "nonmarkovianity", "trace_distance",
+    "FitReport", "SidebandSpectrum", "critical_coupling", "fit_effective_params", "n_max",
+    "revival_time", "revival_time_from_spectrum", "sideband_spectrum", "zeno_time",
+    "SweepFixed", "SweepGrid", "SweepMap", "run_size_scan", "run_sweep",
+]

@@ -156,7 +156,8 @@ def cmd_decay(cfg: RunConfig, out: Path) -> None:
     h = _model(cfg, single_level=True)
     times = default_grid(cfg.t_f, cfg.grid_points)
     series = propagate(h, cfg.initial_state, times)
-    ref = decay_single(cfg.gamma, float(series.pi_e[0]), times)
+    # the start state's exact population of |e>, not the computed pi_e[0]
+    ref = decay_single(cfg.gamma, 1.0 if cfg.initial_state == "e" else 0.0, times)
     write_csv(out / "timeseries.csv",
               {"t": times, "pi_e": series.pi_e, "pi_ref": ref.pi_e}, _header(cfg))
 

@@ -1,23 +1,24 @@
 """Exact propagation under time-independent Hamiltonians and reduced dynamics.
 
-Propagation uses a one-time eigendecomposition followed by phase rotation,
-|psi(t)> = sum_n <psi_n|psi_0> exp(-i E_n t) |psi_n>, so there is no stepper
-and no truncation error to tune: the value at any grid time is independent of
-the rest of the grid up to rounding (1e-12), not bit for bit, because uniform
-grids evaluate the phases in blocks.
+Propagation is spectral phase rotation, |psi(t)> = sum_n <psi_n|psi_0>
+exp(-i E_n t) |psi_n>, so there is no stepper and no truncation error to
+tune: the value at any grid time is independent of the rest of the grid up
+to rounding (1e-12), not bit for bit, because uniform grids evaluate the
+phases in blocks.
 
-The eigen step and the phase kernel work on stacks of Hamiltonians of equal
-basis: one batched decomposition and one batched phase rotation serve many
-sweep cells (`_propagate_stack`), and `propagate` is the same core on a
-stack of one.  Stacked and single calls give the same bits.  A single-level
-Hamiltonian is bipartite in the symmetric/antisymmetric combinations of the
-levels +-k, so from |e> it needs only the spectrum of its half-size e/FQC
-coupling block B: c_e(t) = sum_n U[e, n]^2 cos(sigma_n t).  B^T B is a
-rank-one change of a diagonal, so the sigma_n (a values-only SVD, refined on
-the secular equation) and the weights U[e, n]^2 (a closed form) come
-without singular vectors (`_single_level_weights`); only the lazy full
-amplitudes of one cell take its full SVD.  Two-level models, other initial
-states and a caller's Eigensystem use `eigh` of H.
+Every projection from |e> is one phase sum, sum_n weights[n, r]
+exp(-i E_n t) (`_phase_sum`), and `_spectra` is the one place that picks
+the spectrum and weights of a stack of cells of equal basis; `propagate` is
+the same core on a stack of one, and stacked and single calls give the same
+bits.  A single-level Hamiltonian is bipartite in the symmetric/antisymmetric
+combinations of the levels +-k, so from |e> it needs only the spectrum of
+its half-size e/FQC coupling block B: c_e(t) = sum_n U[e, n]^2
+cos(sigma_n t), the real part of a phase sum.  B^T B is a rank-one change of
+a diagonal, so the sigma_n (a values-only SVD, refined on the secular
+equation) and the weights U[e, n]^2 (a closed form) come without singular
+vectors (`_single_level_weights`).  Two-level models take one batched
+`eigh` of H; other initial states go through `diagonalize`.  The full
+amplitudes of a series are built on first read, in the eigenbasis of H.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "default_grid",
     "propagate",
     "source_term_series",
-    "memory_kernel",
     "write_csv",
 ]
 
@@ -109,21 +109,15 @@ def basis_state(h: HamiltonianMatrix, label: str = "e") -> StateVector:
 class Eigensystem:
     """Eigenvalues (ascending) and orthonormal eigenvectors, columnwise.
 
-    The basis V is checked on construction, so every reader (`propagate`,
-    `nonmarkovianity`) gets a checked one: ||V^T V - I||_F <= 1e-10 bounds
-    the 2-norm of the Gram defect, and with it the norm drift
-    | ||psi(t)|| / ||psi(0)|| - 1 | of a propagated state at every time (up
-    to rounding); NumericalError otherwise.  Stacked cells pass the same
-    check, one batched matmul per stack (`_propagate_stack`).
+    Every basis is checked where it is made (`_eigh_stack`), so every reader
+    gets a checked one: ||V^T V - I||_F <= 1e-10 bounds the 2-norm of the
+    Gram defect, and with it the norm drift | ||psi(t)|| / ||psi(0)|| - 1 |
+    of a propagated state at every time (up to rounding); NumericalError
+    otherwise.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-
-    def __post_init__(self):
-        error = _basis_error(_gram_defect(self.vectors))
-        if error is not None:
-            raise error
 
 
 def _gram_defect(vectors: np.ndarray) -> np.ndarray:
@@ -131,12 +125,6 @@ def _gram_defect(vectors: np.ndarray) -> np.ndarray:
     gram = np.swapaxes(vectors, -1, -2) @ vectors
     gram -= np.eye(gram.shape[-1])
     return np.sqrt(np.einsum("...ij,...ij->...", gram, gram))
-
-
-def _basis_error(defect: float) -> NumericalError | None:
-    if defect <= NORM_TOL:
-        return None
-    return NumericalError(f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}")
 
 
 def _lapack_stack(solve, entries: np.ndarray, ranks: tuple[int, ...]) -> tuple[tuple, list]:
@@ -165,16 +153,17 @@ def _eigh_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     matrix of a (s, d, d) stack of real symmetric Hamiltonians, by one
     batched `eigh` (`_lapack_stack`).
 
-    A matrix's error is None, a NumericalError if LAPACK fails on it, or a
-    ConfigError if it is not symmetric.  The Gram check of the bases is the
-    caller's (Eigensystem, or one batched `_gram_defect` in
-    `_propagate_stack`).
+    A matrix's error is None, a NumericalError if LAPACK fails on it, a
+    ConfigError if it is not symmetric, or a NumericalError if its basis
+    fails the Eigensystem bound (one batched `_gram_defect` per stack).
     """
     (values, vectors), errors = _lapack_stack(np.linalg.eigh, entries, (1, 2))
     symmetric = (entries == np.swapaxes(entries, -1, -2)).all(axis=(-2, -1))
     return values, vectors, [
         err or (None if sym else ConfigError("Hamiltonian matrix is not symmetric"))
-        for err, sym in zip(errors, symmetric)]
+        or (None if defect <= NORM_TOL else NumericalError(
+            f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}"))
+        for err, sym, defect in zip(errors, symmetric, _gram_defect(vectors))]
 
 
 def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
@@ -341,71 +330,101 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def propagate(
-    h: HamiltonianMatrix,
-    psi0: StateVector | str | None,
-    times: np.ndarray,
-    eig: Eigensystem | None = None,
-) -> TimeSeries:
+def propagate(h: HamiltonianMatrix, psi0: StateVector | str | None,
+              times: np.ndarray) -> TimeSeries:
     """Evolve psi0 under h on the given grid by spectral phase rotation.
 
     Only the projections are computed here: c_e on a single-level basis;
     c_g, c_e and sum_k c_k on a two-level one.  They feed `pi_e`, `pi_g`,
     `reduced()` and `source_term_series`.  The full (nt, dim) `amplitudes`
-    are built through the same phase kernel on first read (by
-    `fqc_populations`, `to_csv(include_fqc=True)` or `to_json`).
+    are built in the eigenbasis of h on first read (by `fqc_populations`,
+    `to_csv(include_fqc=True)` or `to_json`).
 
-    A single-level Hamiltonian started in |e> (psi0 "e" or None) without a
-    given `eig` takes the secular path of `_propagate_stack` on a
-    stack of one.  Everything else is phase-rotated in the eigenbasis of h:
-    a precomputed Eigensystem may be shared read-only across many calls;
-    its basis was checked for orthonormality when it was made (see
-    Eigensystem), which bounds the norm drift at every grid time.
+    A single-level Hamiltonian started in |e> (psi0 "e" or None) takes the
+    secular spectrum of `_spectra` on a stack of one.  Everything else is
+    phase-rotated in the eigenbasis from `diagonalize`, whose basis is
+    checked for orthonormality (see Eigensystem), which bounds the norm
+    drift at every grid time.
     """
+    times = _time_grid(times)
     if psi0 is None:
         psi0 = "e"
-    if eig is None and psi0 == "e" and h.n_system == 1:
-        (series,) = _propagate_stack([h], times)
-        if isinstance(series, Exception):
-            raise series
-        return series
+    if psi0 == "e" and h.n_system == 1:
+        values, weights, (error,), _ = _spectra([h])
+        if error is not None:
+            raise error
+        # the real part of the cosine sum, a copy: the series keeps no
+        # complex array alive through a view
+        return _series(h, times, _phase_sum(values, weights, times)[0].real.copy())
     if isinstance(psi0, str):
         psi0 = basis_state(h, psi0)
     if psi0.dim != h.dim:
         raise ConfigError(f"state dim {psi0.dim} does not match Hamiltonian dim {h.dim}")
-    times = _time_grid(times)
-    if eig is None:
-        eig = diagonalize(h)
-    return _evolve([h], psi0.amplitudes[None], times, eig.values[None], eig.vectors[None])[0]
+    eig = diagonalize(h)
+    psi = psi0.amplitudes
+    weights = _projection_weights(eig.vectors[None], psi[None], h.n_system)
+    return _series(h, times, _phase_sum(eig.values[None], weights, times)[0], psi, eig)
 
 
-def _propagate_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
-    """`propagate` from |e> for Hamiltonians of equal basis labels: one
-    TimeSeries per cell, or the FqcsimError of its own decomposition.
-    Every series has the bits `propagate` gives for its cell alone.
+def _spectra(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list, bool]:
+    """The projections from |e> of cells of equal basis labels as one phase
+    sum: values (s, n), weights (s, n, r), the error of each cell (None, or
+    the FqcsimError of its decomposition or health check) and whether the
+    projection is the real part of the sum.
 
-    Single-level cells go through one values-only SVD of their half-size
-    coupling blocks and the secular equation (`_single_level_stack`), with
-    a sum rule and a secular residual for health checks.  Two-level cells
-    go through one batched `eigh` (`_eigh_stack`), and each basis gets the
-    Eigensystem bound (`_gram_defect`, `_basis_error`), one batched matmul
-    per stack.
+    Single-level cells take the secular spectrum of their half-size
+    coupling blocks (`_single_level_weights`): c_e is the cosine sum, the
+    real part of a phase sum over m = N + 1 values, half the phases of H.
+    Two-level cells take one batched `eigh` of H with the Eigensystem bound
+    on every basis (`_eigh_stack`), and the weights of c_g, c_e and
+    sum_k c_k.  A stacked cell gets the bits it gets alone.
     """
-    times = _time_grid(times)
     if hs[0].n_system == 1:
-        return _single_level_stack(hs, times)
+        sigma, weights, errors = _single_level_weights(hs)
+        return sigma, weights[..., None], errors, True
     values, vectors, errors = _eigh_stack(np.stack([h.entries for h in hs]))
-    errors = [err or _basis_error(defect) for err, defect in zip(errors, _gram_defect(vectors))]
     psi = np.zeros(values.shape, dtype=complex)
     psi[:, hs[0].basis_labels.index("e")] = 1.0
-    series = _evolve(hs, psi, times, values, vectors)
-    return [s if err is None else err for s, err in zip(series, errors)]
+    return values, _projection_weights(vectors, psi, 2), errors, False
 
 
-def _series(h: HamiltonianMatrix, psi: np.ndarray, times: np.ndarray, proj: np.ndarray,
-            build) -> TimeSeries:
-    """The TimeSeries of state psi under h: its projections and the
-    builders of its full amplitudes and of its energy variance."""
+def _overlaps(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """a_n = <psi_n|psi> of states psi (s, d) in the eigenbases vectors
+    (s, d, d), real and imaginary parts apart: no complex copy of V."""
+    return (psi.real[:, None] @ vectors)[:, 0] + 1j * (psi.imag[:, None] @ vectors)[:, 0]
+
+
+def _projection_weights(vectors: np.ndarray, psi: np.ndarray, n_system: int) -> np.ndarray:
+    """The phase-sum weights (s, d, r) of the projections of states psi
+    (s, d) in the eigenbases vectors: the rows of V for c_e, or for c_g, c_e
+    and sum_k c_k on a two-level basis, times a_n (`_overlaps`)."""
+    rows = vectors[:, :1]
+    if n_system == 2:
+        rows = np.concatenate([vectors[:, :2], vectors[:, 2:].sum(axis=1, keepdims=True)], axis=1)
+    return np.swapaxes(rows * _overlaps(vectors, psi)[:, None, :], -1, -2)
+
+
+def _series(h: HamiltonianMatrix, times: np.ndarray, proj: np.ndarray,
+            psi: np.ndarray | None = None, eig: Eigensystem | None = None) -> TimeSeries:
+    """The TimeSeries of state psi (|e> if None) under h from its
+    projections proj.  Its energy variance and its full amplitudes are
+    built on first read, the amplitudes in the eigenbasis eig or, if None,
+    in one from `_eigh_stack`: not `diagonalize`, so that a read calls
+    nothing the benchmark tracer wraps (perfbench/tracing.py reads them
+    after a `propagate` span has closed)."""
+    if psi is None:
+        psi = basis_state(h).amplitudes
+
+    def build():
+        if eig is None:
+            values, vectors, (error,) = _eigh_stack(h.entries[None])
+            if error is not None:
+                raise error
+        else:
+            values, vectors = eig.values[None], eig.vectors[None]
+        a = _overlaps(vectors, psi[None])
+        return _phase_sum(values[0], (vectors[0] * a[0]).T, times)
+
     series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, None)
     series._proj, series._build, series._state = proj, build, (h, psi)
     return series
@@ -423,22 +442,6 @@ def _outer(c: np.ndarray) -> np.ndarray:
         diag = np.arange(rho.shape[-1])
         rho.imag[..., diag, diag] = 0.0
     return rho
-
-
-def _evolve(hs, psi: np.ndarray, times: np.ndarray, values: np.ndarray,
-            vectors: np.ndarray) -> list[TimeSeries]:
-    """The eigenbasis propagation core: states psi (s, d) under a stack of
-    s decomposed Hamiltonians of equal basis labels, one batched phase sum
-    of the projections for the whole stack."""
-    # a_n = <psi_n|psi_0>, real and imaginary parts apart: no complex copy of V
-    a = (psi.real[:, None] @ vectors)[:, 0] + 1j * (psi.imag[:, None] @ vectors)[:, 0]
-    rows = vectors[:, :1]
-    if hs[0].basis_labels[0] == "g":
-        rows = np.concatenate([vectors[:, :2], vectors[:, 2:].sum(axis=1, keepdims=True)], axis=1)
-    proj = _phase_sum(values, np.swapaxes(rows * a[:, None, :], -1, -2), times)
-    return [_series(h, psi[k], times, proj[k],
-                    lambda e=values[k], v=vectors[k], c=a[k]: _phase_sum(e, (v * c).T, times))
-            for k, h in enumerate(hs)]
 
 
 def _coupling_blocks(hs: list[HamiltonianMatrix]) -> np.ndarray:
@@ -563,48 +566,6 @@ def _secular_error(residual: float, defect: float) -> NumericalError | None:
     return None
 
 
-def _single_level_stack(hs: list[HamiltonianMatrix], times: np.ndarray) -> list:
-    """`_propagate_stack` for single-level cells: c_e(t) = sum_n
-    U[e, n]^2 cos(sigma_n t) from `_single_level_weights`, the real part of
-    one phase sum over the m values of the coupling block, half the phases
-    of H.  The full amplitudes, built on first read, take the full SVD of
-    their one cell (`_single_level_amplitudes`).
-    """
-    sigma, weights, errors = _single_level_weights(hs)
-    # a copy: no series keeps the complex stack alive through a view
-    c_e = _phase_sum(sigma, weights[..., None], times).real.copy()
-    psi = np.zeros(hs[0].dim, dtype=complex)
-    psi[0] = 1.0
-    series = [_series(h, psi, times, c_e[k], lambda h=h: _single_level_amplitudes(h, times))
-              for k, h in enumerate(hs)]
-    return [s if err is None else err for s, err in zip(series, errors)]
-
-
-def _single_level_amplitudes(h: HamiltonianMatrix, times: np.ndarray) -> np.ndarray:
-    """The full (nt, dim) amplitudes from |e> of a single-level cell, from
-    the SVD B = U diag(sigma) W^T of its coupling block: sum_n U[:, n]
-    U[e, n] cos(sigma_n t) on the A side, -i sum_n W[:, n] U[e, n]
-    sin(sigma_n t) on the other, then rotated back to the f_k levels.  U and
-    W get the Eigensystem bound; NumericalError otherwise, or if LAPACK
-    fails."""
-    (u, sigma, vh), (error,) = _lapack_stack(np.linalg.svd, _coupling_blocks([h]), (2, 1, 2))
-    u, sigma, w = u[0], sigma[0], vh[0].T
-    error = error or _basis_error(max(_gram_defect(u), _gram_defect(w)))
-    if error is not None:
-        raise error
-    m = sigma.size
-    p = _phase_sum(sigma, np.concatenate([u * u[0], w * u[0]]).T, times)
-    side_a, side_b = p[:, :m].real, 1j * p[:, m:].imag
-    n_pos = m - 1
-    amps = np.empty((times.size, h.dim), dtype=complex)
-    amps[:, 0] = side_a[:, 0]
-    if h.dim - 1 > 2 * n_pos:  # f0, on the B side
-        amps[:, 1 + n_pos] = side_b[:, 0]
-    amps[:, h.dim - n_pos:] = (side_b[:, 1:] + side_a[:, 1:]) / math.sqrt(2.0)
-    amps[:, 1:1 + n_pos] = ((side_b[:, 1:] - side_a[:, 1:]) / math.sqrt(2.0))[:, ::-1]
-    return amps
-
-
 def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
     """sum_n weights[..., n, r] exp(-i values[..., n] t) at every grid time,
     shape (..., nt, r).
@@ -666,19 +627,3 @@ def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.nd
     out[..., 1, 0] = lam.conj()
     out[..., 1, 1] = eta
     return out
-
-
-def memory_kernel(spec: FqcSpec, tau_grid: np.ndarray) -> np.ndarray:
-    """Environment memory kernel K(tau) = v^2 sum_k exp(-i E_k tau).
-
-    For the flat symmetric FQC this is v^2 times a Dirichlet kernel: sharply
-    peaked at tau = 0 with first zero at 2 pi / (n_levels * delta), and
-    periodic with period 2 pi / delta, which is the revival mechanism.
-    Evaluated by the phase kernel of `propagate`.
-    """
-    tau = np.asarray(tau_grid, dtype=float)
-    if tau.size == 0:
-        return np.zeros(0, dtype=complex)
-    energies = spec.level_indices * spec.gap
-    ones = np.ones((energies.size, 1))
-    return spec.coupling_v**2 * _phase_sum(energies, ones, tau)[:, 0]

@@ -22,7 +22,6 @@ __all__ = [
     "FqcSpec",
     "DriveSpec",
     "HamiltonianMatrix",
-    "level_energies",
     "build_single_level",
     "build_two_level",
     "build_adaptive",
@@ -143,11 +142,6 @@ class HamiltonianMatrix:
     def n_system(self) -> int:
         """Dimension of the system block (1 without a ground state, else 2)."""
         return 2 if self.basis_labels[0] == "g" else 1
-
-
-def level_energies(spec: FqcSpec) -> np.ndarray:
-    """FQC diagonal energies k*delta in ascending order (holes removed)."""
-    return spec.level_indices * spec.gap
 
 
 def _check_band(spec: FqcSpec) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import Eigensystem, TimeSeries, _phase_sum, default_grid, diagonalize, write_csv
+from .evolve import TimeSeries, _phase_sum, default_grid, diagonalize, write_csv
 from .hamiltonian import HamiltonianMatrix
 
 __all__ = [
@@ -226,7 +226,6 @@ def nonmarkovianity(
     seed: int = 0,
     grid_points: int | None = None,
     subspace: str = "system",
-    eig: Eigensystem | None = None,
     bootstrap: int = 256,
 ) -> NonMarkovianityResult:
     """Estimate Sigma(t) for the projected dynamics of a two-level FQC model.
@@ -244,11 +243,12 @@ def nonmarkovianity(
     Every pair is evolved through the projected propagator block
     G[s, m](t) = <s| exp(-i H t) |m> = sum_n V[s,n] V[m,n] exp(-i E_n t),
     with s in {g, e} and m over the sdim sampled components (2 for
-    "system", dim for "full").  G is built once by the shared phase kernel
-    of `propagate`.  The projected amplitudes of all pairs then cost
-    4 * count * sdim * nt complex multiply-adds in BLAS matrix products, a
-    few pairs per product so that each block of amplitudes stays
-    cache-sized (about 1 MiB).
+    "system", dim for "full"), in the eigenbasis from `diagonalize` (an
+    orthonormality-checked Eigensystem).  G is built once by the shared
+    phase kernel of `propagate`.  The projected amplitudes of all pairs
+    then cost 4 * count * sdim * nt complex multiply-adds in BLAS matrix
+    products, a few pairs per product so that each block of amplitudes
+    stays cache-sized (about 1 MiB).
     """
     if count < 2:
         raise ConfigError("need at least 2 sampled pairs")
@@ -263,8 +263,7 @@ def nonmarkovianity(
         times = default_grid(t_final, rabi_points)
     nt = times.size
 
-    if eig is None:
-        eig = diagonalize(h)
+    eig = diagonalize(h)
     rng = np.random.default_rng(seed)
     psis = _sample_pairs(rng, count, h.dim, subspace)
     sdim = psis.shape[-1]

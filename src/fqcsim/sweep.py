@@ -1,25 +1,26 @@
 """Model dispatch (`build_model`) and parameter grids: suitability maps, size scans.
 
 Map tasks run in a thread pool; results are aggregated by index, so the
-output is bit-identical regardless of schedule or worker count.  A task of
-the two-level models is a stack of cells of one N row, propagated by one
-batched `eigh` of H and phase sum (`evolve._propagate_stack`).  A task of
-the single-level `decay` model is a whole N row: one values-only SVD of its
-(N+1)-square e/FQC coupling blocks and one secular pass for the row
-(`evolve._single_level_weights`), then phase sums in stacks.  Stacks are
-scored at once (one `d1` or `d2` trapezoid over all their cells); only fits
-run cell by cell.  That work runs in LAPACK/BLAS and numpy with the GIL
-released, which is what lets the threads scale, as long as each numpy call
-is large: on 2 cores, the secular maths in stacks of 13 or 14 cells took
-0.55-0.81 s of the default map on two threads against 0.36-0.43 s in rows.
-Python run per cell holds the GIL and so caps the second thread (a dense
-build, label formatting, energy variance and `d1` per cell did, at about a
-third of the map), so a cell does little of it: a structural Hamiltonian
-with cached labels.  A size scan runs its sizes one after another in the
-calling thread (`size_cell`, through `propagate`): most of its time is the
-Python-level iteration of the fits, which holds the GIL, so a second thread
-only adds hand-overs: on 2 cores, two threads ran the default scan slower
-than one and spent about 1.5 times its CPU time.
+output is bit-identical regardless of schedule or worker count.  Every task
+runs one body for every model: the spectra of its cells (`evolve._spectra`:
+one values-only SVD and secular pass for single-level cells, one batched
+`eigh` of H for two-level ones), then one phase sum and one scoring per
+stack (one `d1` or `d2` trapezoid over all its cells; only fits run cell by
+cell).  A task of the two-level models is one stack of cells of an N row; a
+task of the single-level `decay` model is a whole N row, with one secular
+pass and phase sums in stacks.  That work runs in LAPACK/BLAS and numpy
+with the GIL released, which is what lets the threads scale, as long as
+each numpy call is large: on 2 cores, the secular maths in stacks of 13 or
+14 cells took 0.55-0.81 s of the default map on two threads against
+0.36-0.43 s in rows.  Python run per cell holds the GIL and so caps the
+second thread (a dense build, label formatting, energy variance and `d1`
+per cell did, at about a third of the map), so a cell does little of it: a
+structural Hamiltonian with cached labels and no TimeSeries unless fitted.
+A size scan runs its sizes one after another in the calling thread
+(`size_cell`, through `propagate`): most of its time is the Python-level
+iteration of the fits, which holds the GIL, so a second thread only adds
+hand-overs: on 2 cores, two threads ran the default scan slower than one
+and spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import (_outer, _phase_sum, _propagate_stack, _single_level_weights, default_grid,
-                     propagate, write_csv)
+from .evolve import _outer, _phase_sum, _series, _spectra, default_grid, propagate, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -165,13 +165,13 @@ def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
     """Cells per stack of an N row: `_STACK_BYTES` over the peak bytes of one
     cell, with phase block B = ceil(sqrt(nt)).
 
-    A two-level cell in `_propagate_stack` peaks at about
-    16 (d (d + 5 B) + 5 nt) bytes (measured) for dimension d (at most
-    2N + 3) and its 3 projections.  A one-level cell's stack is only its
-    phase sum over the m = N + 1 values of `_single_level_weights` and its
-    `d1`: the tracemalloc peaks measured for m up to 151 and nt up to 8001
-    are within 12% of max(16 (3 m B + nt), 56 nt), the phase sum or the
-    trapezoid.
+    A two-level cell peaks at about 16 (d (d + 5 B) + 5 nt) bytes
+    (measured) for dimension d (at most 2N + 3): its `eigh` in
+    `evolve._spectra` and the phase sum of its 3 projections.  A one-level
+    cell's stack is only its phase sum over the m = N + 1 values of
+    `_single_level_weights` and its `d1`: the tracemalloc peaks measured
+    for m up to 151 and nt up to 8001 are within 12% of
+    max(16 (3 m B + nt), 56 nt), the phase sum or the trapezoid.
     """
     block = math.isqrt(grid_points - 1) + 1
     if one_level:
@@ -288,14 +288,12 @@ def run_sweep(
 
     Each pool task is consecutive cells of one N row, and its cells are
     built by `build_model`.  A `decay` task is the whole row (`_row_cells`
-    splits it only where its secular pass would outgrow `_STACK_BYTES`):
-    each group of equal basis labels gets one values-only SVD and secular
-    pass with its health checks (`evolve._single_level_weights`), then
-    phase sums and `d1` (which is also its `d2`) in stacks of
-    `_stack_cells`.  Any other task is a stack of as many cells as
-    `_STACK_BYTES` admits at that N: each group gets one batched `eigh`,
-    Gram check and phase sum (`evolve._propagate_stack`) and is scored
-    together, `d1` or `d2` as one trapezoid, a fit cell by cell.  Every
+    splits it only where its secular pass would outgrow `_STACK_BYTES`);
+    any other task is a stack of as many cells as `_STACK_BYTES` admits at
+    that N (`_stack_cells`).  Each group of equal basis labels gets its
+    spectra and health checks at once (`evolve._spectra`), then a phase
+    sum and a scoring per stack of `_stack_cells`: `d1` or `d2` as one
+    trapezoid (a single-level `d2` is its `d1`), a fit cell by cell.  Every
     value has the bits a single `propagate` and metric give.  Individual
     cell failures are recorded per cell (value NaN) and do not abort the
     map: a cell whose build, decomposition, health check or fit fails keeps
@@ -324,36 +322,23 @@ def run_sweep(
             raise FqcsimError("effective-parameter fit did not converge")
         return report.residual_norm / math.sqrt(report.grid_points)
 
-    def score(stack: list) -> list:
-        """The values of one group's propagated two-level cells; an error
-        stays put."""
-        done = [series for series in stack if not isinstance(series, Exception)]
-        if grid.metric == "fit" or not done:
-            return [s if isinstance(s, Exception) else _attempt(fit, s) for s in stack]
+    def score(hs: list, proj: np.ndarray, errs: list) -> list:
+        """The values of a stack of cells from their projections proj
+        (s, nt, r): a failed cell keeps its error and is not scored."""
+        ok = [k for k, err in enumerate(errs) if err is None]
         # the projections are sliced after stacking, so each elementwise op
         # sees the strides it sees on one series (`reduced`, `pi_e`): same bits
-        if grid.metric == "d2":
-            rho = _outer(np.stack([series._projected() for series in done])[..., :2])
-            scored = _d2_values(times, rho, ref_rho, fx.t_f)[0]
-        else:
-            e = done[0].e_index
-            pie = np.abs(np.stack([series._projected() for series in done])[..., e]) ** 2
-            scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0]
-        scored = iter(scored.tolist())
-        return [s if isinstance(s, Exception) else next(scored) for s in stack]
-
-    def decay_values(hs: list) -> list:
-        """The d1 values of one group of decay cells (d1 is also their d2):
-        one secular pass for the group, then c_e and d1 in stacks of
-        `_stack_cells`; an error stays put."""
-        sigma, weights, errs = _single_level_weights(hs)
-        size = _stack_cells(hs[0].spec.n_half, fx.grid_points, True)
-        scored = []
-        for lo in range(0, len(hs), size):
-            c_e = _phase_sum(sigma[lo:lo + size], weights[lo:lo + size, :, None], times).real
-            # |c_e|^2 as `pi_e` forms it, so every value has the bits of `d1`
-            scored += _d1_values(times, np.abs(c_e[..., 0]) ** 2, fx.gamma, fx.t_f)[0].tolist()
-        return [value if err is None else err for value, err in zip(scored, errs)]
+        if grid.metric == "fit":
+            scored = [_attempt(fit, _series(hs[k], times, proj[k])) for k in ok]
+        elif not ok:
+            scored = []
+        elif grid.metric == "d2" and hs[0].n_system == 2:
+            scored = _d2_values(times, _outer(proj[ok][..., :2]), ref_rho, fx.t_f)[0].tolist()
+        else:  # a single-level d2 is its d1
+            pie = np.abs(proj[ok][..., hs[0].basis_labels.index("e")]) ** 2
+            scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0].tolist()
+        scored = iter(scored)
+        return [err or next(scored) for err in errs]
 
     def job(cells):
         results, groups = {}, {}
@@ -363,10 +348,12 @@ def run_sweep(
                 groups.setdefault(h.basis_labels, []).append(idx)
         for group in groups.values():
             hs = [results[idx] for idx in group]
-            if fx.model == "decay":
-                results.update(zip(group, decay_values(hs)))
-            else:
-                results.update(zip(group, score(_propagate_stack(hs, times))))
+            values, weights, errs, real = _spectra(hs)
+            size = _stack_cells(hs[0].spec.n_half, fx.grid_points, hs[0].n_system == 1)
+            for lo in range(0, len(hs), size):
+                proj = _phase_sum(values[lo:lo + size], weights[lo:lo + size], times)
+                results.update(zip(group[lo:lo + size], score(
+                    hs[lo:lo + size], proj.real if real else proj, errs[lo:lo + size])))
         return [results[idx] for idx in cells]
 
     chunks = []

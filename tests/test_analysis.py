@@ -11,7 +11,6 @@ from fqcsim import (
     build_single_level,
     build_two_level,
     critical_coupling,
-    damped_rabi_population,
     default_grid,
     fit_effective_params,
     n_max,
@@ -22,6 +21,7 @@ from fqcsim import (
     zeno_time,
 )
 from fqcsim.analysis import _damped_cos2, _refine_parabolic
+from oracles import damped_rabi_population
 
 
 def decay_series(n_half, v, t_f=10.0, points=2001):

@@ -44,6 +44,18 @@ def test_decay_decoupled_sanity(tmp_path):
     np.testing.assert_allclose(pies, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("start, pi0", [("e", 1.0), ("f0", 0.0), ("f3", 0.0)])
+def test_decay_reference_starts_from_the_exact_population(tmp_path, start, pi0):
+    # pi_ref = pi0 exp(-gamma t) with the start state's population of |e>,
+    # bit for bit, not the computed pi_e(0)
+    out = tmp_path / "run"
+    assert run(["decay", "--out", out, "--n", 15, "--v", 0.3, "--tf", 10,
+                "--initial-state", start] + FAST) == 0
+    rows = np.array([[float(x) for x in r.split(",")]
+                     for r in _data_rows(out / "timeseries.csv")[1:]])
+    np.testing.assert_array_equal(rows[:, 2], pi0 * np.exp(-rows[:, 0]))
+
+
 def test_decay_revival_case(tmp_path):
     out = tmp_path / "run"
     assert run(["decay", "--out", out, "--n", 15, "--v", 0.45, "--tf", 10,

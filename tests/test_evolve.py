@@ -25,16 +25,14 @@ from fqcsim import (
     build_two_level,
     default_grid,
     diagonalize,
-    memory_kernel,
     propagate,
     run_sweep,
-    source_infinity,
     source_term_series,
     write_csv,
 )
 from fqcsim import evolve, sweep
-from fqcsim.evolve import (Eigensystem, _coupling_blocks, _evolve, _propagate_stack,
-                           _single_level_weights)
+from fqcsim.evolve import _coupling_blocks, _phase_sum, _single_level_weights, _spectra
+from oracles import source_infinity
 
 
 def test_diagonalize_two_by_two_closed_form():
@@ -203,16 +201,22 @@ def test_reduced_equation_of_motion_consistency():
     spec = FqcSpec(12, 0.3)
     drive = DriveSpec(1.0, 0.0)
     h = build_two_level(spec, drive)
-    eig = diagonalize(h)
     dt = 1e-5
     t0 = 1.7
-    series = propagate(h, "e", np.array([t0 - dt, t0, t0 + dt]), eig=eig)
+    series = propagate(h, "e", np.array([t0 - dt, t0, t0 + dt]))
     rho = series.reduced().rho
     lhs = (rho[2] - rho[0]) / (2 * dt)
     h0 = np.array([[0.0, drive.rabi_omega0], [drive.rabi_omega0, 0.0]], dtype=complex)
     s = source_term_series(series, spec)[1]
     rhs = -1j * ((h0 @ rho[1] - rho[1] @ h0) + s)
     assert np.abs(lhs - rhs).max() < 1e-8
+
+
+def memory_kernel(spec, tau):
+    """The environment memory kernel K(tau) = v^2 sum_k exp(-i E_k tau) of
+    a ladder, by the phase kernel of `propagate`."""
+    energies = spec.level_indices * spec.gap
+    return spec.coupling_v**2 * _phase_sum(energies, np.ones((energies.size, 1)), tau)[:, 0]
 
 
 def test_memory_kernel_dirichlet():
@@ -232,11 +236,6 @@ def test_memory_kernel_dirichlet():
     i = np.searchsorted(tau, t_zero)
     assert k.real[i - 1] > 0 or k.real[i + 1] < 0  # sign change bracket
     assert abs(k.real[i]) < 0.02 * k[0].real
-
-
-def test_memory_kernel_empty_grid():
-    k = memory_kernel(FqcSpec(5, 0.3), np.array([]))
-    assert k.shape == (0,) and k.dtype == complex
 
 
 @pytest.mark.parametrize("tau", [
@@ -393,37 +392,52 @@ def test_propagate_builds_full_amplitudes_lazily():
     assert series._amplitudes is not None
 
 
-def test_propagate_rejects_non_orthonormal_eigenbasis():
-    h = build_single_level(FqcSpec(5, 0.3))
-    eig = diagonalize(h)
-    skewed = eig.vectors.copy()
-    skewed[:, 0] *= 1.0 + 1e-8
-    with pytest.raises(NumericalError, match="orthonormality"):
-        propagate(h, "e", default_grid(2.0, 21), eig=Eigensystem(eig.values, skewed))
+def _skew_eigh(monkeypatch):
+    """Make np.linalg.eigh return bases whose first vector is 1e-8 too long."""
+    eigh = np.linalg.eigh
+
+    def skewed(entries):
+        values, vectors = eigh(entries)
+        vectors[..., 0] *= 1.0 + 1e-8
+        return values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", skewed)
+
+
+def test_propagate_rejects_non_orthonormal_eigenbasis(monkeypatch):
+    _skew_eigh(monkeypatch)
+    # every propagation through the eigenbasis of H: another start, or two levels
+    for h, start in ((build_single_level(FqcSpec(5, 0.3)), "f0"),
+                     (build_two_level(FqcSpec(5, 0.3), DriveSpec(1.0, 0.0)), "e")):
+        with pytest.raises(NumericalError, match="orthonormality"):
+            propagate(h, start, default_grid(2.0, 21))
 
 
 # ------------------------------ the single-level path: the spectrum of the coupling block
 
 
+def _eigh_c_e(values, vectors, times):
+    """c_e(t) from |e> (basis index 0) by the eigenpairs of H, with every
+    phase exp(-i E_n t) evaluated directly: one matmul per cell."""
+    return np.exp(-1j * np.outer(times, values)) @ vectors[0] ** 2
+
+
 def _eigh_path(h, times):
-    """`propagate` from |e> through the eigenbasis of h: a given `eig` keeps
-    a single-level h off the secular path."""
-    return propagate(h, "e", times, eig=diagonalize(h))
+    """c_e(t) of a single-level h from |e> through np.linalg.eigh of its dense H."""
+    return _eigh_c_e(*np.linalg.eigh(h.entries), times)
 
 
 def test_single_level_path_matches_eigh_over_the_default_map():
     times = default_grid(10.0, 2001)
+    every = slice(None, None, 10)  # 201 of the grid times, both ends included
     worst = 0.0
     for n in range(2, 41):
         hs = [build_single_level(FqcSpec(n, round(0.05 + 0.01 * i, 4))) for i in range(56)]
-        # the eigenbasis core, one batched eigh per row
-        values, vectors = np.linalg.eigh(np.stack([h.entries for h in hs]))
-        psi = np.zeros(values.shape, dtype=complex)
-        psi[:, 0] = 1.0
-        oracle = _evolve(hs, psi, times, values, vectors)
-        for h, want in zip(hs, oracle):
-            worst = max(worst, np.abs(propagate(h, "e", times).pi_e - want.pi_e).max())
-    assert worst <= 1e-12  # measured 4.9e-14
+        # one batched eigh per row
+        for h, values, vectors in zip(hs, *np.linalg.eigh(np.stack([h.entries for h in hs]))):
+            want = np.abs(_eigh_c_e(values, vectors, times[every])) ** 2
+            worst = max(worst, np.abs(propagate(h, "e", times).pi_e[every] - want).max())
+    assert worst <= 1e-12  # measured 2.8e-14
 
 
 @pytest.mark.parametrize("spec, t_f", [
@@ -438,11 +452,13 @@ def test_single_level_path_matches_eigh_over_the_default_map():
 def test_single_level_path_matches_eigh(spec, t_f):
     h = build_single_level(spec)
     times = default_grid(t_f, 2001)
-    series, oracle = propagate(h, "e", times), _eigh_path(h, times)
-    assert np.abs(series.pi_e - oracle.pi_e).max() <= 1e-12
-    assert np.abs(series.amplitudes - oracle.amplitudes).max() <= 1e-12
+    series, c_e = propagate(h, "e", times), _eigh_path(h, times)
+    # the projection is the secular path's own; the full amplitudes come from eigh
+    assert np.abs(series._projected()[:, 0] - c_e).max() <= 1e-12
+    assert np.abs(series.pi_e - np.abs(c_e) ** 2).max() <= 1e-12
+    assert np.abs(series.amplitudes[:, 0] - c_e).max() <= 1e-12
     assert np.abs(np.linalg.norm(series.amplitudes, axis=1) - 1.0).max() <= 1e-12
-    assert series.energy_variance0 == oracle.energy_variance0
+    assert series.energy_variance0 == _dense_variance(h, basis_state(h, "e").amplitudes)
 
 
 @pytest.mark.parametrize("n_half", [50, 100, 200, 400])
@@ -454,10 +470,10 @@ def test_single_level_path_follows_the_bixon_jortner_law(n_half):
     t_rev = 2 * math.pi / spec.gap
     times = np.linspace(0.05 * t_rev, 0.95 * t_rev, 1001)
     h = build_single_level(spec)
-    c_e = propagate(h, "e", times).amplitudes[:, h.basis_labels.index("e")]
+    c_e = propagate(h, "e", times)._projected()[:, h.basis_labels.index("e")]
     assert n_half * np.abs(c_e.real - np.exp(-times / 2)).max() <= 0.35
     # the path takes c_e real; the eigenbasis agrees
-    assert np.abs(_eigh_path(h, times).amplitudes[:, 0].imag).max() <= 1e-13
+    assert np.abs(_eigh_path(h, times).imag).max() <= 1e-13
 
 
 def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
@@ -471,9 +487,8 @@ def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
     for start in ("e", None):
         with pytest.raises(NumericalError, match="eigensolver failed: SVD did not converge"):
             propagate(h, start, times)
-    # any other start, and a given eig, stay on the eigenbasis
-    for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times),
-                   _eigh_path(h, times)):
+    # any other start stays on the eigenbasis
+    for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times)):
         assert np.isfinite(series.pi_e).all()
 
 
@@ -596,9 +611,9 @@ def test_sum_rule_failure_stays_in_its_cell(monkeypatch):
 
     monkeypatch.setattr(evolve, "_secular_roots", halved_weights)
     hs = [build_single_level(FqcSpec(6, v)) for v in (0.2, 0.3, 0.4)]
-    series = _propagate_stack(hs, default_grid(2.0, 21))
-    assert str(series[1]) == "sum rule defect 0.5 exceeds 1e-10"
-    assert not isinstance(series[0], Exception) and not isinstance(series[2], Exception)
+    errors = _spectra(hs)[2]
+    assert str(errors[1]) == "sum rule defect 0.5 exceeds 1e-10"
+    assert errors[0] is None and errors[2] is None
 
 
 def test_decay_map_takes_no_singular_vectors(monkeypatch):
@@ -615,23 +630,16 @@ def test_decay_map_takes_no_singular_vectors(monkeypatch):
                                                        hole_half_width=width))
         assert not run_sweep(grid).cell_errors
     assert calls and not any(calls)
-    # the lazy full amplitudes of one cell take its full SVD
+    # the lazy full amplitudes of one cell come from eigh, not the SVD
+    count = len(calls)
     propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(2.0, 21)).amplitudes
-    assert calls[-1] is True
+    assert len(calls) == count + 1 and not any(calls)
 
 
 def test_lazy_amplitudes_keep_the_gram_check(monkeypatch):
-    svd = np.linalg.svd
-
-    def skewed(a, compute_uv=True):
-        out = svd(a, compute_uv=compute_uv)
-        if compute_uv:
-            out[0][..., 0] *= 1.0 + 1e-8
-        return out
-
-    monkeypatch.setattr(np.linalg, "svd", skewed)
+    _skew_eigh(monkeypatch)
     series = propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(2.0, 21))
-    assert np.isfinite(series.pi_e).all()  # c_e takes no singular vectors
+    assert np.isfinite(series.pi_e).all()  # c_e takes no eigenvectors
     with pytest.raises(NumericalError, match="orthonormality defect"):
         series.amplitudes
 
@@ -713,11 +721,9 @@ def _dense_variance(h, psi):
 def test_lazy_energy_variance_equals_the_dense_formula(make, dense_builds):
     h = make()
     times = default_grid(2.0, 21)
-    lazy = [propagate(h, "e", times), _propagate_stack([h, make()], times)[0]]
+    series = propagate(h, "e", times)
     if h.n_system == 1:  # the secular path: no dense matrix until the variance is read
         assert dense_builds[0] == 0
-    psi = basis_state(h, "e").amplitudes
-    for series in lazy:
-        assert series.energy_variance0 == _dense_variance(h, psi)
+    assert series.energy_variance0 == _dense_variance(h, basis_state(h, "e").amplitudes)
     state = random_state(h, 3)
     assert propagate(h, state, times).energy_variance0 == _dense_variance(h, state.amplitudes)

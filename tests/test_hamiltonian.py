@@ -13,7 +13,6 @@ from fqcsim import (
     build_adaptive,
     build_single_level,
     build_two_level,
-    level_energies,
 )
 
 specs = st.builds(
@@ -100,20 +99,23 @@ def test_adaptive_survivors_match_enumeration_oracle():
     spec = FqcSpec(20, 0.3, hole=HoleSpec(3.0))
     d = spec.gap
     oracle = [k * d for k in range(-20, 21) if abs(k * d) >= 3.0]
-    np.testing.assert_allclose(level_energies(spec), oracle)
+    energies = spec.level_indices * d
+    np.testing.assert_allclose(energies, oracle)
     assert len(oracle) == 30
     assert all(abs(e) >= 3.0 for e in oracle)
     # symmetric survivor set
-    np.testing.assert_allclose(level_energies(spec), -level_energies(spec)[::-1])
+    np.testing.assert_allclose(energies, -energies[::-1])
 
 
 def test_level_energies_trivial_grid():
     v = math.sqrt(0.5 / (2 * math.pi))  # makes the gap exactly 0.5
-    np.testing.assert_allclose(level_energies(FqcSpec(1, v)), [-0.5, 0.0, 0.5])
+    spec = FqcSpec(1, v)
+    np.testing.assert_allclose(spec.level_indices * spec.gap, [-0.5, 0.0, 0.5])
 
 
 def test_level_energies_n15_extent():
-    e = level_energies(FqcSpec(15, 0.3))
+    spec = FqcSpec(15, 0.3)
+    e = spec.level_indices * spec.gap
     assert e.size == 31
     assert e.max() == pytest.approx(15 * 2 * math.pi * 0.09, rel=1e-12)
     assert e.max() == pytest.approx(8.482, abs=2e-3)
@@ -122,7 +124,7 @@ def test_level_energies_n15_extent():
 def test_level_energies_hole_removes_center():
     spec = FqcSpec(3, 0.3)
     holed = FqcSpec(3, 0.3, hole=HoleSpec(spec.gap / 2))
-    assert 0.0 not in level_energies(holed)
+    assert 0.0 not in holed.level_indices * holed.gap
     assert holed.n_levels == 6
 
 
@@ -187,7 +189,7 @@ def test_adaptive_requires_hole():
 def test_adaptive_spec_for_size():
     spec = adaptive_spec_for_size(34, 0.3, 5.0)
     assert spec.n_levels == 34
-    assert all(abs(e) >= 5.0 for e in level_energies(spec))
+    assert all(abs(e) >= 5.0 for e in spec.level_indices * spec.gap)
     with pytest.raises(ConfigError):
         adaptive_spec_for_size(35, 0.3, 5.0)
 

@@ -10,13 +10,13 @@ from fqcsim import (
     DriveSpec,
     NonHermitianSpec,
     damped_oscillator_ce,
-    damped_rabi_population,
     decay_single,
     default_grid,
     effective_hamiltonian,
     evolve_nonhermitian,
     underdamped_discriminant,
 )
+from oracles import damped_rabi_population
 
 E_STATE = np.array([0.0, 1.0], dtype=complex)
 G_STATE = np.array([1.0, 0.0], dtype=complex)

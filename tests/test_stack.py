@@ -1,6 +1,7 @@
-"""Stacked sweep cells: one values-only SVD and secular pass per row of
-single-level cells, one batched `eigh` per stack of two-level cells, and
-one phase sum per stack.
+"""Stacked sweep cells: the spectra of a stack (`evolve._spectra`: one
+values-only SVD and secular pass per row of single-level cells, one batched
+`eigh` per stack of two-level cells), one phase sum per stack and one
+scoring of all its cells.
 
 Each stacked cell must equal `propagate` plus the metric on that cell alone,
 bit for bit; a few are also checked against a `scipy.linalg.expm`
@@ -17,7 +18,7 @@ from fqcsim import DriveSpec, SweepFixed, SweepGrid, d1, d2, propagate, run_swee
 from fqcsim import sweep
 from fqcsim.analysis import fit_effective_params
 from fqcsim.cli import main
-from fqcsim.evolve import _propagate_stack, default_grid
+from fqcsim.evolve import _phase_sum, _spectra, default_grid
 from fqcsim.reference import NonHermitianSpec, evolve_nonhermitian
 
 N_VALUES = (2, 5, 9)
@@ -96,13 +97,16 @@ def test_stacked_cells_match_expm(model, single_level, omega0):
                             single_level=single_level) for v in (0.5, 0.55, 0.6)]
     assert len({h.basis_labels for h in hs}) == 1
     times = default_grid(5.0, 51)
-    for h, series in zip(hs, _propagate_stack(hs, times)):
-        psi0 = np.zeros(h.dim, dtype=complex)
-        psi0[h.basis_labels.index("e")] = 1.0
-        exact = np.array([expm(-1j * h.entries * t) @ psi0 for t in times])
-        np.testing.assert_allclose(series.amplitudes, exact, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(series.pi_e, np.abs(exact[:, series.e_index]) ** 2,
-                                   rtol=0, atol=1e-10)
+    values, weights, errors, real = _spectra(hs)
+    assert errors == [None] * len(hs) and real == single_level
+    proj = _phase_sum(values, weights, times)
+    for h, got in zip(hs, proj.real if real else proj):
+        e = h.basis_labels.index("e")
+        exact = np.array([expm(-1j * h.entries * t)[:, e] for t in times])
+        # c_e, or c_g, c_e and sum_k c_k
+        want = exact[:, :1] if single_level else np.column_stack(
+            [exact[:, :2], exact[:, 2:].sum(axis=1)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
@@ -234,6 +238,7 @@ def test_svd_lapack_failure_stays_in_its_cell(monkeypatch):
 @pytest.mark.parametrize("model, metric, name, size", [
     ("decay", "d1", "svd", 6),     # the (N + 1)-square coupling block of N = 5
     ("rabi", "d2", "eigh", 13),    # the (2N + 3)-square H of N = 5
+    ("rabi", "fit", "eigh", 13),   # a failed cell is not fitted
 ])
 def test_gram_failure_of_one_cell_leaves_its_stack_mates_alone(monkeypatch, model, metric,
                                                                name, size):
