@@ -3,8 +3,9 @@
 Propagation is spectral phase rotation, |psi(t)> = sum_n <psi_n|psi_0>
 exp(-i E_n t) |psi_n>, so there is no stepper and no truncation error to
 tune: the value at any grid time is independent of the rest of the grid up
-to rounding (1e-12), not bit for bit, because uniform grids evaluate the
-phases in blocks.
+to rounding (1e-12), not bit for bit, because a uniform grid takes its
+phases as powers of exp(-i E_n dt) and exp(-i E_n B dt) (B about
+sqrt(nt)), by cumulative products: three complex exponentials per value.
 
 Every projection from |e> is one phase sum, sum_n weights[n, r]
 exp(-i E_n t) (`_phase_sum`), and `_spectra` is the one place that picks
@@ -13,7 +14,8 @@ the same core on a stack of one, and stacked and single calls give the same
 bits.  A single-level Hamiltonian is bipartite in the symmetric/antisymmetric
 combinations of the levels +-k, so from |e> it needs only the spectrum of
 its half-size e/FQC coupling block B: c_e(t) = sum_n U[e, n]^2
-cos(sigma_n t), the real part of a phase sum.  B^T B is a rank-one change of
+cos(sigma_n t), the real part of a phase sum, which one real matmul gives
+as a real array.  B^T B is a rank-one change of
 a diagonal, so the sigma_n (a values-only SVD, refined on the secular
 equation) and the weights U[e, n]^2 (a closed form) come without singular
 vectors (`_single_level_weights`).  Two-level models take one batched
@@ -219,8 +221,10 @@ class TimeSeries:
 
     `energy_variance0` is <H^2> - <H>^2 in the initial state; it sets the
     curvature of the short-time survival probability (Zeno time).  A series
-    from `propagate` (energy_variance0 None) computes it on first read, from
-    the dense H.
+    from `propagate` (energy_variance0 None) computes it on first read from
+    H psi_0: by the dense H that its `eigh` path built anyway, or, on the
+    secular path, in O(dim) from the structure (`HamiltonianMatrix.matvec`),
+    which builds no dense H.
 
     Everything but `amplitudes`, `fqc_populations` and the FQC columns of the
     outputs reads only the projections: the system amplitudes and, on a
@@ -250,8 +254,8 @@ class TimeSeries:
     @property
     def energy_variance0(self) -> float:
         if self._variance is None:
-            h, psi = self._state
-            hpsi = h.entries @ psi
+            apply_h, psi = self._state
+            hpsi = apply_h(psi)
             mean = np.real(np.vdot(psi, hpsi))
             self._variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
         return self._variance
@@ -353,9 +357,7 @@ def propagate(h: HamiltonianMatrix, psi0: StateVector | str | None,
         values, weights, (error,), _ = _spectra([h])
         if error is not None:
             raise error
-        # the real part of the cosine sum, a copy: the series keeps no
-        # complex array alive through a view
-        return _series(h, times, _phase_sum(values, weights, times)[0].real.copy())
+        return _series(h, times, _phase_sum(values, weights, times, real=True)[0])
     if isinstance(psi0, str):
         psi0 = basis_state(h, psi0)
     if psi0.dim != h.dim:
@@ -426,7 +428,10 @@ def _series(h: HamiltonianMatrix, times: np.ndarray, proj: np.ndarray,
         return _phase_sum(values[0], (vectors[0] * a[0]).T, times)
 
     series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, None)
-    series._proj, series._build, series._state = proj, build, (h, psi)
+    # the dense H exists on the eigh path, and keeps the bits of the dense
+    # formula for any state; the secular path builds none
+    series._state = (h.matvec if eig is None else h.entries.__matmul__), psi
+    series._proj, series._build = proj, build
     return series
 
 
@@ -566,17 +571,24 @@ def _secular_error(residual: float, defect: float) -> NumericalError | None:
     return None
 
 
-def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray,
+               real: bool = False) -> np.ndarray:
     """sum_n weights[..., n, r] exp(-i values[..., n] t) at every grid time,
-    shape (..., nt, r).
+    shape (..., nt, r); with `real`, its real part as a real array.
 
     Leading axes stack independent cells (values (..., dim), weights
     (..., dim, r)) that share the grid; each cell gets the bits it gets
-    alone, since numpy's batched elementwise ops and matmuls repeat the
-    per-matrix ones.  On a uniform grid the phase of time index b*B + j
-    factors as exp(-iE t_{bB}) exp(-iE j dt) with B = ceil(sqrt(nt)), so
-    about (nt/B + B) * dim exponentials and one matmul per cell do the work.
-    Any other grid runs the same code with B = 1, which is the direct formula.
+    alone, since numpy's batched elementwise ops, cumulative products and
+    matmuls repeat the per-matrix ones.  On a uniform grid the phase of time
+    index b*B + j, with B = ceil(sqrt(nt)), factors as exp(-iE t_0) U^b u^j
+    with u = exp(-iE dt) and U = exp(-iE B dt).  Both tables of powers are
+    cumulative products (`_powers`), so a cell takes three exponentials per
+    value, and one matmul.  A power's rounding grows with its exponent, to
+    about 2 sqrt(nt) roundings at most: within 3x of the error of the direct
+    exp(-iE t), which carries the rounding of E t (tests check both against
+    long-double phases).  Any other grid takes exp(-iE t) at every time,
+    with B = 1.  With `real` the folded contraction is one real matmul on
+    the interleaved (re, im) views, half the flops of the complex one.
     """
     nt, (*stack, dim, r) = times.size, weights.shape
     dt = (times[-1] - times[0]) / max(nt - 1, 1)
@@ -584,25 +596,41 @@ def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray) -> np
     drift = np.abs(times - (times[0] + dt * np.arange(nt))).max()
     uniform = drift <= 4 * np.finfo(float).eps * np.abs(times).max()
     block = math.isqrt(nt - 1) + 1 if uniform else 1
-    outer = _phases(times[::block], values)
-    inner = _phases(dt * np.arange(block), values)
-    nb = outer.shape[-2]
+    nb = -(-nt // block)
+    if uniform:
+        outer = _powers(np.exp(-1j * (times[0] * values)),
+                        np.exp(-1j * ((block * dt) * values)), nb)
+    else:
+        outer = np.exp(-1j * (times[:, None] * values[..., None, :]))
+    inner = _powers(1.0, np.exp(-1j * (dt * values)), block)
     if r < block:
         # fold the weights into the outer phases: nb * r * dim products
         folded = outer[..., :, None, :] * np.swapaxes(weights, -1, -2)[..., None, :, :]
-        out = folded.reshape(*stack, nb * r, dim) @ np.swapaxes(inner, -1, -2)
+        folded = folded.reshape(*stack, nb * r, dim)
+        if real:
+            # Re(a b) = [Re a, Im a] . [Re b, -Im b]: one real matmul on the
+            # interleaved views, with the inner table conjugated in place
+            np.conjugate(inner, out=inner)
+            out = folded.view(float) @ np.swapaxes(inner.view(float), -1, -2)
+        else:
+            out = folded @ np.swapaxes(inner, -1, -2)
         out = np.swapaxes(out.reshape(*stack, nb, r, block), -1, -2)
     else:
         # form the phases themselves: nt * dim products
         phases = outer[..., :, None, :] * inner[..., None, :, :]
         out = phases.reshape(*stack, nb * block, dim) @ weights
+        if real:
+            out = out.real.copy()
     return out.reshape(*stack, nb * block, r)[..., :nt, :]
 
 
-def _phases(t: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """exp(-i E t) for every t and every E of values (..., dim): (..., t.size, dim)."""
-    phases = -1j * (t[:, None] * values[..., None, :])
-    return np.exp(phases, out=phases)
+def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
+    """first * ratio**k for k < count, of every value of ratio (..., dim),
+    by a cumulative product along a new axis: shape (..., count, dim)."""
+    out = np.empty(ratio.shape[:-1] + (count, ratio.shape[-1]), dtype=complex)
+    out[..., 0, :] = first
+    out[..., 1:, :] = ratio[..., None, :]
+    return np.multiply.accumulate(out, axis=-2, out=out)
 
 
 def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.ndarray:

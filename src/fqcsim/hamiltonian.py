@@ -134,6 +134,19 @@ class HamiltonianMatrix:
         h[np.arange(s, dim), np.arange(s, dim)] = self.level_indices * self.spec.gap
         return h
 
+    def matvec(self, psi: np.ndarray) -> np.ndarray:
+        """H psi in O(dim) from the structure, without the dense matrix: g-e
+        through omega0, e-e through the detuning, e-f_k through v and the
+        ladder energies k*delta on the FQC diagonal."""
+        s, v = self.n_system, self.spec.coupling_v
+        out = np.empty_like(psi, dtype=np.result_type(psi, float))
+        out[s:] = self.level_indices * self.spec.gap * psi[s:] + v * psi[s - 1]
+        out[s - 1] = v * psi[s:].sum()
+        if self.drive is not None:
+            out[0] = self.drive.rabi_omega0 * psi[1]
+            out[1] += self.drive.rabi_omega0 * psi[0] + self.drive.detuning_delta * psi[1]
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.basis_labels)

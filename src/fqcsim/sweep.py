@@ -170,12 +170,13 @@ def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
     `evolve._spectra` and the phase sum of its 3 projections.  A one-level
     cell's stack is only its phase sum over the m = N + 1 values of
     `_single_level_weights` and its `d1`: the tracemalloc peaks measured
-    for m up to 151 and nt up to 8001 are within 12% of
-    max(16 (3 m B + nt), 56 nt), the phase sum or the trapezoid.
+    for m up to 151 and nt from 401 to 8001 are within 12% of
+    max(8 (6 m B + nt), 46 nt) for nt >= 2001 (20% at 401): the phase sum
+    (three complex tables of m B and its real result) or the trapezoid.
     """
     block = math.isqrt(grid_points - 1) + 1
     if one_level:
-        cell_bytes = max(16 * (3 * (n_half + 1) * block + grid_points), 56 * grid_points)
+        cell_bytes = max(8 * (6 * (n_half + 1) * block + grid_points), 46 * grid_points)
     else:
         dim = 2 * n_half + 3
         cell_bytes = 16 * (dim * (dim + 5 * block) + 5 * grid_points)
@@ -335,7 +336,8 @@ def run_sweep(
         elif grid.metric == "d2" and hs[0].n_system == 2:
             scored = _d2_values(times, _outer(proj[ok][..., :2]), ref_rho, fx.t_f)[0].tolist()
         else:  # a single-level d2 is its d1
-            pie = np.abs(proj[ok][..., hs[0].basis_labels.index("e")]) ** 2
+            c = proj[ok][..., hs[0].basis_labels.index("e")]
+            pie = np.square(c) if np.isrealobj(c) else np.abs(c) ** 2
             scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0].tolist()
         scored = iter(scored)
         return [err or next(scored) for err in errs]
@@ -351,9 +353,9 @@ def run_sweep(
             values, weights, errs, real = _spectra(hs)
             size = _stack_cells(hs[0].spec.n_half, fx.grid_points, hs[0].n_system == 1)
             for lo in range(0, len(hs), size):
-                proj = _phase_sum(values[lo:lo + size], weights[lo:lo + size], times)
+                proj = _phase_sum(values[lo:lo + size], weights[lo:lo + size], times, real)
                 results.update(zip(group[lo:lo + size], score(
-                    hs[lo:lo + size], proj.real if real else proj, errs[lo:lo + size])))
+                    hs[lo:lo + size], proj, errs[lo:lo + size])))
         return [results[idx] for idx in cells]
 
     chunks = []

@@ -99,14 +99,36 @@ def test_stacked_cells_match_expm(model, single_level, omega0):
     times = default_grid(5.0, 51)
     values, weights, errors, real = _spectra(hs)
     assert errors == [None] * len(hs) and real == single_level
-    proj = _phase_sum(values, weights, times)
-    for h, got in zip(hs, proj.real if real else proj):
+    proj = _phase_sum(values, weights, times, real)
+    for h, got in zip(hs, proj):
         e = h.basis_labels.index("e")
         exact = np.array([expm(-1j * h.entries * t)[:, e] for t in times])
         # c_e, or c_g, c_e and sum_k c_k
         want = exact[:, :1] if single_level else np.column_stack(
             [exact[:, :2], exact[:, 2:].sum(axis=1)])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("times", [
+    default_grid(4.0, 2), default_grid(4.0, 401), default_grid(4.0, 1000), np.zeros(1),
+    np.geomspace(0.01, 4.0, 60),
+], ids=["2", "401", "1000", "1", "geometric"])
+@pytest.mark.parametrize("single_level", [True, False])
+def test_stacked_phase_sums_equal_single_ones_bit_for_bit(single_level, times):
+    # the cosine sum runs the real path, and every stack the complex one too
+    hs = [sweep.build_model(6, v, 1.0, DriveSpec(1.5, 0.3), single_level=single_level)
+          for v in (0.5, 0.55, 0.6)]
+    values, weights, errors, real = _spectra(hs)
+    assert errors == [None] * len(hs) and real == single_level
+    for flag in sorted({real, False}):
+        stacked = _phase_sum(values, weights, times, flag)
+        assert stacked.dtype == (float if flag else complex)
+        for k in range(len(hs)):
+            alone = _phase_sum(values[k:k + 1], weights[k:k + 1], times, flag)
+            assert stacked[k].tobytes() == alone[0].tobytes()
+    if real:  # the real matmul is the real part of the complex one, up to rounding
+        np.testing.assert_allclose(_phase_sum(values, weights, times, True),
+                                   _phase_sum(values, weights, times).real, rtol=0, atol=1e-14)
 
 
 def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
