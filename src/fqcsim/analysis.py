@@ -129,7 +129,7 @@ def revival_time(
     the onset by a decay time and is reported as t_peak).  Absence of a
     revival is an explicit outcome, not a failure.
     """
-    gamma = series.spec.gamma_target if series.spec is not None else 1.0
+    gamma = series.spec.gamma_target
     start = search_start if search_start is not None else 3.0 / gamma
     t = series.times
     pie = series.pi_e
@@ -207,17 +207,15 @@ class SidebandSpectrum:
     k: np.ndarray
     energies: np.ndarray
     occupations: np.ndarray
-    occupations_quadrature: np.ndarray | None = None
-    t_f_quadrature: float | None = None
+    occupations_quadrature: np.ndarray
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
         cols = {
             "k": np.asarray(self.k, dtype=int),
             "energy": self.energies,
             "occupation": self.occupations,
+            "occupation_quadrature": self.occupations_quadrature,
         }
-        if self.occupations_quadrature is not None:
-            cols["occupation_quadrature"] = self.occupations_quadrature
         write_csv(path, cols, extra_header)
 
 
@@ -259,26 +257,21 @@ def _quadrature_occupations(
 def sideband_spectrum(
     spec: FqcSpec,
     drive: DriveSpec,
-    include_quadrature: bool = False,
     t_f: float = 8.0,
 ) -> SidebandSpectrum:
     """Occupation |c_k|^2 of every FQC level after the drive has decayed.
 
     The closed form is the resonance response of the damped amplitude at each
     level energy; two sidebands peak where |k| delta matches the effective
-    Rabi frequency.  The quadrature variant integrates
-    c_k(t_f) = -i v int_0^{t_f} c_e(t) exp(i k delta t) dt with the
-    closed-form damped amplitude and serves as an independent cross-check.
+    Rabi frequency.  `occupations_quadrature`, an independent cross-check,
+    integrates c_k(t_f) = -i v int_0^{t_f} c_e(t) exp(i k delta t) dt with
+    the closed-form damped amplitude.
     """
     if drive.detuning_delta != 0.0:
         raise ConfigError("sideband spectrum is defined at zero detuning")
     ks = spec.level_indices
-    ck = _closed_form_ck(spec, drive, ks)
-    occ = np.abs(ck) ** 2
-    occ_q = None
-    if include_quadrature:
-        occ_q = _quadrature_occupations(spec, drive, ks, t_f)
-    return SidebandSpectrum(ks, ks * spec.gap, occ, occ_q, t_f if include_quadrature else None)
+    occ = np.abs(_closed_form_ck(spec, drive, ks)) ** 2
+    return SidebandSpectrum(ks, ks * spec.gap, occ, _quadrature_occupations(spec, drive, ks, t_f))
 
 
 def n_max(spec: FqcSpec, drive: DriveSpec) -> int:
@@ -337,8 +330,8 @@ def fit_effective_params(
     """
     from scipy.optimize import least_squares
 
-    if series.drive is None or series.spec is None:
-        raise ConfigError("fit_effective_params needs series with spec and drive")
+    if series.drive is None:
+        raise ConfigError("fit_effective_params needs a driven series")
     mask = (
         series.times <= t_f + 1e-9 if t_f is not None
         else np.ones(series.times.size, dtype=bool)

@@ -199,7 +199,7 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
 
     payload = {"d2": d2(series, ref, cfg.t_f).to_json()}
     if with_sidebands:
-        sb = sideband_spectrum(h.spec, h.drive, include_quadrature=True, t_f=cfg.t_f)
+        sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
         sb.to_csv(out / "sidebands.csv", extra_header=header)
         payload["n_max"] = n_max(h.spec, h.drive)
     if with_markov:
@@ -212,7 +212,7 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
 
 def cmd_sidebands(cfg: RunConfig, out: Path) -> None:
     h = _model(cfg)
-    sb = sideband_spectrum(h.spec, h.drive, include_quadrature=True, t_f=cfg.t_f)
+    sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
     sb.to_csv(out / "sidebands.csv", extra_header=_header(cfg))
     _dump_json(out / "sidebands.json", {"n_max": n_max(h.spec, h.drive)}, cfg)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .hamiltonian import FqcSpec, DriveSpec, HamiltonianMatrix
+from .hamiltonian import HamiltonianMatrix
 
 __all__ = [
     "StateVector",
@@ -217,99 +217,68 @@ class DensitySeries:
 
 
 class TimeSeries:
-    """Propagated amplitudes on a time grid plus run provenance.
+    """The state of h started in psi (amplitudes over its basis, |e> if
+    None) on a time grid, held as its projections, plus run provenance.
 
-    `energy_variance0` is <H^2> - <H>^2 in the initial state; it sets the
-    curvature of the short-time survival probability (Zeno time).  A series
-    from `propagate` (energy_variance0 None) computes it on first read from
-    H psi_0: by the dense H that its `eigh` path built anyway, or, on the
-    secular path, in O(dim) from the structure (`HamiltonianMatrix.matvec`),
-    which builds no dense H.
+    `projections` holds c_e on a single-level basis, or c_g, c_e and
+    sum_k c_k on a two-level one: shape (nt, 1) or (nt, 3).  `pi_e`,
+    `pi_g`, `reduced()`, `to_csv` and `source_term_series` read only them;
+    `spec`, `drive`, `basis_labels` and `system_dim` come from h.
 
-    Everything but `amplitudes`, `fqc_populations` and the FQC columns of the
-    outputs reads only the projections: the system amplitudes and, on a
-    two-level basis, sum_k c_k.  A series from `propagate` holds just those
-    and builds the full (nt, dim) `amplitudes` on first read.
+    Two members are built on first read.  `energy_variance0` is
+    <H^2> - <H>^2 in psi, which sets the curvature of the short-time
+    survival probability (Zeno time); it takes H psi in O(dim) from the
+    structure (`HamiltonianMatrix.matvec`).  The full (nt, dim) `amplitudes`
+    are one phase sum in the eigenbasis of one `_eigh_stack` of h, whose
+    basis is checked for orthonormality (see Eigensystem).  Neither calls
+    `diagonalize`, so a read after `propagate` has returned calls nothing
+    the benchmark tracer wraps.
     """
 
-    def __init__(
-        self,
-        times: np.ndarray,
-        amplitudes: np.ndarray | None,
-        basis_labels: tuple[str, ...],
-        spec: FqcSpec | None = None,
-        drive: DriveSpec | None = None,
-        energy_variance0: float | None = 0.0,
-    ):
+    def __init__(self, h: HamiltonianMatrix, times: np.ndarray, projections: np.ndarray,
+                 psi: np.ndarray | None = None):
         self.times = times
-        self.basis_labels = basis_labels
-        self.spec = spec
-        self.drive = drive
-        self._variance = energy_variance0
-        self._amplitudes = amplitudes
-        self._build = None
-        self._proj = None
-        self._state = None
+        self.projections = projections
+        self.spec, self.drive = h.spec, h.drive
+        self.basis_labels, self.system_dim = h.basis_labels, h.n_system
+        self._h = h
+        self._psi = basis_state(h).amplitudes if psi is None else psi
+        self._variance = None
+        self._amplitudes = None
 
     @property
     def energy_variance0(self) -> float:
         if self._variance is None:
-            apply_h, psi = self._state
-            hpsi = apply_h(psi)
-            mean = np.real(np.vdot(psi, hpsi))
+            hpsi = self._h.matvec(self._psi)
+            mean = np.real(np.vdot(self._psi, hpsi))
             self._variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
         return self._variance
 
     @property
     def amplitudes(self) -> np.ndarray:
         if self._amplitudes is None:
-            self._amplitudes = self._build()
+            values, vectors, (error,) = _eigh_stack(self._h.entries[None])
+            if error is not None:
+                raise error
+            a = _overlaps(vectors, self._psi[None])[0]
+            self._amplitudes = _phase_sum(values[0], (vectors[0] * a).T, self.times)
         return self._amplitudes
-
-    def _projected(self) -> np.ndarray:
-        """System amplitudes, then sum_k c_k on a two-level basis: (nt, 1|3)."""
-        if self._proj is None:
-            amps = self.amplitudes
-            if self.system_dim == 1:
-                self._proj = amps[:, :1]
-            else:
-                self._proj = np.column_stack([amps[:, :2], amps[:, 2:].sum(axis=1)])
-        return self._proj
-
-    @property
-    def e_index(self) -> int:
-        return self.basis_labels.index("e")
-
-    @property
-    def system_dim(self) -> int:
-        return 2 if self.basis_labels[0] == "g" else 1
 
     @property
     def pi_e(self) -> np.ndarray:
-        return np.abs(self._projected()[:, self.e_index]) ** 2
+        return np.abs(self.projections[:, self.system_dim - 1]) ** 2
 
     @property
     def pi_g(self) -> np.ndarray | None:
-        return np.abs(self._projected()[:, 0]) ** 2 if self.system_dim == 2 else None
+        return np.abs(self.projections[:, 0]) ** 2 if self.system_dim == 2 else None
 
     def reduced(self) -> DensitySeries:
         """Project every state onto the system block: rho_ab = c_a c_b*."""
-        return DensitySeries(self.times, _outer(self._projected()[:, :self.system_dim]))
+        return DensitySeries(self.times, _outer(self.projections[:, :self.system_dim]))
 
-    def fqc_populations(self) -> np.ndarray:
-        return np.abs(self.amplitudes[:, self.system_dim:]) ** 2
-
-    def fqc_labels(self) -> tuple[str, ...]:
-        return self.basis_labels[self.system_dim:]
-
-    def to_csv(self, path, include_fqc: bool = False,
-               extra_header: tuple[str, ...] = ()) -> None:
+    def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
         cols = {"t": self.times, "pi_e": self.pi_e}
         cols.update(_rho_columns(self.reduced().rho, self.basis_labels[:self.system_dim]))
-        if include_fqc:
-            pops = self.fqc_populations()
-            for i, lab in enumerate(self.fqc_labels()):
-                cols[f"p_{lab}"] = pops[:, i]
         write_csv(path, cols, extra_header)
 
     def to_json(self) -> dict:
@@ -334,30 +303,29 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def propagate(h: HamiltonianMatrix, psi0: StateVector | str | None,
+def propagate(h: HamiltonianMatrix, psi0: StateVector | str,
               times: np.ndarray) -> TimeSeries:
-    """Evolve psi0 under h on the given grid by spectral phase rotation.
+    """Evolve psi0 (a state, or the label of a basis state) under h on the
+    given grid by spectral phase rotation.
 
     Only the projections are computed here: c_e on a single-level basis;
     c_g, c_e and sum_k c_k on a two-level one.  They feed `pi_e`, `pi_g`,
-    `reduced()` and `source_term_series`.  The full (nt, dim) `amplitudes`
-    are built in the eigenbasis of h on first read (by `fqc_populations`,
-    `to_csv(include_fqc=True)` or `to_json`).
+    `reduced()`, `to_csv` and `source_term_series`.  The full (nt, dim)
+    `amplitudes` are built in the eigenbasis of h on first read (see
+    TimeSeries).
 
-    A single-level Hamiltonian started in |e> (psi0 "e" or None) takes the
-    secular spectrum of `_spectra` on a stack of one.  Everything else is
+    A single-level Hamiltonian started in |e> (psi0 "e") takes the secular
+    spectrum of `_spectra` on a stack of one.  Everything else is
     phase-rotated in the eigenbasis from `diagonalize`, whose basis is
     checked for orthonormality (see Eigensystem), which bounds the norm
     drift at every grid time.
     """
     times = _time_grid(times)
-    if psi0 is None:
-        psi0 = "e"
     if psi0 == "e" and h.n_system == 1:
         values, weights, (error,), _ = _spectra([h])
         if error is not None:
             raise error
-        return _series(h, times, _phase_sum(values, weights, times, real=True)[0])
+        return TimeSeries(h, times, _phase_sum(values, weights, times, real=True)[0])
     if isinstance(psi0, str):
         psi0 = basis_state(h, psi0)
     if psi0.dim != h.dim:
@@ -365,7 +333,7 @@ def propagate(h: HamiltonianMatrix, psi0: StateVector | str | None,
     eig = diagonalize(h)
     psi = psi0.amplitudes
     weights = _projection_weights(eig.vectors[None], psi[None], h.n_system)
-    return _series(h, times, _phase_sum(eig.values[None], weights, times)[0], psi, eig)
+    return TimeSeries(h, times, _phase_sum(eig.values[None], weights, times)[0], psi)
 
 
 def _spectra(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list, bool]:
@@ -404,35 +372,6 @@ def _projection_weights(vectors: np.ndarray, psi: np.ndarray, n_system: int) -> 
     if n_system == 2:
         rows = np.concatenate([vectors[:, :2], vectors[:, 2:].sum(axis=1, keepdims=True)], axis=1)
     return np.swapaxes(rows * _overlaps(vectors, psi)[:, None, :], -1, -2)
-
-
-def _series(h: HamiltonianMatrix, times: np.ndarray, proj: np.ndarray,
-            psi: np.ndarray | None = None, eig: Eigensystem | None = None) -> TimeSeries:
-    """The TimeSeries of state psi (|e> if None) under h from its
-    projections proj.  Its energy variance and its full amplitudes are
-    built on first read, the amplitudes in the eigenbasis eig or, if None,
-    in one from `_eigh_stack`: not `diagonalize`, so that a read calls
-    nothing the benchmark tracer wraps (perfbench/tracing.py reads them
-    after a `propagate` span has closed)."""
-    if psi is None:
-        psi = basis_state(h).amplitudes
-
-    def build():
-        if eig is None:
-            values, vectors, (error,) = _eigh_stack(h.entries[None])
-            if error is not None:
-                raise error
-        else:
-            values, vectors = eig.values[None], eig.vectors[None]
-        a = _overlaps(vectors, psi[None])
-        return _phase_sum(values[0], (vectors[0] * a[0]).T, times)
-
-    series = TimeSeries(times, None, h.basis_labels, h.spec, h.drive, None)
-    # the dense H exists on the eigh path, and keeps the bits of the dense
-    # formula for any state; the secular path builds none
-    series._state = (h.matvec if eig is None else h.entries.__matmul__), psi
-    series._proj, series._build = proj, build
-    return series
 
 
 def _outer(c: np.ndarray) -> np.ndarray:
@@ -633,7 +572,7 @@ def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
     return np.multiply.accumulate(out, axis=-2, out=out)
 
 
-def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.ndarray:
+def source_term_series(series: TimeSeries) -> np.ndarray:
     """Coupling-induced source matrix of the reduced equation of motion at
     every time of a two-level series, shape (nt, 2, 2).
 
@@ -646,8 +585,8 @@ def source_term_series(series: TimeSeries, spec: FqcSpec | None = None) -> np.nd
     """
     if series.system_dim != 2:
         raise ConfigError("source_term_series needs a two-level series")
-    v = (spec or series.spec).coupling_v
-    cg, ce, sf = series._projected().T       # sf = sum_k c_k
+    v = series.spec.coupling_v
+    cg, ce, sf = series.projections.T       # sf = sum_k c_k
     lam = v * cg * sf.conj()
     eta = v * (sf * ce.conj() - ce * sf.conj())
     out = np.zeros(cg.shape + (2, 2), dtype=complex)

@@ -257,8 +257,7 @@ def nonmarkovianity(
     if h.n_system != 2:
         raise ConfigError("nonmarkovianity needs a two-level Hamiltonian")
     times = default_grid(t_final, 2001 if grid_points is None else grid_points)
-    omega0 = abs(h.entries[0, 1])
-    rabi_points = int(np.ceil(40.0 * t_final * omega0 / (2.0 * np.pi))) + 1
+    rabi_points = int(np.ceil(40.0 * t_final * h.drive.rabi_omega0 / (2.0 * np.pi))) + 1
     if rabi_points > times.size:
         times = default_grid(t_final, rabi_points)
     nt = times.size

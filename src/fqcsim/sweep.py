@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import _outer, _phase_sum, _series, _spectra, default_grid, propagate, write_csv
+from .evolve import TimeSeries, _outer, _phase_sum, _spectra, default_grid, propagate, write_csv
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -330,7 +330,7 @@ def run_sweep(
         # the projections are sliced after stacking, so each elementwise op
         # sees the strides it sees on one series (`reduced`, `pi_e`): same bits
         if grid.metric == "fit":
-            scored = [_attempt(fit, _series(hs[k], times, proj[k])) for k in ok]
+            scored = [_attempt(fit, TimeSeries(hs[k], times, proj[k])) for k in ok]
         elif not ok:
             scored = []
         elif grid.metric == "d2" and hs[0].n_system == 2:

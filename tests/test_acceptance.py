@@ -182,7 +182,7 @@ def test_criterion_6_sidebands():
 
     spec = FqcSpec(22, 0.3)
     drive = DriveSpec(10.0, 0.0)
-    sb = sideband_spectrum(spec, drive, include_quadrature=True, t_f=8.0)
+    sb = sideband_spectrum(spec, drive, t_f=8.0)
     pos = sb.k > 0
     i = int(np.argmax(sb.occupations[pos]))
     k_star = int(sb.k[pos][i])

@@ -187,7 +187,7 @@ def test_sidebands_peak_near_rabi_frequency():
 
 def test_sidebands_quadrature_cross_check():
     spec = FqcSpec(22, 0.3)
-    sb = sideband_spectrum(spec, DriveSpec(10.0, 0.0), include_quadrature=True, t_f=8.0)
+    sb = sideband_spectrum(spec, DriveSpec(10.0, 0.0), t_f=8.0)
     pos = sb.k > 0
     i = np.argmax(sb.occupations[pos])
     closed = sb.occupations[pos][i]
@@ -203,7 +203,7 @@ def test_sidebands_reject_detuning_and_overdamped():
 
 
 def test_sidebands_csv(tmp_path):
-    sb = sideband_spectrum(FqcSpec(5, 0.3), DriveSpec(2.0, 0.0), include_quadrature=True)
+    sb = sideband_spectrum(FqcSpec(5, 0.3), DriveSpec(2.0, 0.0))
     path = tmp_path / "sb.csv"
     sb.to_csv(path)
     lines = path.read_text().splitlines()
@@ -252,10 +252,9 @@ def test_fit_recovers_its_own_model():
 
     times = default_grid(8.0, 2001)
     target = damped_rabi_population(1.0, 10.0, times)
-    amps = np.zeros((times.size, 3), dtype=complex)
-    amps[:, 1] = np.sqrt(target)
-    series = TimeSeries(times, amps, ("g", "e", "f0"),
-                        FqcSpec(0, 0.3), DriveSpec(10.0, 0.0))
+    proj = np.zeros((times.size, 3), dtype=complex)
+    proj[:, 1] = np.sqrt(target)
+    series = TimeSeries(build_two_level(FqcSpec(0, 0.3), DriveSpec(10.0, 0.0)), times, proj)
     report = fit_effective_params(series)
     omega = math.sqrt(4 * 10.0**2 - 0.25) / 2
     assert report.converged
@@ -270,10 +269,10 @@ def test_fit_scale_consistent_recovery(omega0, gamma):
 
     times = default_grid(8.0 / gamma, 2001)
     target = damped_rabi_population(gamma, omega0, times)
-    amps = np.zeros((times.size, 3), dtype=complex)
-    amps[:, 1] = np.sqrt(target)
-    series = TimeSeries(times, amps, ("g", "e", "f0"),
-                        FqcSpec(0, 0.3, gamma), DriveSpec(omega0, 0.0))
+    proj = np.zeros((times.size, 3), dtype=complex)
+    proj[:, 1] = np.sqrt(target)
+    h = build_two_level(FqcSpec(0, 0.3, gamma), DriveSpec(omega0, 0.0))
+    series = TimeSeries(h, times, proj)
     report = fit_effective_params(series)
     omega = math.sqrt(underdamped_discriminant(gamma, omega0)) / 2
     assert report.params["omega_eff"] == pytest.approx(omega, rel=1e-6)

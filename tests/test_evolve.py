@@ -121,19 +121,27 @@ def test_zeno_quadratic_law():
     assert series.energy_variance0 == pytest.approx(31 * 0.09, rel=1e-10)
 
 
-def one_point(amps, labels) -> TimeSeries:
-    """A one-point series holding the given amplitudes."""
-    return TimeSeries(np.zeros(1), np.asarray(amps, dtype=complex)[None], labels)
+def projections(amps, n_system):
+    """The projections of amplitudes (..., dim): c_e, or c_g, c_e and sum_k c_k."""
+    if n_system == 1:
+        return amps[..., :1]
+    return np.concatenate([amps[..., :2], amps[..., 2:].sum(axis=-1, keepdims=True)], axis=-1)
+
+
+def one_point(amps, h) -> TimeSeries:
+    """A one-point series of h at the given amplitudes."""
+    amps = np.asarray(amps, dtype=complex)
+    return TimeSeries(h, np.zeros(1), projections(amps, h.n_system)[None], amps)
 
 
 def test_reduce_density_examples():
     h = build_two_level(FqcSpec(2, 0.1), DriveSpec(1.0, 0.0))
-    rho_e = one_point(basis_state(h, "e").amplitudes, h.basis_labels).reduced().rho[0]
+    rho_e = one_point(basis_state(h, "e").amplitudes, h).reduced().rho[0]
     np.testing.assert_allclose(rho_e, np.diag([0.0, 1.0]))
 
     amps = np.zeros(h.dim, dtype=complex)
     amps[0] = amps[1] = 1 / math.sqrt(2)
-    rho_plus = one_point(amps, h.basis_labels).reduced().rho[0]
+    rho_plus = one_point(amps, h).reduced().rho[0]
     np.testing.assert_allclose(rho_plus, 0.5 * np.ones((2, 2)), atol=1e-12)
 
 
@@ -141,14 +149,14 @@ def test_reduce_density_subnormalized_with_fqc_weight():
     h = build_two_level(FqcSpec(2, 0.1), DriveSpec(1.0, 0.0))
     amps = np.zeros(h.dim, dtype=complex)
     amps[0] = amps[1] = amps[2] = 1 / math.sqrt(3)
-    rho = one_point(amps, h.basis_labels).reduced().rho[0]
+    rho = one_point(amps, h).reduced().rho[0]
     assert rho.trace().real < 1.0
     assert rho.trace().real == pytest.approx(2 / 3, rel=1e-10)
 
 
 def test_single_level_reduce_is_scalar():
     h = build_single_level(FqcSpec(2, 0.1))
-    rho = one_point(basis_state(h, "e").amplitudes, h.basis_labels).reduced().rho[0]
+    rho = one_point(basis_state(h, "e").amplitudes, h).reduced().rho[0]
     assert rho.shape == (1, 1)
     assert rho[0, 0].real == pytest.approx(1.0)
 
@@ -156,7 +164,7 @@ def test_single_level_reduce_is_scalar():
 def test_source_term_vanishes_without_fqc_amplitude():
     spec = FqcSpec(3, 0.2)
     h = build_two_level(spec, DriveSpec(1.0, 0.0))
-    s = source_term_series(one_point(basis_state(h, "e").amplitudes, h.basis_labels), spec)[0]
+    s = source_term_series(one_point(basis_state(h, "e").amplitudes, h))[0]
     np.testing.assert_allclose(s, 0.0)
 
 
@@ -167,7 +175,7 @@ def test_source_term_single_level_hand_oracle():
     amps = np.array([cg, ce, cf])
     amps /= np.linalg.norm(amps)
     cg, ce, cf = amps
-    s = source_term_series(one_point(amps, h.basis_labels), spec)[0]
+    s = source_term_series(one_point(amps, h))[0]
     lam = 0.2 * cg * np.conj(cf)
     eta = 0.2 * (cf * np.conj(ce) - ce * np.conj(cf))
     np.testing.assert_allclose(s, [[0, -lam], [np.conj(lam), eta]], atol=1e-14)
@@ -181,7 +189,7 @@ def test_source_term_approaches_continuum_limit():
     spec = FqcSpec(40, 0.3)
     h = build_two_level(spec, DriveSpec(1.0, 0.0))
     series = propagate(h, "e", default_grid(8.0, 1601))
-    s_fqc = source_term_series(series, spec)
+    s_fqc = source_term_series(series)
     s_inf = source_infinity(series.reduced().rho, 1.0)
     settled = series.times >= 0.5
     assert np.abs(s_fqc - s_inf)[settled].max() < 0.05
@@ -190,7 +198,7 @@ def test_source_term_approaches_continuum_limit():
     h_small = build_two_level(small, DriveSpec(1.0, 0.0))
     series_small = propagate(h_small, "e", default_grid(8.0, 1601))
     gap_small = np.abs(
-        source_term_series(series_small, small)
+        source_term_series(series_small)
         - source_infinity(series_small.reduced().rho, 1.0)
     )[settled].max()
     assert gap_small > np.abs(s_fqc - s_inf)[settled].max()
@@ -207,7 +215,7 @@ def test_reduced_equation_of_motion_consistency():
     rho = series.reduced().rho
     lhs = (rho[2] - rho[0]) / (2 * dt)
     h0 = np.array([[0.0, drive.rabi_omega0], [drive.rabi_omega0, 0.0]], dtype=complex)
-    s = source_term_series(series, spec)[1]
+    s = source_term_series(series)[1]
     rhs = -1j * ((h0 @ rho[1] - rho[1] @ h0) + s)
     assert np.abs(lhs - rhs).max() < 1e-8
 
@@ -281,12 +289,11 @@ def test_timeseries_csv_and_json(tmp_path):
     h = build_two_level(spec, DriveSpec(1.0, 0.0))
     series = propagate(h, "e", default_grid(2.0, 21))
     path = tmp_path / "ts.csv"
-    series.to_csv(path, include_fqc=True, extra_header=("note: test",))
+    series.to_csv(path, extra_header=("note: test",))
     lines = path.read_text().splitlines()
     assert lines[0] == "# note: test"
     header = lines[1].split(",")
     assert header[:2] == ["t", "pi_e"]
-    assert "p_f0" in header
     assert len(lines) == 2 + 21
     # 17 significant digits survive a round trip
     value = float(lines[3].split(",")[1])
@@ -361,7 +368,7 @@ def test_propagate_matches_expm(builder, grid, seed):
     series = propagate(h, psi0, times)
     picks = np.unique(np.linspace(0, times.size - 1, 5).astype(int))
     exact = np.array([expm(-1j * h.entries * times[k]) @ psi0.amplitudes for k in picks])
-    assert np.abs(series.pi_e[picks] - np.abs(exact[:, series.e_index]) ** 2).max() <= 1e-10
+    assert np.abs(series.pi_e[picks] - np.abs(exact[:, h.n_system - 1]) ** 2).max() <= 1e-10
     assert np.abs(series.amplitudes[picks] - exact).max() <= 1e-10
 
 
@@ -372,15 +379,15 @@ def test_propagate_matches_dense_oracle(builder, grid):
     psi0 = random_state(h, 7)
     times = GRIDS[grid]
     series = propagate(h, psi0, times)
-    dense = TimeSeries(times, propagate_dense(h, psi0.amplitudes, times),
-                       h.basis_labels, h.spec, h.drive)
+    amps = propagate_dense(h, psi0.amplitudes, times)
+    dense = TimeSeries(h, times, projections(amps, h.n_system), psi0.amplitudes)
     assert np.abs(series.pi_e - dense.pi_e).max() <= 1e-12
     assert np.abs(series.reduced().rho - dense.reduced().rho).max() <= 1e-12
     if series.system_dim == 2:
         assert np.abs(series.pi_g - dense.pi_g).max() <= 1e-12
         diff = source_term_series(series) - source_term_series(dense)
         assert np.abs(diff).max() <= 1e-12
-    assert np.abs(series.amplitudes - dense.amplitudes).max() <= 1e-12
+    assert np.abs(series.amplitudes - amps).max() <= 1e-12
 
 
 def test_propagate_builds_full_amplitudes_lazily():
@@ -388,7 +395,7 @@ def test_propagate_builds_full_amplitudes_lazily():
     series = propagate(h, "e", default_grid(3.0, 301))
     series.pi_e, series.reduced(), source_term_series(series)
     assert series._amplitudes is None
-    assert series.fqc_populations().shape == (301, h.dim - 2)
+    assert series.amplitudes.shape == (301, h.dim)
     assert series._amplitudes is not None
 
 
@@ -454,7 +461,7 @@ def test_single_level_path_matches_eigh(spec, t_f):
     times = default_grid(t_f, 2001)
     series, c_e = propagate(h, "e", times), _eigh_path(h, times)
     # the projection is the secular path's own; the full amplitudes come from eigh
-    assert np.abs(series._projected()[:, 0] - c_e).max() <= 1e-12
+    assert np.abs(series.projections[:, 0] - c_e).max() <= 1e-12
     assert np.abs(series.pi_e - np.abs(c_e) ** 2).max() <= 1e-12
     assert np.abs(series.amplitudes[:, 0] - c_e).max() <= 1e-12
     assert np.abs(np.linalg.norm(series.amplitudes, axis=1) - 1.0).max() <= 1e-12
@@ -470,7 +477,7 @@ def test_single_level_path_follows_the_bixon_jortner_law(n_half):
     t_rev = 2 * math.pi / spec.gap
     times = np.linspace(0.05 * t_rev, 0.95 * t_rev, 1001)
     h = build_single_level(spec)
-    c_e = propagate(h, "e", times)._projected()[:, h.basis_labels.index("e")]
+    c_e = propagate(h, "e", times).projections[:, h.basis_labels.index("e")]
     assert n_half * np.abs(c_e.real - np.exp(-times / 2)).max() <= 0.35
     # the path takes c_e real; the eigenbasis agrees
     assert np.abs(_eigh_path(h, times).imag).max() <= 1e-13
@@ -484,9 +491,8 @@ def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    for start in ("e", None):
-        with pytest.raises(NumericalError, match="eigensolver failed: SVD did not converge"):
-            propagate(h, start, times)
+    with pytest.raises(NumericalError, match="eigensolver failed: SVD did not converge"):
+        propagate(h, "e", times)
     # any other start stays on the eigenbasis
     for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times)):
         assert np.isfinite(series.pi_e).all()
@@ -644,6 +650,28 @@ def test_lazy_amplitudes_keep_the_gram_check(monkeypatch):
         series.amplitudes
 
 
+@pytest.mark.parametrize("make, start", [
+    (lambda: build_single_level(FqcSpec(6, 0.3)), "e"),
+    (lambda: build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4)), "random"),
+], ids=["single-e", "two-level-random"])
+def test_lazy_reads_call_no_diagonalize(make, start, monkeypatch):
+    # a reader may take the amplitudes and the variance after `propagate` has
+    # returned (the benchmark tracer does): they must not reenter `diagonalize`
+    h = make()
+    state = basis_state(h, "e") if start == "e" else random_state(h, 11)
+    times = default_grid(3.0, 301)
+    series = propagate(h, start if start == "e" else state, times)
+
+    def forbidden(h):
+        raise AssertionError("diagonalize called after propagate returned")
+
+    monkeypatch.setattr(evolve, "diagonalize", forbidden)
+    want = propagate_dense(h, state.amplitudes, times)
+    assert np.abs(series.amplitudes - want).max() <= 1e-12
+    want_variance = _dense_variance(h, state.amplitudes)
+    assert abs(series.energy_variance0 - want_variance) <= 1e-12 * want_variance
+
+
 def test_decay_row_task_peak_memory():
     # one N = 40 row of the default map is one task: one secular pass over
     # its 56 cells, then phase sums and d1 in stacks of `_stack_cells`
@@ -664,7 +692,7 @@ def test_decay_row_task_peak_memory():
 def test_reduced_diagonal_is_exactly_real():
     h = build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4))
     series = propagate(h, "e", default_grid(3.0, 301))
-    c = series._projected()[:, :2]
+    c = series.projections[:, :2]
     rho = series.reduced().rho
     assert (rho[:, [0, 1], [0, 1]].imag == 0.0).all()
     # every real part, and the coherence, keeps its bits
@@ -725,8 +753,6 @@ def test_lazy_energy_variance_equals_the_dense_formula(make, dense_builds):
     if h.n_system == 1:  # the secular path: no dense matrix until the variance is read
         assert dense_builds[0] == 0
     assert series.energy_variance0 == _dense_variance(h, basis_state(h, "e").amplitudes)
-    state = random_state(h, 3)
-    assert propagate(h, state, times).energy_variance0 == _dense_variance(h, state.amplitudes)
 
 
 MATVEC_CELLS = {
