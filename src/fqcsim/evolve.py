@@ -268,6 +268,20 @@ class TimeSeries:
     def pi_e(self) -> np.ndarray:
         return np.abs(self.projections[:, self.system_dim - 1]) ** 2
 
+    def _depletion(self, mask: np.ndarray) -> np.ndarray:
+        """1 - pi_e at times[mask].  A single-level series from |e> has
+        c_e = sum_n w_n cos(sigma_n t) with sum_n w_n = 1 (`_spectra`), so
+        1 - c_e = 2 sum_n w_n sin^2(sigma_n t / 2), by direct sines, and
+        1 - pi_e = (1 - c_e)(1 + c_e) keeps its relative accuracy where
+        pi_e is close to 1; any other series subtracts."""
+        if self.system_dim != 1 or not np.array_equal(self._psi, basis_state(self._h).amplitudes):
+            return 1.0 - self.pi_e[mask]
+        sigma, weights, (error,), _ = _spectra([self._h])
+        if error is not None:
+            raise error
+        loss = 2.0 * np.sin(np.outer(self.times[mask], 0.5 * sigma[0])) ** 2 @ weights[0, :, 0]
+        return loss * (2.0 - loss)
+
     @property
     def pi_g(self) -> np.ndarray | None:
         return np.abs(self.projections[:, 0]) ** 2 if self.system_dim == 2 else None

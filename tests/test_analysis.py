@@ -55,6 +55,36 @@ def test_zeno_two_state_exact_oracle():
     assert report.params["t_zeno"] == pytest.approx(1 / 0.3, rel=0.02)
 
 
+def _zeno_oracle(h, times, window):
+    """The Zeno fits from the dense eigenbasis of h, 1 - pi_e without
+    cancellation: 1 - c_e = 2 sum_n |V[e, n]|^2 sin^2(E_n t / 2)."""
+    values, vectors = np.linalg.eigh(h.entries)
+    w = np.abs(vectors[h.basis_labels.index("e")]) ** 2
+    t = times[times <= window]
+    loss = 2.0 * np.sin(np.outer(t, 0.5 * values)) ** 2 @ w
+    t2 = t**2
+    return 1.0 / math.sqrt(float(t2 @ (loss * (2.0 - loss))) / float(t2 @ t2))
+
+
+@pytest.mark.parametrize("n_half,hole", [(0, None), (15, None), (15, 1.0)])
+def test_zeno_time_is_immune_to_rounding_in_pi_e(n_half, hole):
+    # c_e nudged at the rounding level of the phase sum (4e-14 on the CLI
+    # grids) must not move the fits: at N = 0 (decay --n 0, c_e = cos(v t))
+    # subtracting pi_e from 1 moved t_zeno_half_window by 2.9e-10
+    from fqcsim import HoleSpec, TimeSeries
+
+    times = default_grid(10.0, 2001)
+    h = build_single_level(FqcSpec(n_half, 0.3, hole=None if hole is None else HoleSpec(hole)))
+    series = propagate(h, "e", times)
+    noise = np.random.default_rng(0).uniform(-1.0, 1.0, series.projections.shape)
+    nudged = TimeSeries(h, times, series.projections + 4e-14 * noise)
+    t_analytic = 1.0 / math.sqrt(series.energy_variance0)
+    for key, window in (("t_zeno", t_analytic / 10), ("t_zeno_half_window", t_analytic / 20)):
+        want = _zeno_oracle(h, times, window)
+        for s in (series, nudged):
+            assert zeno_time(s).params[key] == pytest.approx(want, rel=1e-12)
+
+
 def test_zeno_window_under_resolved():
     with pytest.raises(ConfigError):
         zeno_time(decay_series(15, 0.3, points=21))
@@ -299,6 +329,18 @@ def test_fit_flags_nonconvergence():
     series = propagate(h, "e", default_grid(4.0, 201))
     report = fit_effective_params(series, max_nfev=1)
     assert not report.converged
+
+
+def test_fit_of_a_non_finite_population_is_a_numerical_error():
+    from fqcsim import NumericalError, TimeSeries
+
+    h = build_two_level(FqcSpec(2, 0.2), DriveSpec(1.0, 0.0))
+    times = default_grid(4.0, 201)
+    series = propagate(h, "e", times)
+    broken = series.projections.copy()
+    broken[50] = np.nan
+    with pytest.raises(NumericalError):
+        fit_effective_params(TimeSeries(h, times, broken))
 
 
 def test_fit_requires_provenance():

@@ -1,0 +1,148 @@
+"""The two-parameter trust-region-reflective fit against scipy's `trf`.
+
+`analysis._trf` is a port of `least_squares(method="trf")` with bounds at 0,
+so the oracle is scipy itself, run on the same residuals from the same
+start: the same parameters, status and number of evaluations, and on the
+smaller problems the same trial points.  scipy is needed only here; these
+tests skip where it is absent.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fqcsim import DriveSpec, NonHermitianSpec, default_grid, evolve_nonhermitian
+from fqcsim import analysis
+from fqcsim.analysis import _damped_cos2, _trf
+from fqcsim.sweep import size_cell
+
+least_squares = pytest.importorskip("scipy.optimize").least_squares
+
+SCAN_SIZES = range(10, 81)
+
+
+def _residuals(t, target):
+    def fun(p):
+        model, jac = _damped_cos2(t, *p)
+        return model - target, jac
+    return fun
+
+
+def _recorded(fun, trials):
+    def call(p):
+        trials.append(tuple(float(v) for v in p))
+        return fun(p)
+    return call
+
+
+def _pair(fun, x0, max_nfev=400):
+    """The port and `least_squares` on fun from x0, each with its trial points."""
+    ours, theirs = [], []
+    x, f, status, nfev = _trf(_recorded(fun, ours), x0, max_nfev)
+    record = _recorded(fun, theirs)
+    sol = least_squares(lambda p: record(p)[0], np.array(x0, dtype=float),
+                        jac=lambda p: fun(p)[1], bounds=([0.0, 0.0], [np.inf, np.inf]),
+                        max_nfev=max_nfev)
+    return (np.array(x), f, status, nfev, np.array(ours)), (sol, np.array(theirs))
+
+
+@pytest.fixture(scope="module")
+def scan_cells():
+    """The series and reports of the default size scan (omega0 10, t_f 16, 4001 points)."""
+    times = default_grid(16.0, 4001)
+    drive = DriveSpec(10.0, 0.0)
+    ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times)
+    return {size: size_cell(size, drive, 0.3, 1.0, None, times, ref, 16.0)[1:3]
+            for size in SCAN_SIZES}
+
+
+def test_scan_fits_take_the_steps_of_least_squares(scan_cells):
+    # measured: 9.3e-16 relative at worst, equal status and nfev on every size
+    for size, (series, report) in scan_cells.items():
+        fun = _residuals(series.times, series.pi_e)
+        (x, f, status, nfev, _), (sol, _) = _pair(fun, (10.0, 1.0))
+        assert (status, nfev) == (sol.status, sol.nfev), size
+        np.testing.assert_allclose(x, sol.x, rtol=1e-12, err_msg=str(size))
+        got = np.array([report.params["omega_eff"], report.params["gamma_eff"]])
+        np.testing.assert_array_equal(got, x)
+        assert report.converged == sol.success
+        assert report.residual_norm == pytest.approx(np.linalg.norm(sol.fun), rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [20, 37, 39, 60])
+def test_scan_fits_lie_within_the_docstring_distance_of_a_tight_fit(scan_cells, size):
+    # the four sizes farthest from the tight minimum: gamma 1.6e-4, 9.3e-5,
+    # 2.2e-5 and 1.4e-5 relative; omega at most 2.0e-6 over all 71 sizes
+    series, report = scan_cells[size]
+    fun = _residuals(series.times, series.pi_e)
+    tight = least_squares(lambda p: fun(p)[0], [10.0, 1.0], jac=lambda p: fun(p)[1],
+                          bounds=([0.0, 0.0], [np.inf, np.inf]),
+                          ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=4000)
+    assert tight.success
+    assert report.params["gamma_eff"] == pytest.approx(tight.x[1], rel=2e-4)
+    assert report.params["omega_eff"] == pytest.approx(tight.x[0], rel=1e-5)
+
+
+@pytest.mark.parametrize("t_f, points, gamma, omega, x0, reflects", [
+    # undamped, gamma = 0 exactly, from gamma = 1: the trust-region step
+    # leaves gamma >= 0 and the reflective step is taken
+    (10.0, 2001, 0.0, 0.3, (0.3, 1.0), True),
+    # a growing target, best fitted beyond the bound: the cut-back step and
+    # the radius doubling on the trust-region boundary decide the path
+    (16.0, 4001, -0.5, 0.3, (0.3, 1.0), True),
+    # a start on the bound: moved 1e-10 inside, then gtol (status 1) wins
+    # over the xtol met on the same step
+    (16.0, 4001, 0.0, 10.0, (10.0, 0.0), False),
+])
+def test_a_bound_active_fit_takes_the_steps_of_least_squares(monkeypatch, t_f, points, gamma,
+                                                              omega, x0, reflects):
+    bounded = []
+    to_bound = analysis._to_bound
+    monkeypatch.setattr(analysis, "_to_bound",
+                        lambda x, s: bounded.append(x) or to_bound(x, s))
+    t = default_grid(t_f, points)
+    fun = _residuals(t, np.exp(-0.5 * gamma * t) * np.cos(omega * t) ** 2)
+    (x, _, status, nfev, ours), (sol, theirs) = _pair(fun, x0)
+    assert bool(bounded) == reflects
+    assert (status, nfev) == (sol.status, sol.nfev)
+    assert ours.shape == theirs.shape
+    # gamma ends between 1e-22 and 1e-6, so its trial values get an absolute bound
+    np.testing.assert_allclose(ours[:, 0], theirs[:, 0], rtol=1e-12)
+    np.testing.assert_allclose(ours[:, 1], theirs[:, 1], rtol=1e-12, atol=1e-15)
+    assert 0 < x[1] < 1e-6
+
+
+def test_a_non_finite_trial_shrinks_the_trust_region():
+    # residuals are infinite above gamma = 1.3, short of the target's 2
+    t = default_grid(16.0, 4001)
+    model = _residuals(t, np.exp(-t) * np.cos(10.0 * t) ** 2)
+
+    def fun(p):
+        f, jac = model(p)
+        return (f + np.inf if p[1] > 1.3 else f), jac
+
+    (x, _, status, nfev, ours), (sol, theirs) = _pair(fun, (10.0, 1.0))
+    assert (status, nfev) == (sol.status, sol.nfev)
+    np.testing.assert_allclose(ours, theirs, rtol=1e-12)
+    np.testing.assert_allclose(x, sol.x, rtol=1e-12)
+    # after a non-finite trial the next one from the same point is closer
+    current, cost, shrunk = ours[0], math.inf, 0
+    for trial, after in zip(ours, ours[1:]):
+        f = fun(trial)[0]
+        if not np.isfinite(f).all():
+            assert np.linalg.norm(after - current) < np.linalg.norm(trial - current)
+            shrunk += 1
+        elif 0.5 * f @ f < cost:
+            current, cost = trial, 0.5 * f @ f
+    assert shrunk > 0
+
+
+def test_one_evaluation_is_not_converged():
+    t = default_grid(16.0, 4001)
+    fun = _residuals(t, np.exp(-0.5 * t) * np.cos(10.1 * t) ** 2)
+    (x, f, status, nfev, ours), (sol, _) = _pair(fun, (10.0, 1.0), max_nfev=1)
+    assert (status, nfev) == (sol.status, sol.nfev) == (0, 1)
+    assert not sol.success
+    np.testing.assert_array_equal(x, [10.0, 1.0])
+    np.testing.assert_array_equal(f, fun((10.0, 1.0))[0])

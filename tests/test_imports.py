@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only a fit loads it.
+"""No command loads scipy: the package runs on numpy alone.
 
 Each check runs in a fresh interpreter, because several test modules import
 scipy themselves, so this process's `sys.modules` says nothing.
@@ -12,14 +12,21 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 _CELL = ["--n", "8", "--v", "0.3", "--tf", "4", "--grid-points", "401"]
-# every command that does not fit, at small sizes
-NON_FITTING = [
+# every command, the fitting ones included, at small sizes
+_GRID = ["--n-min", "5", "--n-max", "6", "--v-min", "0.2", "--v-max", "0.3", "--v-step", "0.1",
+         "--tf", "4", "--grid-points", "401"]
+COMMANDS = [
     ["decay"] + _CELL,
     ["rabi", "--sidebands", "--omega0", "1"] + _CELL,
     ["sidebands", "--n", "8", "--v", "0.3", "--omega0", "10"],
     ["markov", "--count", "8", "--omega0", "1"] + _CELL,
-    ["sweep", "--n-min", "5", "--n-max", "6", "--v-min", "0.2", "--v-max", "0.3",
-     "--v-step", "0.1", "--tf", "4", "--grid-points", "401"],
+    ["sweep"] + _GRID,
+    ["fit", "--omega0", "10"] + _CELL,
+    ["adaptive-compare", "--flat-size", "17", "--adaptive-size", "16", "--tf", "4",
+     "--grid-points", "401"],
+    ["sweep", "--size-scan", "--sizes", "10,11,12", "--omega0", "10", "--tf", "4",
+     "--grid-points", "401"],
+    ["sweep", "--model", "rabi", "--metric", "fit", "--omega0", "4"] + _GRID,
 ]
 
 
@@ -31,27 +38,23 @@ def _fresh_python(code: str, tmp_path: Path) -> None:
     assert done.returncode == 0, done.stderr
 
 
-def test_only_a_fit_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     _fresh_python(f"""
         import sys
         import fqcsim, fqcsim.cli
         assert "scipy" not in sys.modules, "import fqcsim loaded scipy"
-        for i, argv in enumerate({NON_FITTING!r}):
+        for i, argv in enumerate({COMMANDS!r}):
             assert fqcsim.cli.main(argv + ["--out", f"run{{i}}"]) == 0, argv
             assert "scipy" not in sys.modules, argv
-        assert fqcsim.cli.main(["fit", "--omega0", "10", "--out", "fit"] + {_CELL!r}) == 0
-        assert "scipy.optimize" in sys.modules
     """, tmp_path)
 
 
 def test_concurrent_first_fit_gives_the_serial_rows(tmp_path):
-    # the first fits of a two-worker fit map import scipy from both threads:
+    # the first fits of a two-worker fit map run in both threads at once:
     # each N row is its own task (the size scan runs in the calling thread)
     _fresh_python("""
-        import sys
         import numpy as np
         from fqcsim import SweepFixed, SweepGrid, run_sweep
-        assert "scipy" not in sys.modules
         grid = SweepGrid((8, 9, 10, 11), (0.25, 0.3), SweepFixed(
             t_f=4.0, omega0=4.0, model="rabi", grid_points=401), metric="fit")
         pair, serial = run_sweep(grid, max_workers=2), run_sweep(grid, max_workers=1)
