@@ -8,8 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolve import TimeSeries, diagonalize, write_csv
+from .evolve import TimeSeries, _grid_block, _phase_tables, diagonalize, write_csv
 from .hamiltonian import DriveSpec, FqcSpec, HamiltonianMatrix
+from .metrics import _window
 from .reference import underdamped_discriminant
 
 __all__ = [
@@ -298,14 +299,18 @@ def n_max(spec: FqcSpec, drive: DriveSpec) -> int:
     return int(ks[pos][np.argmax(occ[pos])])
 
 
-def _damped_cos2(t: np.ndarray, omega: float, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """The fit model exp(-gamma t / 2) cos^2(omega t) on t, and its exact
-    (nt, 2) Jacobian: d/d omega = -t exp(-gamma t / 2) sin(2 omega t) and
-    d/d gamma = -(t / 2) exp(-gamma t / 2) cos^2(omega t)."""
-    decay = np.exp(-0.5 * gamma * t)
-    model = decay * np.cos(omega * t) ** 2
+def _damped_cos2(t: np.ndarray, omega: float, gamma: float, block: int | None = None):
+    """The fit model exp(-gamma t / 2) cos^2(omega t) on t and its exact (nt, 2)
+    Jacobian from z = exp(a t), a = -gamma / 2 + 2i omega: the model is
+    (|z| + Re z) / 2, d/d omega = -t Im z and d/d gamma = -(t / 2) model.  z
+    takes the phase tables of `_phase_sum` (block B from `_grid_block` if not
+    given), not an exp, cos and sin per time: within 4e-13 (times t) of those."""
+    a = np.array([complex(-0.5 * gamma, 2.0 * omega)])
+    outer, inner = _phase_tables(t, a, block or _grid_block(t))
+    z = (outer * inner[:, 0]).ravel()[:t.size]
+    model = 0.5 * (np.abs(z) + z.real)
     jac = np.empty((t.size, 2))
-    np.multiply(-t * decay, np.sin(2.0 * omega * t), out=jac[:, 0])
+    np.multiply(-t, z.imag, out=jac[:, 0])
     np.multiply(-0.5 * t, model, out=jac[:, 1])
     return model, jac
 
@@ -557,7 +562,11 @@ def fit_effective_params(
 
     Nonlinear least squares of pi_e(t) against
     exp(-gamma_eff t / 2) cos^2(omega_eff t), seeded with the drive Rabi
-    frequency and the target decay rate from the series provenance.
+    frequency and the target decay rate from the series provenance.  The
+    window is t <= t_f (the whole series without t_f) under the rule of the
+    metrics: t_f > 0 and a series at least t_f long.  It must hold two times
+    other than 0, where the model is 1 whatever its parameters.  A window
+    that breaks either rule is a ConfigError.
 
     The method is scipy's trust-region-reflective `trf` with bounds at 0,
     ported to two parameters (`_trf`): it takes the steps
@@ -572,15 +581,16 @@ def fit_effective_params(
     """
     if series.drive is None:
         raise ConfigError("fit_effective_params needs a driven series")
-    mask = (
-        series.times <= t_f + 1e-9 if t_f is not None
-        else np.ones(series.times.size, dtype=bool)
-    )
+    mask = _window(series.times, t_f) if t_f is not None else slice(None)
     t = series.times[mask]
     pie = series.pi_e[mask]
+    nonzero = np.count_nonzero(t)
+    if nonzero < 2:
+        raise ConfigError(f"a two-parameter fit needs 2 grid times other than 0, got {nonzero}")
+    block = _grid_block(t)
 
     def residuals(p):
-        model, jac = _damped_cos2(t, *p)
+        model, jac = _damped_cos2(t, *p, block)
         return model - pie, jac
 
     x0 = (max(series.drive.rabi_omega0, 1e-3), series.spec.gamma_target)

@@ -395,7 +395,10 @@ def _outer(c: np.ndarray) -> np.ndarray:
     fused complex multiply may leave at about 1e-30 depending on the CPU, is
     set to 0; every real part keeps its bits.
     """
-    rho = c[..., :, None] * c.conj()[..., None, :]
+    conj = c.conj()
+    rho = np.empty(c.shape + c.shape[-1:], dtype=conj.dtype)
+    for a, b in np.ndindex(rho.shape[-2:]):  # not a broadcast, whose inner loop has length s
+        np.multiply(c[..., a], conj[..., b], out=rho[..., a, b])
     if np.iscomplexobj(rho):
         diag = np.arange(rho.shape[-1])
         rho.imag[..., diag, diag] = 0.0
@@ -532,30 +535,14 @@ def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray,
     Leading axes stack independent cells (values (..., dim), weights
     (..., dim, r)) that share the grid; each cell gets the bits it gets
     alone, since numpy's batched elementwise ops, cumulative products and
-    matmuls repeat the per-matrix ones.  On a uniform grid the phase of time
-    index b*B + j, with B = ceil(sqrt(nt)), factors as exp(-iE t_0) U^b u^j
-    with u = exp(-iE dt) and U = exp(-iE B dt).  Both tables of powers are
-    cumulative products (`_powers`), so a cell takes three exponentials per
-    value, and one matmul.  A power's rounding grows with its exponent, to
-    about 2 sqrt(nt) roundings at most: within 3x of the error of the direct
-    exp(-iE t), which carries the rounding of E t (tests check both against
-    long-double phases).  Any other grid takes exp(-iE t) at every time,
-    with B = 1.  With `real` the folded contraction is one real matmul on
-    the interleaved (re, im) views, half the flops of the complex one.
+    matmuls repeat the per-matrix ones.  The phases are the tables of
+    `_phase_tables`, contracted by one matmul.  With `real` the folded
+    contraction is one real matmul on the interleaved (re, im) views, half
+    the flops of the complex one.
     """
     nt, (*stack, dim, r) = times.size, weights.shape
-    dt = (times[-1] - times[0]) / max(nt - 1, 1)
-    # within a few ulp of t_0 + k dt (as np.linspace makes it) counts as uniform
-    drift = np.abs(times - (times[0] + dt * np.arange(nt))).max()
-    uniform = drift <= 4 * np.finfo(float).eps * np.abs(times).max()
-    block = math.isqrt(nt - 1) + 1 if uniform else 1
-    nb = -(-nt // block)
-    if uniform:
-        outer = _powers(np.exp(-1j * (times[0] * values)),
-                        np.exp(-1j * ((block * dt) * values)), nb)
-    else:
-        outer = np.exp(-1j * (times[:, None] * values[..., None, :]))
-    inner = _powers(1.0, np.exp(-1j * (dt * values)), block)
+    outer, inner = _phase_tables(times, -1j * values, _grid_block(times))
+    nb, block = outer.shape[-2], inner.shape[-2]
     if r < block:
         # fold the weights into the outer phases: nb * r * dim products
         folded = outer[..., :, None, :] * np.swapaxes(weights, -1, -2)[..., None, :, :]
@@ -577,13 +564,37 @@ def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray,
     return out.reshape(*stack, nb * block, r)[..., :nt, :]
 
 
-def _powers(first, ratio: np.ndarray, count: int) -> np.ndarray:
-    """first * ratio**k for k < count, of every value of ratio (..., dim),
-    by a cumulative product along a new axis: shape (..., count, dim)."""
-    out = np.empty(ratio.shape[:-1] + (count, ratio.shape[-1]), dtype=complex)
-    out[..., 0, :] = first
-    out[..., 1:, :] = ratio[..., None, :]
-    return np.multiply.accumulate(out, axis=-2, out=out)
+def _grid_block(times: np.ndarray) -> int:
+    """The block length B of a grid's phase tables: ceil(sqrt(nt)) on a grid within
+    a few ulp of t_0 + k dt (as np.linspace makes it), 1 on any other grid."""
+    nt = times.size
+    dt = (times[-1] - times[0]) / max(nt - 1, 1)
+    drift = np.abs(times - (times[0] + dt * np.arange(nt))).max()
+    return math.isqrt(nt - 1) + 1 if drift <= 4 * np.finfo(float).eps * np.abs(times).max() else 1
+
+
+def _phase_tables(times: np.ndarray, rates: np.ndarray, block: int):
+    """exp(a t) of complex rates a (..., dim) at the time of index b B + j as
+    outer[..., b, :] * inner[..., j, :], B = block (`_grid_block`).  With B > 1
+    both are powers by cumulative products, outer[b] = exp(a t_0) exp(a B dt)^b
+    and inner[j] = exp(a dt)^j: three exponentials per rate, and a rounding
+    that grows with the exponent to about 2 sqrt(nt) roundings, within 3x of
+    the direct exp(a t) with its rounding of a t (tests check both against
+    long-double phases).  With B = 1, outer is exp(a t) at every time."""
+    nt = times.size
+    dt = (times[-1] - times[0]) / max(nt - 1, 1)
+
+    def powers(first, ratio, count):  # first * ratio**k for k < count
+        out = np.empty(ratio.shape[:-1] + (count, ratio.shape[-1]), dtype=complex)
+        out[..., 0, :] = first
+        out[..., 1:, :] = ratio[..., None, :]
+        return np.multiply.accumulate(out, axis=-2, out=out)
+
+    if block > 1:
+        outer = powers(np.exp(times[0] * rates), np.exp((block * dt) * rates), -(-nt // block))
+    else:
+        outer = np.exp(times[:, None] * rates[..., None, :])
+    return outer, powers(1.0, np.exp(dt * rates), block)
 
 
 def source_term_series(series: TimeSeries) -> np.ndarray:

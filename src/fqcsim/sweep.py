@@ -17,10 +17,10 @@ second thread (a dense build, label formatting, energy variance and `d1`
 per cell did, at about a third of the map), so a cell does little of it: a
 structural Hamiltonian with cached labels and no TimeSeries unless fitted.
 A size scan runs its sizes one after another in the calling thread
-(`size_cell`, through `propagate`): most of its time is the Python-level
-iteration of the fits, which holds the GIL, so a second thread only adds
-hand-overs: on 2 cores, two threads ran the default scan slower than one
-and spent about 1.5 times its CPU time.
+(`size_cell`, through `propagate`): its fits, 0.16 of 0.35 s CPU on 2 cores,
+are mostly Python-level `trf` steps, which hold the GIL, so a second thread
+only adds hand-overs: two threads ran the default scan slower than one and
+spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations
@@ -238,6 +238,8 @@ class SweepGrid:
         if self.metric == "fit" and self.fixed.model == "decay":
             raise ConfigError("metric 'fit' needs a driven model ('rabi' or 'adaptive'), "
                               "got model 'decay'")
+        if self.metric == "fit" and self.fixed.grid_points < 3:
+            raise ConfigError("metric 'fit' needs 2 grid times other than 0: grid_points >= 3")
 
 
 @dataclass(eq=False)

@@ -349,6 +349,28 @@ def test_fit_requires_provenance():
         fit_effective_params(series)  # single-level series carries no drive
 
 
+@pytest.mark.parametrize("t_f, message", [
+    (-1.0, "t_f must be > 0"),
+    (0.0, "t_f must be > 0"),
+    (8.0, "shorter than t_f"),
+    # the window [0, 0.01] of a grid spaced 0.02 holds t = 0 alone, [0, 0.03]
+    # holds one time after it: the model is 1 at t = 0 whatever its parameters
+    (0.01, "needs 2 grid times other than 0, got 0"),
+    (0.03, "needs 2 grid times other than 0, got 1"),
+])
+def test_fit_rejects_an_empty_or_truncated_window(t_f, message):
+    series = propagate(build_two_level(FqcSpec(2, 0.2), DriveSpec(1.0, 0.0)), "e",
+                       default_grid(4.0, 201))
+    with pytest.raises(ConfigError, match=message):
+        fit_effective_params(series, t_f)
+
+
+def test_fit_of_two_times_after_0_runs():
+    series = propagate(build_two_level(FqcSpec(2, 0.2), DriveSpec(1.0, 0.0)), "e",
+                       default_grid(4.0, 201))
+    assert fit_effective_params(series, 0.05).grid_points == 3
+
+
 def test_fit_flat_vs_adaptive_damping():
     times = default_grid(16.0, 4001)
     drive = DriveSpec(10.0, 0.0)

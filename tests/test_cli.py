@@ -171,6 +171,19 @@ def test_sweep_fit_of_the_decay_model_rejected(tmp_path, model, capsys):
     assert not (tmp_path / "x" / "map.json").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["fit"], ["adaptive-compare"], ["sweep", "--size-scan", "--sizes", "11", "--omega0", 2],
+    ["sweep", "--model", "rabi", "--metric", "fit", "--omega0", 2, "--n-min", 5, "--n-max", 5,
+     "--v-min", 0.3, "--v-max", 0.3],
+])
+def test_fit_on_one_time_after_0_rejected(tmp_path, args, capsys):
+    # a grid of 2 points fitted two parameters to one time after 0, and a fit
+    # map of it would fail in every cell with exit 0
+    assert run(args + ["--grid-points", 2, "--out", tmp_path / "x"]) == 2
+    assert "2 grid times other than 0" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "map.json").exists()
+
+
 @pytest.mark.parametrize("mode", [[], ["--size-scan", "--sizes", "11", "--omega0", 2]])
 def test_sweep_initial_state_other_than_e_rejected(tmp_path, mode, capsys):
     # every cell and the d2 reference start in |e>

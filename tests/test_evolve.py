@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.linalg import expm
 
 from fqcsim import (
     ConfigError,
@@ -362,6 +361,7 @@ def random_state(h, seed):
 @pytest.mark.parametrize("builder", list(BUILDERS))
 @given(seed=st.integers(0, 2**32 - 1))
 def test_propagate_matches_expm(builder, grid, seed):
+    expm = pytest.importorskip("scipy.linalg").expm
     h = BUILDERS[builder]()
     psi0 = random_state(h, seed)
     times = GRIDS[grid]

@@ -1,10 +1,12 @@
-"""The two-parameter trust-region-reflective fit against scipy's `trf`.
+"""The two-parameter trust-region-reflective fit against scipy's `trf`, and
+its model against the direct formula.
 
 `analysis._trf` is a port of `least_squares(method="trf")` with bounds at 0,
 so the oracle is scipy itself, run on the same residuals from the same
 start: the same parameters, status and number of evaluations, and on the
-smaller problems the same trial points.  scipy is needed only here; these
-tests skip where it is absent.
+smaller problems the same trial points.  Those tests skip where scipy is
+absent.  The model `_damped_cos2`, built from phase tables, is checked on
+numpy alone against exp(-gamma t / 2) cos^2(omega t) evaluated per time.
 """
 
 import math
@@ -17,15 +19,25 @@ from fqcsim import analysis
 from fqcsim.analysis import _damped_cos2, _trf
 from fqcsim.sweep import size_cell
 
-least_squares = pytest.importorskip("scipy.optimize").least_squares
-
 SCAN_SIZES = range(10, 81)
 
 
-def _residuals(t, target):
+def least_squares(*args, **kwargs):
+    """scipy's `least_squares`, the oracle: the calling test skips without scipy."""
+    return pytest.importorskip("scipy.optimize").least_squares(*args, **kwargs)
+
+
+def _direct(t, omega, gamma):
+    """The model and its Jacobian with an exp, a cos and a sin at every time."""
+    decay = np.exp(-0.5 * gamma * t)
+    model = decay * np.cos(omega * t) ** 2
+    return model, np.column_stack([-t * decay * np.sin(2.0 * omega * t), -0.5 * t * model])
+
+
+def _residuals(t, target, model=_damped_cos2):
     def fun(p):
-        model, jac = _damped_cos2(t, *p)
-        return model - target, jac
+        values, jac = model(t, *p)
+        return values - target, jac
     return fun
 
 
@@ -55,6 +67,43 @@ def scan_cells():
     ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times)
     return {size: size_cell(size, drive, 0.3, 1.0, None, times, ref, 16.0)[1:3]
             for size in SCAN_SIZES}
+
+
+# the cases of test_fit_jacobian_matches_central_differences: gamma -> 0, no
+# oscillation, omega t up to 3200 and a fast decay
+MODEL_CASES = [(10.0, 1.0), (10.0, 0.0), (10.0, 1e-9), (0.0, 1.0), (1e-3, 0.5), (200.0, 0.3),
+               (3.0, 50.0)]
+MODEL_GRIDS = {
+    "4001": default_grid(16.0, 4001),
+    "2": default_grid(16.0, 2),  # one block of B = 2
+    "1000": default_grid(16.0, 1000),  # blocks of B = 32 overrun the grid: 32 x 32 > 1000
+    "non-uniform": np.cumsum(np.random.default_rng(3).uniform(0.001, 0.008, 2500)),  # B = 1
+}
+
+
+@pytest.mark.parametrize("grid", list(MODEL_GRIDS))
+@pytest.mark.parametrize("omega, gamma", MODEL_CASES)
+def test_damped_cos2_matches_the_direct_formula(grid, omega, gamma):
+    # measured at worst (omega 200 on 1000 points): 1.0e-13 in the model and
+    # 2.0e-13 t in the Jacobian, where 2 omega t reaches 6400; at omega 10 on
+    # 4001 points 2.4e-14 and 4.7e-14 t
+    t = MODEL_GRIDS[grid]
+    model, jac = _damped_cos2(t, omega, gamma)
+    want, want_jac = _direct(t, omega, gamma)
+    assert np.abs(model - want).max() <= 4e-13
+    assert (np.abs(jac - want_jac) <= 4e-13 * np.maximum(t, 1.0)[:, None]).all()
+
+
+def test_scan_fits_take_the_steps_of_the_direct_formula(scan_cells):
+    # measured: equal status and nfev on all 71 sizes, parameters within
+    # 2.1e-14 relative
+    for size, (series, report) in scan_cells.items():
+        x, _, status, nfev = _trf(_residuals(series.times, series.pi_e), (10.0, 1.0), 400)
+        want, _, want_status, want_nfev = _trf(_residuals(series.times, series.pi_e, _direct),
+                                               (10.0, 1.0), 400)
+        assert (status, nfev) == (want_status, want_nfev), size
+        np.testing.assert_allclose(x, want, rtol=1e-12, err_msg=str(size))
+        np.testing.assert_array_equal([report.params["omega_eff"], report.params["gamma_eff"]], x)
 
 
 def test_scan_fits_take_the_steps_of_least_squares(scan_cells):

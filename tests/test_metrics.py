@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.linalg import expm
 
 from fqcsim import (
     ConfigError,
@@ -354,6 +353,7 @@ def test_nonmarkovianity_matches_dense_formula(subspace, seed, count, grid_point
 
 @pytest.mark.parametrize("subspace", ["system", "full"])
 def test_nonmarkovianity_matches_expm_oracle(subspace):
+    expm = pytest.importorskip("scipy.linalg").expm
     # independent of the spectral code: exp(-i H t) by scipy at every grid
     # time, then the public trace_distance of the projected pair; past the
     # rephasing time 1/v^2 = 4, so both subspaces show backflow

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from fqcsim import (
     ConfigError,
@@ -27,6 +25,7 @@ EP = 0.25  # the exceptional point omega0 = gamma/4 at gamma = 1
 def evolve_ode(spec, psi0, times):
     """Independent oracle: integrate the commutator-plus-anticommutator
     equation of motion of rho directly."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
     heff = effective_hamiltonian(spec)
     h0 = heff.real.astype(complex)
     hd = np.diag([0.0, -0.5 * spec.gamma]).astype(complex)
@@ -92,6 +91,7 @@ def test_eig_and_ode_representations_agree(omega0):
 
 
 def test_detuned_evolution_matches_ode():
+    expm = pytest.importorskip("scipy.linalg").expm
     times = default_grid(6.0, 301)
     spec = NonHermitianSpec(1.0, DriveSpec(1.0, 0.7))
     heff = effective_hamiltonian(spec)
@@ -165,6 +165,7 @@ def test_damped_oscillator_requires_resonance():
 
 def expm_rho(spec, psi0, times):
     """Oracle: rho(t) from one scipy matrix exponential per time."""
+    expm = pytest.importorskip("scipy.linalg").expm
     heff = effective_hamiltonian(spec)
     psits = np.array([expm(-1j * heff * t) @ psi0 for t in times])
     return psits[:, :, None] * psits.conj()[:, None, :]

@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from fqcsim import DriveSpec, SweepFixed, SweepGrid, d1, d2, propagate, run_sweep
 from fqcsim import sweep
@@ -92,6 +91,7 @@ def test_stack_size_does_not_change_a_bit(monkeypatch):
     ("decay", True, 0.0), ("rabi", False, 1.5), ("adaptive", False, 3.0),
 ])
 def test_stacked_cells_match_expm(model, single_level, omega0):
+    expm = pytest.importorskip("scipy.linalg").expm
     drive = DriveSpec(omega0, 0.3)
     hs = [sweep.build_model(6, v, 1.0, drive, adaptive=model == "adaptive",
                             single_level=single_level) for v in (0.5, 0.55, 0.6)]
