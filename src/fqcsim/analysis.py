@@ -581,9 +581,9 @@ def fit_effective_params(
     """
     if series.drive is None:
         raise ConfigError("fit_effective_params needs a driven series")
-    mask = _window(series.times, t_f) if t_f is not None else slice(None)
-    t = series.times[mask]
-    pie = series.pi_e[mask]
+    n = _window(series.times, t_f) if t_f is not None else None
+    t = series.times[:n]
+    pie = series.pi_e[:n]
     nonzero = np.count_nonzero(t)
     if nonzero < 2:
         raise ConfigError(f"a two-parameter fit needs 2 grid times other than 0, got {nonzero}")

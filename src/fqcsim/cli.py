@@ -139,11 +139,9 @@ def _drive(cfg: RunConfig) -> DriveSpec:
     return DriveSpec(cfg.omega0, cfg.detuning)
 
 
-def _model(cfg: RunConfig, single_level: bool = False) -> HamiltonianMatrix:
-    """The configured model's Hamiltonian; decay is the one single-level command."""
-    return build_model(cfg.n_half, cfg.coupling_v, cfg.gamma, _drive(cfg),
-                       adaptive=cfg.model == "adaptive",
-                       hole_half_width=cfg.hole_half_width, single_level=single_level)
+def _model(cfg: RunConfig) -> HamiltonianMatrix:
+    return build_model(cfg.model, cfg.n_half, cfg.coupling_v, cfg.gamma, _drive(cfg),
+                       cfg.hole_half_width)
 
 
 def _outdir(args) -> Path:
@@ -153,7 +151,7 @@ def _outdir(args) -> Path:
 
 
 def cmd_decay(cfg: RunConfig, out: Path) -> None:
-    h = _model(cfg, single_level=True)
+    h = _model(cfg)
     times = default_grid(cfg.t_f, cfg.grid_points)
     series = propagate(h, cfg.initial_state, times)
     # the start state's exact population of |e>, not the computed pi_e[0]
@@ -239,7 +237,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
     if cfg.initial_state != "e":
         raise ConfigError(f"sweep always starts from e, got initial_state {cfg.initial_state!r}")
     if size_scan:
-        sizes = list(range(10, 81, 2)) if cfg.sizes is None else cfg.sizes
+        sizes = list(range(10, 81)) if cfg.sizes is None else cfg.sizes
         scan = run_size_scan(
             sizes,
             _drive(cfg),
@@ -259,15 +257,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
     grid = SweepGrid(
         tuple(n_values),
         tuple(v_values),
-        SweepFixed(
-            t_f=cfg.t_f,
-            omega0=cfg.omega0,
-            detuning=cfg.detuning,
-            model=cfg.model,
-            gamma=cfg.gamma,
-            grid_points=cfg.grid_points,
-            hole_half_width=cfg.hole_half_width,
-        ),
+        SweepFixed(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(SweepFixed)}),
         cfg.metric,
     )
     result = run_sweep(grid, seed=cfg.seed)
@@ -362,6 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# decay is the one single-level command and model, so no other command
+# runs it and it runs no other model.  sweep takes any model, and
+# adaptive-compare takes its variants from its sizes.
+_COMMAND_MODELS = {"decay": ("decay",),
+                   **dict.fromkeys(("rabi", "fit", "sidebands", "markov"), ("rabi", "adaptive"))}
 _COMMAND_DEFAULTS = {
     "decay": {"model": "decay", "t_f": 10.0},
     "rabi": {"model": "rabi", "t_f": 8.0, "omega0": 1.0},
@@ -416,7 +411,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             else:
                 n_steps = int(round((hi_v - lo_v) / st))
                 data[axis] = [round(lo_v + i * st, 10) for i in range(n_steps + 1)]
-    return RunConfig.from_dict(data)
+    cfg = RunConfig.from_dict(data)
+    models = _COMMAND_MODELS.get(args.command, MODELS)
+    if cfg.model not in models:
+        raise ConfigError(f"{args.command} runs model {' or '.join(map(repr, models))}, "
+                          f"got {cfg.model!r}")
+    return cfg
 
 
 def main(argv=None) -> int:

@@ -103,12 +103,13 @@ def _embed_classical(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _window(times: np.ndarray, t_f: float) -> np.ndarray:
-    if t_f <= 0:
+def _window(times: np.ndarray, t_f: float) -> int:
+    """The length of the prefix t <= t_f of the increasing grid times."""
+    if not t_f > 0:  # NaN too
         raise ConfigError(f"t_f must be > 0, got {t_f}")
     if times[-1] < t_f - 1e-9:
         raise ConfigError(f"series ends at {times[-1]}, shorter than t_f={t_f}")
-    return times <= t_f + 1e-9
+    return int(np.searchsorted(times, t_f + 1e-9, side="right"))
 
 
 def d1(series, gamma: float, t_f: float) -> MetricResult:
@@ -123,18 +124,11 @@ def d1(series, gamma: float, t_f: float) -> MetricResult:
 
 def _d1_values(times: np.ndarray, pie: np.ndarray, gamma: float, t_f: float):
     """d1 of every pi_e series of pie (..., nt) on the grid times, shape
-    (...), and the number of grid points it integrates.
-
-    A row of a stack gets the bits it gets alone, because the trapezoid
-    sums a C-ordered stack one row after another.  `np.compress` keeps C
-    order; `pie[..., mask]` would not, and numpy sums along the slow axis
-    of an F-ordered stack in another order.
-    """
-    mask = _window(times, t_f)
-    t = times[mask]
-    gap = np.compress(mask, pie, axis=-1)
-    gap -= pie[..., :1] * np.exp(-gamma * t)
-    return np.trapezoid(np.abs(gap, out=gap), t, axis=-1) / t_f, int(t.size)
+    (...), and the number of grid points it integrates."""
+    n = _window(times, t_f)
+    t = times[:n]
+    gap = pie[..., :n] - pie[..., :1] * np.exp(-gamma * t)
+    return np.trapezoid(np.abs(gap, out=gap), t, axis=-1) / t_f, n
 
 
 def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
@@ -161,13 +155,12 @@ def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
 def _d2_values(times: np.ndarray, ra: np.ndarray, rb: np.ndarray, t_f: float):
     """d2 between 2x2 density series ra (..., nt, 2, 2) and rb (nt, 2, 2) on
     the grid times, shape (...), and the number of grid points it
-    integrates; windowed in C order, as in `_d1_values`."""
-    mask = _window(times, t_f)
-    t = times[mask]
-    diff = np.compress(mask, ra, axis=-3)
-    diff -= rb[mask]
+    integrates."""
+    n = _window(times, t_f)
+    t = times[:n]
+    diff = ra[..., :n, :, :] - rb[:n]
     td = _td_two_by_two(diff[..., 0, 0].real, diff[..., 1, 1].real, diff[..., 0, 1])
-    return np.trapezoid(td, t, axis=-1) / t_f, int(t.size)
+    return np.trapezoid(td, t, axis=-1) / t_f, n
 
 
 @dataclass

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import DensitySeries
+from .evolve import DensitySeries, _outer
 from .hamiltonian import DriveSpec
 
 __all__ = [
@@ -97,8 +97,7 @@ def evolve_nonhermitian(
     psits = np.exp(-1j * (tau + s) * times)[:, None] * (
         0.5 * (1.0 + np.exp(z))[:, None] * psi0 - 1j * (times * phi)[:, None] * (k @ psi0)
     )
-    rho = psits[:, :, None] * psits.conj()[:, None, :]
-    return DensitySeries(times, rho)
+    return DensitySeries(times, _outer(psits))
 
 
 def underdamped_discriminant(gamma: float, omega0: float) -> float:

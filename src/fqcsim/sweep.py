@@ -29,7 +29,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -84,34 +84,33 @@ def parallel_workers(requested: int | None = None) -> int:
     return max(1, limit if requested is None else min(requested, limit))
 
 
-def _hole_half_width(adaptive: bool, width: float | None, omega0: float) -> float | None:
-    """The hole rule: a given width always cuts a hole, and an adaptive model
-    without one cuts omega0/2, which keeps the populated sidebands inside the
-    surviving levels while excising the weakly populated center."""
-    return omega0 / 2.0 if adaptive and width is None else width
+def _hole_half_width(model: str, width: float | None, omega0: float) -> float | None:
+    """The hole rule: a given width always cuts a hole, and the adaptive
+    model without one cuts omega0/2, which keeps the populated sidebands
+    inside the surviving levels while excising the weakly populated center."""
+    return omega0 / 2.0 if model == "adaptive" and width is None else width
 
 
 def build_model(
+    model: str,
     n_half: int,
     coupling_v: float,
     gamma: float,
     drive: DriveSpec,
-    adaptive: bool = False,
     hole_half_width: float | None = None,
-    single_level: bool = False,
 ) -> HamiltonianMatrix:
-    """The Hamiltonian of a model: the one place that picks its FqcSpec and
-    its builder.
+    """The Hamiltonian of a model named in MODELS: the one place that picks
+    its FqcSpec and its builder.
 
-    The hole follows `_hole_half_width`: a given width always cuts one, and
-    an adaptive model without one gets the default width.  A single-level
-    model goes to `build_single_level` (the drive then only sets that
-    default), a holed two-level one to `build_adaptive` and any other to
-    `build_two_level`.
+    The hole follows `_hole_half_width`.  `decay` goes to
+    `build_single_level` (the drive is then unused), a holed two-level
+    model to `build_adaptive` and any other to `build_two_level`.
     """
-    width = _hole_half_width(adaptive, hole_half_width, drive.rabi_omega0)
+    if model not in MODELS:
+        raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
+    width = _hole_half_width(model, hole_half_width, drive.rabi_omega0)
     spec = FqcSpec(n_half, coupling_v, gamma, None if width is None else HoleSpec(width))
-    if single_level:
+    if model == "decay":
         return build_single_level(spec)
     if spec.hole is not None:
         return build_adaptive(spec, drive)
@@ -131,17 +130,17 @@ def size_cell(
 ):
     """One cell of a size scan: (variant, series, fit report, d2 result).
 
-    An odd size is a flat ladder of 2N+1 levels.  An even size is adaptive:
-    the hole of an adaptive model, in a flat grid extended outward so that
-    `size` levels survive (`adaptive_spec_for_size`, which rejects a hole
-    of zero width).
+    An odd size is the `rabi` model, a flat ladder of 2N+1 levels.  An even
+    size is the `adaptive` model, its hole in a flat grid extended outward
+    so that `size` levels survive (`adaptive_spec_for_size`, which rejects
+    a hole of zero width).
     """
-    variant, n_half, width = "flat", (size - 1) // 2, None
+    variant, model, n_half, width = "flat", "rabi", (size - 1) // 2, None
     if size % 2 == 0:
-        variant = "adaptive"
-        width = _hole_half_width(True, hole_half_width, drive.rabi_omega0)
+        variant = model = "adaptive"
+        width = _hole_half_width(model, hole_half_width, drive.rabi_omega0)
         n_half = adaptive_spec_for_size(size, coupling_v, width, gamma).n_half
-    h = build_model(n_half, coupling_v, gamma, drive, hole_half_width=width)
+    h = build_model(model, n_half, coupling_v, gamma, drive, width)
     series = propagate(h, initial_state, times)
     return variant, series, fit_effective_params(series, t_f), d2(series, ref, t_f)
 
@@ -263,15 +262,7 @@ class SweepMap:
             "n_values": list(self.grid.n_values),
             "v_values": list(self.grid.v_values),
             "metric": self.grid.metric,
-            "fixed": {
-                "t_f": self.grid.fixed.t_f,
-                "omega0": self.grid.fixed.omega0,
-                "detuning": self.grid.fixed.detuning,
-                "model": self.grid.fixed.model,
-                "gamma": self.grid.fixed.gamma,
-                "grid_points": self.grid.fixed.grid_points,
-                "hole_half_width": self.grid.fixed.hole_half_width,
-            },
+            "fixed": asdict(self.grid.fixed),
             "values": self.values.tolist(),
             "cell_errors": self.cell_errors,
             "provenance": self.provenance,
@@ -315,9 +306,8 @@ def run_sweep(
     errors: list[dict] = []
 
     def build(i, j):
-        return build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
-                           adaptive=fx.model == "adaptive", hole_half_width=fx.hole_half_width,
-                           single_level=fx.model == "decay")
+        return build_model(fx.model, grid.n_values[i], grid.v_values[j], fx.gamma, drive,
+                           fx.hole_half_width)
 
     def fit(series):
         report = fit_effective_params(series, fx.t_f)
@@ -458,6 +448,6 @@ def run_size_scan(
             "gamma": gamma,
             "t_f": t_f,
             "omega0": drive.rabi_omega0,
-            "hole_half_width": _hole_half_width(True, hole_half_width, drive.rabi_omega0),
+            "hole_half_width": _hole_half_width("adaptive", hole_half_width, drive.rabi_omega0),
         },
     )

@@ -373,6 +373,16 @@ def test_sweep_size_scan(tmp_path):
     assert rows["flat"]["gamma_eff"] < rows["adaptive"]["gamma_eff"]
 
 
+def test_sweep_size_scan_default_sizes_are_flat_and_adaptive(tmp_path):
+    # the default scan is 10..80: odd sizes flat, even sizes adaptive
+    out = tmp_path / "run"
+    assert run(["sweep", "--out", out, "--size-scan", "--omega0", 10, "--tf", 4,
+                "--grid-points", 401]) == 0
+    rows = json.loads((out / "size_scan.json").read_text())["rows"]
+    assert [r["n_fqc"] for r in rows] == list(range(10, 81))
+    assert all(r["variant"] == ("flat" if r["n_fqc"] % 2 else "adaptive") for r in rows)
+
+
 def test_adaptive_compare(tmp_path):
     out = tmp_path / "run"
     assert run(["adaptive-compare", "--out", out, "--v", 0.3, "--omega0", 10.0,
@@ -425,6 +435,20 @@ def test_sweep_model_names_are_the_cli_names(tmp_path):
     assert json.loads((out / "map.json").read_text())["fixed"]["model"] == "rabi"
     with pytest.raises(SystemExit):
         run(["sweep", "--out", out, "--model", "two-level"])
+
+
+@pytest.mark.parametrize("command, model", [
+    ("decay", "rabi"), ("decay", "adaptive"),
+    ("rabi", "decay"), ("fit", "decay"), ("sidebands", "decay"), ("markov", "decay"),
+])
+def test_command_runs_only_the_model_it_names(tmp_path, command, model, capsys):
+    # decay is the one single-level command and model: a config naming the
+    # other kind is rejected, not reinterpreted
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model}))
+    assert run([command, "--config", cfg, "--out", tmp_path / "x"] + FAST) == 2
+    assert f"got {model!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_embedded_config_errors(tmp_path):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parents[1] / "src"
 _CELL = ["--n", "8", "--v", "0.3", "--tf", "4", "--grid-points", "401"]
-# every command, the fitting ones included, at small sizes
+# every command, the fitting ones included, at small sizes; a later flag
+# overrides an earlier one
 _GRID = ["--n-min", "5", "--n-max", "6", "--v-min", "0.2", "--v-max", "0.3", "--v-step", "0.1",
          "--tf", "4", "--grid-points", "401"]
 COMMANDS = [
@@ -27,6 +28,25 @@ COMMANDS = [
     ["sweep", "--size-scan", "--sizes", "10,11,12", "--omega0", "10", "--tf", "4",
      "--grid-points", "401"],
     ["sweep", "--model", "rabi", "--metric", "fit", "--omega0", "4"] + _GRID,
+    # the secular path's deflations: the dark state of a holed ladder, one
+    # level, and v = 0 (c_e = 1, no division by the zero gap)
+    ["decay", "--hole-half-width", "1"] + _CELL,
+    ["decay"] + _CELL + ["--n", "0"],
+    ["decay"] + _CELL + ["--v", "0"],
+    # propagate through diagonalize, and a reference from the start state's
+    # exact population; a two-level start in |g>
+    ["decay", "--initial-state", "f0"] + _CELL,
+    ["rabi", "--initial-state", "g"] + _CELL,
+    # the phase tables' edge grids: one block of B = 2 (nb = 1), and blocks
+    # of B = 32 that overrun 1000 points (32 x 32 > 1000), on the real
+    # (decay) and complex (rabi) paths
+    ["decay"] + _CELL + ["--grid-points", "2"],
+    ["rabi"] + _CELL + ["--grid-points", "1000"],
+    ["sweep"] + _GRID + ["--grid-points", "1000"],
+    # a holed decay map: row tasks whose cells all have a dark state
+    ["sweep", "--hole-half-width", "0.5"] + _GRID,
+    # two-level cells: a stack scored at once by the stacked d2
+    ["sweep", "--model", "rabi", "--metric", "d2", "--omega0", "2"] + _GRID,
 ]
 
 
@@ -60,4 +80,25 @@ def test_concurrent_first_fit_gives_the_serial_rows(tmp_path):
         pair, serial = run_sweep(grid, max_workers=2), run_sweep(grid, max_workers=1)
         assert not pair.cell_errors and not serial.cell_errors
         assert np.array_equal(pair.values, serial.values)
+    """, tmp_path)
+
+
+def test_lazy_series_reads_load_no_scipy(tmp_path):
+    # no command reads the full amplitudes, nor a two-level source term
+    # through the library: these reads must stay numpy-only too
+    _fresh_python("""
+        import sys
+        import numpy as np
+        from fqcsim import (DriveSpec, FqcSpec, build_single_level, build_two_level,
+                            default_grid, propagate, source_term_series)
+        times = default_grid(4.0, 401)
+        rabi = propagate(build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4)), "e", times)
+        decay = propagate(build_single_level(FqcSpec(8, 0.3)), "e", times)
+        assert rabi.amplitudes.shape == (401, 19) and rabi.energy_variance0 > 0
+        assert rabi.reduced().rho.shape == (401, 2, 2)
+        assert source_term_series(rabi).shape == (401, 2, 2)
+        assert decay.amplitudes.shape == (401, 18) and decay.energy_variance0 > 0
+        for series in (rabi, decay):
+            assert np.isfinite(series.amplitudes).all()
+        assert "scipy" not in sys.modules
     """, tmp_path)

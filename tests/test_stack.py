@@ -35,10 +35,8 @@ def _single_cell(grid, i, j):
     drive = DriveSpec(fx.omega0, fx.detuning)
     times = default_grid(fx.t_f, fx.grid_points)
     try:
-        h = sweep.build_model(grid.n_values[i], grid.v_values[j], fx.gamma, drive,
-                              adaptive=fx.model == "adaptive",
-                              hole_half_width=fx.hole_half_width,
-                              single_level=fx.model == "decay")
+        h = sweep.build_model(fx.model, grid.n_values[i], grid.v_values[j], fx.gamma, drive,
+                              fx.hole_half_width)
         series = propagate(h, "e", times)
         if grid.metric == "d2" and series.system_dim == 2:
             ref = evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e", times)
@@ -93,8 +91,7 @@ def test_stack_size_does_not_change_a_bit(monkeypatch):
 def test_stacked_cells_match_expm(model, single_level, omega0):
     expm = pytest.importorskip("scipy.linalg").expm
     drive = DriveSpec(omega0, 0.3)
-    hs = [sweep.build_model(6, v, 1.0, drive, adaptive=model == "adaptive",
-                            single_level=single_level) for v in (0.5, 0.55, 0.6)]
+    hs = [sweep.build_model(model, 6, v, 1.0, drive) for v in (0.5, 0.55, 0.6)]
     assert len({h.basis_labels for h in hs}) == 1
     times = default_grid(5.0, 51)
     values, weights, errors, real = _spectra(hs)
@@ -116,8 +113,8 @@ def test_stacked_cells_match_expm(model, single_level, omega0):
 @pytest.mark.parametrize("single_level", [True, False])
 def test_stacked_phase_sums_equal_single_ones_bit_for_bit(single_level, times):
     # the cosine sum runs the real path, and every stack the complex one too
-    hs = [sweep.build_model(6, v, 1.0, DriveSpec(1.5, 0.3), single_level=single_level)
-          for v in (0.5, 0.55, 0.6)]
+    model = "decay" if single_level else "rabi"
+    hs = [sweep.build_model(model, 6, v, 1.0, DriveSpec(1.5, 0.3)) for v in (0.5, 0.55, 0.6)]
     values, weights, errors, real = _spectra(hs)
     assert errors == [None] * len(hs) and real == single_level
     for flag in sorted({real, False}):
@@ -163,7 +160,7 @@ def test_adaptive_rows_of_mixed_dimension_keep_per_cell_errors():
         for v in grid.v_values:
             try:
                 dims.setdefault(i, set()).add(sweep.build_model(
-                    n, v, 1.0, DriveSpec(2.0), adaptive=True).dim)
+                    "adaptive", n, v, 1.0, DriveSpec(2.0)).dim)
             except Exception:
                 pass
     mixed = [i for i in dims if len(dims[i]) > 1]

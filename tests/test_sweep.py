@@ -109,6 +109,22 @@ def test_sweep_validation():
     # a fit needs a driven model, and the sweep's default model is decay
     with pytest.raises(ConfigError, match="needs a driven model"):
         SweepGrid((5,), (0.3,), SweepFixed(), "fit")
+    with pytest.raises(ConfigError, match="model must be one of"):
+        fqcsim.sweep.build_model("bogus", 5, 0.3, 1.0, DriveSpec(2.0))
+
+
+def test_build_model_by_name():
+    drive = DriveSpec(4.0)
+    build = fqcsim.sweep.build_model
+    assert build("decay", 5, 0.3, 1.0, drive).n_system == 1
+    assert build("rabi", 5, 0.3, 1.0, drive).spec.hole is None
+    # the adaptive model's one hole rule: omega0/2 unless a width is given
+    assert build("adaptive", 5, 0.3, 1.0, drive).spec.hole.half_width == 2.0
+    assert build("adaptive", 5, 0.3, 1.0, drive, 1.0).spec.hole.half_width == 1.0
+    # a given width holes every model
+    assert build("rabi", 5, 0.3, 1.0, drive, 1.0).spec.hole.half_width == 1.0
+    assert build("decay", 5, 0.3, 1.0, drive, 1.0).spec.hole.half_width == 1.0
+    assert build("decay", 5, 0.3, 1.0, drive).spec.hole is None
 
 
 def test_sweep_serialization(tmp_path):
