@@ -353,14 +353,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # decay is the one single-level command and model, so no other command
-# runs it and it runs no other model.  sweep takes any model, and
-# adaptive-compare takes its variants from its sizes.
+# runs it and it runs no other model.  A map (sweep) takes any model.  The
+# size scan and adaptive-compare take their variants from their sizes, odd
+# ones the flat rabi model and even ones the adaptive model, so they record
+# rabi and take no other.
 _COMMAND_MODELS = {"decay": ("decay",),
-                   **dict.fromkeys(("rabi", "fit", "sidebands", "markov"), ("rabi", "adaptive"))}
+                   **dict.fromkeys(("rabi", "fit", "sidebands", "markov"), ("rabi", "adaptive")),
+                   **dict.fromkeys(("sweep --size-scan", "adaptive-compare"), ("rabi",))}
 _COMMAND_DEFAULTS = {
     "decay": {"model": "decay", "t_f": 10.0},
     "rabi": {"model": "rabi", "t_f": 8.0, "omega0": 1.0},
     "sweep": {"model": "decay", "t_f": 10.0},
+    "sweep --size-scan": {"model": "rabi", "t_f": 10.0},
     "sidebands": {"model": "rabi", "t_f": 8.0, "omega0": 10.0, "n_half": 22},
     "markov": {"model": "rabi", "t_f": 24.0, "omega0": 1.0, "n_half": 25,
                "coupling_v": 0.25, "count": 256},
@@ -370,7 +374,8 @@ _COMMAND_DEFAULTS = {
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    data = dict(_COMMAND_DEFAULTS.get(args.command, {}))
+    command = "sweep --size-scan" if getattr(args, "size_scan", False) else args.command
+    data = dict(_COMMAND_DEFAULTS.get(command, {}))
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -412,9 +417,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 n_steps = int(round((hi_v - lo_v) / st))
                 data[axis] = [round(lo_v + i * st, 10) for i in range(n_steps + 1)]
     cfg = RunConfig.from_dict(data)
-    models = _COMMAND_MODELS.get(args.command, MODELS)
+    models = _COMMAND_MODELS.get(command, MODELS)
     if cfg.model not in models:
-        raise ConfigError(f"{args.command} runs model {' or '.join(map(repr, models))}, "
+        raise ConfigError(f"{command} runs model {' or '.join(map(repr, models))}, "
                           f"got {cfg.model!r}")
     return cfg
 

@@ -57,15 +57,16 @@ def write_csv(path, columns: dict, header: tuple[str, ...] = ()) -> None:
     digits); integer and string columns are written with `str`.  Each header
     line becomes a leading `# ` comment.
     """
-    cells = []
+    lists, formats = [], []
     for values in columns.values():
         arr = np.asarray(values)
-        fmt = "{:.16e}".format if arr.dtype.kind == "f" else str
-        cells.append([fmt(x) for x in arr.tolist()])
+        lists.append(arr.tolist())
+        formats.append("%.16e" if arr.dtype.kind == "f" else "%s")
+    row = ",".join(formats) + "\n"
     with open(path, "w") as fh:
         fh.writelines(f"# {line}\n" for line in header)
         fh.write(",".join(columns) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        fh.writelines(map(row.__mod__, zip(*lists)))
 
 
 def _rho_columns(rho: np.ndarray, labels) -> dict:

@@ -212,6 +212,54 @@ def _sample_pairs(rng, count: int, dim: int, subspace: str) -> np.ndarray:
     return psis
 
 
+# sigma_x, sigma_y, sigma_z
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch_distances(prop: np.ndarray, psis: np.ndarray):
+    """(first pair, trace distances (pairs, nt)) per block of the system
+    pairs psis (count, 2, 2), from the projected propagator prop (nt, 2, 2).
+
+    rho_1 - rho_2 = d . sigma with d = (Re D_ge, -Im D_ge, (D_gg - D_ee)/2)
+    evolves to sum_k d_k G sigma_k G^dagger.  Row k of the real (3, 4 nt)
+    table holds that map's gg and ee entries and its ge entry as (Re, Im)
+    pairs, every time each, so a block of pairs is one (pairs, 3) product.
+    """
+    nt = prop.shape[0]
+    g = prop.transpose(2, 1, 0)                                 # (m, s, t)
+    outer = (g[:, None, :, None] * g.conj()[None, :, None, :]).reshape(4, 4, nt)
+    # (G sigma_k G^dagger)[s, u] = sum_mn sigma_k[m, n] G[s, m] G[u, n]*, columns (su, t)
+    entries = _PAULI.reshape(3, 4) @ outer[:, [0, 3, 1]].reshape(4, 3 * nt)
+    table = np.concatenate([entries[:, :2 * nt].real, entries[:, 2 * nt:].view(float)], axis=1)
+    dmat = psis[:, :, :, None] * psis[:, :, None, :].conj()    # (pair, q, m, n)
+    dmat = dmat[:, 0] - dmat[:, 1]
+    coords = np.stack([dmat[:, 0, 1].real, -dmat[:, 0, 1].imag,
+                       0.5 * (dmat[:, 0, 0].real - dmat[:, 1, 1].real)], axis=1)
+    # per pair: the real (4, nt) product and as many bytes of temporaries
+    block = max(1, _BLOCK_BYTES // (8 * 8 * nt))
+    for lo in range(0, len(coords), block):
+        diff = coords[lo:lo + block] @ table
+        yield lo, _td_two_by_two(diff[:, :nt], diff[:, nt:2 * nt],
+                                 diff[:, 2 * nt:].view(complex))
+
+
+def _amplitude_distances(prop: np.ndarray, psis: np.ndarray):
+    """(first pair, trace distances (pairs, nt)) per block of the pairs
+    psis (count, 2, sdim), from their projected amplitudes under the
+    propagator prop (nt, 2, sdim)."""
+    nt, _, sdim = prop.shape
+    prop = prop.transpose(2, 1, 0).reshape(sdim, 2 * nt)      # rows m, columns (s, t)
+    block = max(1, _BLOCK_BYTES // (2 * 2 * 16 * nt))      # (q, s, t) complex per pair
+    for lo in range(0, len(psis), block):
+        pairs = psis[lo:lo + block]
+        amps = (pairs.reshape(-1, sdim) @ prop).reshape(-1, 2, 2, nt)  # (pair, q, s, t)
+        cg, ce = amps[:, :, 0], amps[:, :, 1]
+        dgg = np.abs(cg[:, 0]) ** 2 - np.abs(cg[:, 1]) ** 2
+        dee = np.abs(ce[:, 0]) ** 2 - np.abs(ce[:, 1]) ** 2
+        dge = cg[:, 0] * ce[:, 0].conj() - cg[:, 1] * ce[:, 1].conj()
+        yield lo, _td_two_by_two(dgg, dee, dge)
+
+
 def nonmarkovianity(
     h: HamiltonianMatrix,
     t_final: float,
@@ -238,10 +286,14 @@ def nonmarkovianity(
     with s in {g, e} and m over the sdim sampled components (2 for
     "system", dim for "full"), in the eigenbasis from `diagonalize` (an
     orthonormality-checked Eigensystem).  G is built once by the shared
-    phase kernel of `propagate`.  The projected amplitudes of all pairs
-    then cost 4 * count * sdim * nt complex multiply-adds in BLAS matrix
-    products, a few pairs per product so that each block of amplitudes
-    stays cache-sized (about 1 MiB).
+    phase kernel of `propagate`.  On the system subspace a pair's
+    difference rho_1 - rho_2 = d . (sigma_x, sigma_y, sigma_z) is traceless
+    and Hermitian, so its projected difference at t is the real-linear
+    sum_k d_k G sigma_k G^dagger: one (3, 4 nt) table of the reduced map,
+    and 12 real multiply-adds per pair and time in one BLAS product per
+    block of pairs.  The full subspace forms every pair's projected
+    amplitudes instead, 4 * count * sdim * nt complex multiply-adds.
+    Each block of pairs stays cache-sized (about 1 MiB).
     """
     if count < 2:
         raise ConfigError("need at least 2 sampled pairs")
@@ -262,24 +314,15 @@ def nonmarkovianity(
 
     v = eig.vectors
     weights = (v[:2, None, :] * v[None, :sdim, :]).reshape(2 * sdim, h.dim).T
-    prop = _phase_sum(eig.values, weights, times).reshape(nt, 2, sdim)
-    prop = prop.transpose(2, 1, 0).reshape(sdim, 2 * nt)    # rows m, columns (s, t)
+    prop = _phase_sum(eig.values, weights, times).reshape(nt, 2, sdim)    # G[t, s, m]
+    distances = _bloch_distances if subspace == "system" else _amplitude_distances
 
     sigma = np.zeros(nt)
     finals = np.empty(count)
-    block = max(1, _BLOCK_BYTES // (2 * 2 * 16 * nt))      # (q, s, t) complex per pair
-    for lo in range(0, count, block):
-        pairs = psis[lo:lo + block]
-        amps = (pairs.reshape(-1, sdim) @ prop).reshape(-1, 2, 2, nt)  # (pair, q, s, t)
-        cg, ce = amps[:, :, 0], amps[:, :, 1]
-        dgg = np.abs(cg[:, 0]) ** 2 - np.abs(cg[:, 1]) ** 2
-        dee = np.abs(ce[:, 0]) ** 2 - np.abs(ce[:, 1]) ** 2
-        dge = cg[:, 0] * ce[:, 0].conj() - cg[:, 1] * ce[:, 1].conj()
-        td = _td_two_by_two(dgg, dee, dge)                  # (pair, nt)
-
+    for lo, td in distances(prop, psis):                   # td (pair, nt)
         sig_pairs = np.cumsum(np.clip(np.diff(td, axis=1), 0.0, None), axis=1)
         np.maximum(sigma[1:], sig_pairs.max(axis=0), out=sigma[1:])
-        finals[lo:lo + block] = sig_pairs[:, -1]
+        finals[lo:lo + td.shape[0]] = sig_pairs[:, -1]
 
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB001]))
     maxima = np.array(

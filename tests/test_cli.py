@@ -451,6 +451,39 @@ def test_command_runs_only_the_model_it_names(tmp_path, command, model, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_size_scan_records_the_rabi_model(tmp_path):
+    # its default used to be the sweep's decay, recorded although no size
+    # runs it; odd sizes run rabi and even ones adaptive
+    out = tmp_path / "run"
+    assert run(["sweep", "--out", out, "--size-scan", "--sizes", "10,11", "--omega0", 10,
+                "--tf", 4, "--grid-points", 401]) == 0
+    assert embedded_config(out / "size_scan.csv")["model"] == "rabi"
+    assert embedded_config(out / "size_scan.json")["model"] == "rabi"
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--size-scan", "--sizes", "10", "--omega0", 10, "--tf", 4, "--grid-points", 401],
+    ["adaptive-compare", "--flat-size", 11, "--adaptive-size", 10, "--tf", 4,
+     "--grid-points", 401],
+])
+@pytest.mark.parametrize("model", ["decay", "adaptive"])
+def test_size_commands_run_only_the_rabi_model(tmp_path, args, model, capsys):
+    # a size scan and adaptive-compare take their variants from their sizes,
+    # so a config naming another model is rejected, not recorded
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model}))
+    assert run(args + ["--config", cfg, "--out", tmp_path / "x"]) == 2
+    assert f"runs model 'rabi', got {model!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_size_scan_model_flag_rejected(tmp_path, capsys):
+    assert run(["sweep", "--size-scan", "--sizes", 10, "--model", "decay", "--omega0", 10,
+                "--tf", 4, "--grid-points", 401, "--out", tmp_path / "x"]) == 2
+    assert "sweep --size-scan runs model 'rabi'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_embedded_config_errors(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("a,b\n1,2\n")

@@ -47,6 +47,12 @@ COMMANDS = [
     ["sweep", "--hole-half-width", "0.5"] + _GRID,
     # two-level cells: a stack scored at once by the stacked d2
     ["sweep", "--model", "rabi", "--metric", "d2", "--omega0", "2"] + _GRID,
+    # the reduced map of non-Markovianity: on a grid the Rabi guard refines,
+    # with a hole, detuned, and behind rabi
+    ["markov"] + _CELL + ["--count", "2", "--omega0", "10", "--grid-points", "2"],
+    ["markov"] + _CELL + ["--hole-half-width", "2", "--omega0", "10"],
+    ["markov"] + _CELL + ["--detuning", "0.5"],
+    ["rabi", "--markov"] + _CELL + ["--count", "3"],
 ]
 
 

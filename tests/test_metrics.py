@@ -22,7 +22,9 @@ from fqcsim import (
     trace_distance,
 )
 from fqcsim import NumericalError
+from fqcsim import metrics
 from fqcsim.metrics import _sample_pairs, _td_two_by_two
+from fqcsim.sweep import build_model
 
 
 def random_density(rng, dim=2):
@@ -195,7 +197,7 @@ def test_nonmarkovianity_monotone_in_sample_count():
     large = nonmarkovianity(h, 10.0, count=16, seed=7)
     assert large.value >= small.value - 1e-15
     # the first 8 pairs of the larger draw are the smaller draw
-    np.testing.assert_allclose(large.per_pair_final[:8], small.per_pair_final)
+    np.testing.assert_allclose(large.per_pair_final[:8], small.per_pair_final, rtol=1e-14)
 
 
 def test_nonmarkovianity_deterministic_given_seed():
@@ -374,6 +376,65 @@ def test_nonmarkovianity_matches_expm_oracle(subspace):
     np.testing.assert_allclose(result.sigma[1:], sig_pairs.max(axis=0), rtol=0, atol=1e-10)
     assert result.sigma[0] == 0.0
     assert result.value > 0.1
+
+
+# The system subspace takes the reduced map's Bloch form: a pair's traceless
+# difference d . sigma evolves by one real (3, 4 nt) table.  The oracle
+# evolves each state of each pair on its own, by the full eigensystem of H,
+# and takes the public trace_distance of the projected states at every time
+# of a grid of about 20 points (the Rabi guard refines omega0 = 10 to 383).
+
+BLOCH_MODELS = {
+    "flat": lambda omega0: build_model("rabi", 4, 0.5, 1.0, DriveSpec(omega0, 0.0)),
+    "holed": lambda omega0: build_model("rabi", 4, 0.5, 1.0, DriveSpec(omega0, 0.0), 2.0),
+    "detuned": lambda omega0: build_model("rabi", 4, 0.5, 1.0, DriveSpec(omega0, 0.5)),
+}
+
+
+def nonmarkovianity_by_state(h, times, count, seed):
+    """Oracle: sigma and per_pair_final from rho_q = (G psi_q)(G psi_q)^dagger
+    of every state, G the projected exp(-i H t) from eigh of the dense H."""
+    values, vectors = np.linalg.eigh(h.entries)
+    psis = full_space_pairs(h, count, seed, "system")
+    td = np.empty((count, times.size))
+    for k, t in enumerate(times):
+        g = (vectors[:2] * np.exp(-1j * values * t)) @ vectors.conj().T
+        for p in range(count):
+            rho_1, rho_2 = (np.outer(c, c.conj()) for c in psis[p] @ g.T)
+            td[p, k] = trace_distance(rho_1, rho_2)
+    sig_pairs = np.cumsum(np.maximum(np.diff(td, axis=1), 0.0), axis=1)
+    return np.concatenate([[0.0], sig_pairs.max(axis=0)]), sig_pairs[:, -1]
+
+
+@pytest.mark.parametrize("count", [2, 3, 17])
+@pytest.mark.parametrize("omega0", [0.0, 1.0, 10.0])
+@pytest.mark.parametrize("model", sorted(BLOCH_MODELS))
+def test_nonmarkovianity_matches_each_state_evolved(model, omega0, count):
+    # past the rephasing time 2 pi / delta = 4; 21 points at omega0 0, the
+    # Rabi guard's 40 and 383 points at omega0 1 and 10 (from 2 points)
+    h = BLOCH_MODELS[model](omega0)
+    grid_points = 2 if omega0 == 10.0 else 21
+    result = nonmarkovianity(h, 6.0, count=count, seed=count, grid_points=grid_points)
+    nt = max(grid_points, math.ceil(40.0 * 6.0 * omega0 / (2.0 * math.pi)) + 1)
+    np.testing.assert_array_equal(result.times, np.linspace(0.0, 6.0, nt))
+    sigma, finals = nonmarkovianity_by_state(h, result.times, count, count)
+    np.testing.assert_allclose(result.sigma, sigma, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(result.per_pair_final, finals, rtol=0, atol=1e-12)
+    assert result.value > 0.01
+
+
+@pytest.mark.parametrize("subspace", ["system", "full"])
+@pytest.mark.parametrize("seed", [0, 4])
+def test_nonmarkovianity_ignores_the_order_within_a_pair(monkeypatch, subspace, seed):
+    # swapping the states negates the difference rho_1 - rho_2 exactly, and
+    # the trace distance is even in it, bit for bit
+    h = build_model("rabi", 10, 0.3, 1.0, DriveSpec(1.0, 0.2))
+    kept = nonmarkovianity(h, 14.0, count=13, seed=seed, subspace=subspace)
+    monkeypatch.setattr(metrics, "_sample_pairs",
+                        lambda *args: _sample_pairs(*args)[:, ::-1])
+    swapped = nonmarkovianity(h, 14.0, count=13, seed=seed, subspace=subspace)
+    np.testing.assert_array_equal(swapped.sigma, kept.sigma)
+    np.testing.assert_array_equal(swapped.per_pair_final, kept.per_pair_final)
 
 
 # ---------------------------------------------------------------- grid doubling
