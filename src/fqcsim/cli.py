@@ -421,6 +421,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     if cfg.model not in models:
         raise ConfigError(f"{command} runs model {' or '.join(map(repr, models))}, "
                           f"got {cfg.model!r}")
+    # a size scan always fits and scores d2 and writes no map to rescale
+    if command == "sweep --size-scan":
+        if cfg.metric != "d1":
+            raise ConfigError(f"sweep --size-scan takes no metric, got {cfg.metric!r}")
+        if args.normalize:
+            raise ConfigError("sweep --size-scan takes no --normalize")
     return cfg
 
 

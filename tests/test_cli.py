@@ -484,6 +484,26 @@ def test_size_scan_model_flag_rejected(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+_SCAN = ["sweep", "--size-scan", "--sizes", 11, "--omega0", 10, "--tf", 4, "--grid-points", 401]
+
+
+@pytest.mark.parametrize("metric", ["d2", "fit"])
+def test_size_scan_metric_flag_rejected(tmp_path, metric, capsys):
+    # a size scan always fits and scores d2; it used to exit 0 and record
+    # the metric it ignored
+    assert run(_SCAN + ["--metric", metric, "--out", tmp_path / "x"]) == 2
+    assert f"takes no metric, got {metric!r}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    assert run(_SCAN + ["--metric", "d1", "--out", tmp_path / "y"]) == 0
+
+
+def test_size_scan_normalize_flag_rejected(tmp_path, capsys):
+    # there is no map to rescale; the flag used to be ignored with exit 0
+    assert run(_SCAN + ["--normalize", "--out", tmp_path / "x"]) == 2
+    assert "takes no --normalize" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_embedded_config_errors(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("a,b\n1,2\n")

@@ -6,7 +6,9 @@ are never regenerated: a difference is a change of behaviour, to be argued,
 not absorbed.  JSON outputs contribute every number, string and bool (config
 and version left out); CSV outputs contribute, per column, the row count, the
 sum and the sum of magnitudes, the sums compared to a relative bound plus a
-1e-12 per-row floor.
+1e-12 per-row floor.  Every CSV a case writes is also compared, byte for
+byte, with what the row writer `oracles.write_csv_rows` makes of the same
+columns.
 """
 
 import json
@@ -16,7 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fqcsim import analysis, cli, evolve, metrics, sweep
 from fqcsim.cli import main
+from fqcsim.evolve import write_csv
+from oracles import write_csv_rows
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
 RTOL = 1e-9
@@ -104,9 +109,26 @@ def _run(args, out: Path) -> dict:
     return fingerprint(out)
 
 
+@pytest.fixture
+def csv_oracle(monkeypatch, tmp_path_factory):
+    """Names of the CSVs written, each checked against the row writer."""
+    twins, written = tmp_path_factory.mktemp("rows"), []
+
+    def checked(path, columns, header=()):
+        write_csv(path, columns, header)
+        write_csv_rows(twins / "twin.csv", columns, header)
+        assert Path(path).read_bytes() == (twins / "twin.csv").read_bytes(), path
+        written.append(Path(path).name)
+
+    for module in (analysis, cli, evolve, metrics, sweep):
+        monkeypatch.setattr(module, "write_csv", checked)
+    return written
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_cli_values(tmp_path, name):
+def test_golden_cli_values(tmp_path, name, csv_oracle):
     got, want = _run(CASES[name], tmp_path), GOLDEN[name]
+    assert sorted(csv_oracle) == sorted(p.name for p in tmp_path.glob("*.csv"))
     assert sorted(got) == sorted(want)
     for key, expected in want.items():
         fit = name.endswith("_fit") or any(k in key for k in FIT_KEYS)

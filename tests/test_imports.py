@@ -1,4 +1,5 @@
-"""No command loads scipy: the package runs on numpy alone.
+"""No command loads scipy: the package runs on numpy alone.  Nor does the
+import or a CSV write load `fractions` or `decimal`.
 
 Each check runs in a fresh interpreter, because several test modules import
 scipy themselves, so this process's `sys.modules` says nothing.
@@ -107,4 +108,16 @@ def test_lazy_series_reads_load_no_scipy(tmp_path):
         for series in (rabi, decay):
             assert np.isfinite(series.amplitudes).all()
         assert "scipy" not in sys.modules
+    """, tmp_path)
+
+
+def test_no_fractions_or_decimal(tmp_path):
+    # the CSV writer's table of powers of ten is built in integers; neither
+    # module loads at import nor at the first write
+    _fresh_python("""
+        import sys
+        import fqcsim
+        assert not {"fractions", "decimal"} & set(sys.modules), "import fqcsim"
+        fqcsim.write_csv("x.csv", {"x": [0.1, -2.5e-300, 1e300]})
+        assert not {"fractions", "decimal"} & set(sys.modules), "write_csv"
     """, tmp_path)
