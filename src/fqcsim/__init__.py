@@ -34,11 +34,9 @@ from .evolve import (
 )
 from .reference import (
     NonHermitianSpec,
-    damped_oscillator_ce,
     decay_single,
     effective_hamiltonian,
     evolve_nonhermitian,
-    underdamped_discriminant,
 )
 from .metrics import MetricResult, NonMarkovianityResult, d1, d2, nonmarkovianity, trace_distance
 from .analysis import (
@@ -60,8 +58,7 @@ __all__ = [
     "build_adaptive", "build_single_level", "build_two_level",
     "DensitySeries", "StateVector", "TimeSeries", "basis_state", "default_grid",
     "diagonalize", "propagate", "source_term_series", "write_csv",
-    "NonHermitianSpec", "damped_oscillator_ce", "decay_single", "effective_hamiltonian",
-    "evolve_nonhermitian", "underdamped_discriminant",
+    "NonHermitianSpec", "decay_single", "effective_hamiltonian", "evolve_nonhermitian",
     "MetricResult", "NonMarkovianityResult", "d1", "d2", "nonmarkovianity", "trace_distance",
     "FitReport", "SidebandSpectrum", "critical_coupling", "fit_effective_params", "n_max",
     "revival_time", "revival_time_from_spectrum", "sideband_spectrum", "zeno_time",

@@ -11,7 +11,7 @@ from .errors import ConfigError, NumericalError
 from .evolve import TimeSeries, _grid_block, _phase_tables, diagonalize, write_csv
 from .hamiltonian import DriveSpec, FqcSpec, HamiltonianMatrix
 from .metrics import _window
-from .reference import underdamped_discriminant
+from .reference import NonHermitianSpec, _amplitudes, effective_hamiltonian
 
 __all__ = [
     "FitReport",
@@ -207,7 +207,7 @@ def critical_coupling(t_f: float, gamma: float = 1.0) -> dict[str, float]:
 
 @dataclass
 class SidebandSpectrum:
-    """Asymptotic FQC level occupations under resonant driving."""
+    """FQC level occupations under resonant driving, from a |g> start."""
 
     k: np.ndarray
     energies: np.ndarray
@@ -224,19 +224,18 @@ class SidebandSpectrum:
         write_csv(path, cols, extra_header)
 
 
-def _closed_form_ck(spec: FqcSpec, drive: DriveSpec, ks: np.ndarray) -> np.ndarray:
-    gamma, om0 = spec.gamma_target, drive.rabi_omega0
+def _occupations(spec: FqcSpec, drive: DriveSpec, ks: np.ndarray) -> np.ndarray:
+    """|c_k(inf)|^2 from the resolvent of H_eff, c_k = -v [(H_eff - k delta)^-1]_eg;
+    the one zero-detuning rule of the sideband functions."""
+    if drive.detuning_delta != 0.0:
+        raise ConfigError("sideband spectrum is defined at zero detuning")
+    om0 = drive.rabi_omega0
     if om0 == 0.0:
         # vanishing numerator: nothing is emitted without a drive
-        return np.zeros(ks.size, dtype=complex)
-    disc = underdamped_discriminant(gamma, om0)
-    if disc <= 0:
-        raise ConfigError("closed-form sidebands need the under-damped regime")
-    sq = math.sqrt(disc)
-    kd = 1j * ks * spec.gap
-    return (spec.coupling_v * om0 / sq) * (
-        -1.0 / (-gamma / 4.0 + 0.5j * sq + kd)
-        + 1.0 / (-gamma / 4.0 - 0.5j * sq + kd)
+        return np.zeros(ks.size)
+    e = ks * spec.gap
+    return (spec.coupling_v * om0) ** 2 / (
+        (e**2 - om0**2) ** 2 + (0.5 * spec.gamma_target * e) ** 2
     )
 
 
@@ -246,17 +245,20 @@ def _quadrature_occupations(
     ks: np.ndarray,
     t_f: float,
 ) -> np.ndarray:
-    from .reference import NonHermitianSpec, damped_oscillator_ce
-
     omega_max = max(drive.rabi_omega0, abs(ks[-1]) * spec.gap, 1.0)
     nt = max(4001, int(40 * t_f * omega_max / (2 * math.pi)) + 1)
     t = np.linspace(0.0, t_f, nt)
-    ce = damped_oscillator_ce(
-        NonHermitianSpec(spec.gamma_target, drive), t, psi0=(0.0, 1.0)
-    ).c_e
+    nh = NonHermitianSpec(spec.gamma_target, drive)
+    psi = _amplitudes(nh, "g", t)
     phases = np.exp(1j * np.outer(ks, t) * spec.gap)
-    ints = np.trapezoid(ce[None, :] * phases, t, axis=1)
-    return np.abs(-1j * spec.coupling_v * ints) ** 2
+    ints = np.trapezoid(psi[:, 1] * phases, t, axis=1)
+    # the trapezoid's end correction -dt^2/12 [f'] on f = c_e exp(i E t), with
+    # c_e' = -i (H_eff psi)_e: fourth order in dt
+    ends = psi[[0, -1]]
+    df = (-1j * ends @ effective_hamiltonian(nh)[1]
+          + 1j * (ks * spec.gap)[:, None] * ends[:, 1]) * phases[:, [0, -1]]
+    ints -= (t[1] - t[0]) ** 2 / 12.0 * (df[:, 1] - df[:, 0])
+    return np.abs(spec.coupling_v * ints) ** 2
 
 
 def sideband_spectrum(
@@ -266,33 +268,35 @@ def sideband_spectrum(
 ) -> SidebandSpectrum:
     """Occupation |c_k|^2 of every FQC level after the drive has decayed.
 
-    The closed form is the resonance response of the damped amplitude at each
-    level energy; two sidebands peak where |k| delta matches the effective
-    Rabi frequency.  `occupations_quadrature`, an independent cross-check,
-    integrates c_k(t_f) = -i v int_0^{t_f} c_e(t) exp(i k delta t) dt with
-    the closed-form damped amplitude.
+    The atom starts in |g>.  In every regime (under-damped, critical and
+    over-damped) the occupation is the resolvent of H_eff at the level energy
+    E = k delta:
+
+        |c_k(inf)|^2 = v^2 omega0^2 / ((E^2 - omega0^2)^2 + (gamma E / 2)^2),
+
+    zero when omega0 = 0; on a strong drive two sidebands peak where
+    |k| delta matches the Rabi frequency.  `occupations_quadrature`, an
+    independent cross-check, is |c_k(t_f)|^2 with
+    c_k(t_f) = -i v int_0^{t_f} c_e(t) exp(i k delta t) dt, c_e from the same
+    |g> start; it tends to the occupation once the drive has decayed by t_f.
+    Zero detuning only (ConfigError otherwise).
     """
-    if drive.detuning_delta != 0.0:
-        raise ConfigError("sideband spectrum is defined at zero detuning")
     ks = spec.level_indices
-    occ = np.abs(_closed_form_ck(spec, drive, ks)) ** 2
+    occ = _occupations(spec, drive, ks)
     return SidebandSpectrum(ks, ks * spec.gap, occ, _quadrature_occupations(spec, drive, ks, t_f))
 
 
 def n_max(spec: FqcSpec, drive: DriveSpec) -> int:
     """Index of the most occupied level on the positive sideband branch.
 
-    Uses the closed form when under-damped; for weak drives below the
-    critical damping point the occupations come from the quadrature with the
-    over-damped amplitude, where the peak width is set by the decay rate.
+    The occupations are `sideband_spectrum`'s resolvent ones, for an atom
+    started in |g>, in every regime; like it, n_max needs zero detuning.  A
+    ConfigError without a drive or without positive-k levels.
     """
     if drive.rabi_omega0 == 0.0:
         raise ConfigError("n_max is undefined without a drive")
     ks = spec.level_indices
-    if underdamped_discriminant(spec.gamma_target, drive.rabi_omega0) > 0:
-        occ = np.abs(_closed_form_ck(spec, drive, ks)) ** 2
-    else:
-        occ = _quadrature_occupations(spec, drive, ks, t_f=8.0)
+    occ = _occupations(spec, drive, ks)
     pos = ks > 0
     if not pos.any():
         raise ConfigError("no positive-k levels in the spectrum")

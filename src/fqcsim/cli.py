@@ -182,10 +182,19 @@ def _two_level_run(cfg: RunConfig):
 
 def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool) -> None:
     h, times, series, ref = _two_level_run(cfg)
+    # every result first: a rejected sideband or markov run writes no file
+    payload = {"d2": d2(series, ref, cfg.t_f).to_json()}
+    if with_sidebands:
+        sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
+        payload["n_max"] = n_max(h.spec, h.drive)
+    if with_markov:
+        mk = nonmarkovianity(h, cfg.t_f, count=cfg.count, seed=cfg.seed,
+                             grid_points=cfg.grid_points)
+        payload["nonmarkovianity"] = mk.to_json()
+
     header = _header(cfg)
     series.to_csv(out / "timeseries.csv", extra_header=header)
     ref.to_csv(out / "reference.csv", extra_header=header)
-
     sources = source_term_series(series)
     write_csv(out / "source_terms.csv", {
         "t": times,
@@ -194,25 +203,20 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
         "s_ee_re": sources[:, 1, 1].real,
         "s_ee_im": sources[:, 1, 1].imag,
     }, header)
-
-    payload = {"d2": d2(series, ref, cfg.t_f).to_json()}
     if with_sidebands:
-        sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
         sb.to_csv(out / "sidebands.csv", extra_header=header)
-        payload["n_max"] = n_max(h.spec, h.drive)
     if with_markov:
-        mk = nonmarkovianity(h, cfg.t_f, count=cfg.count, seed=cfg.seed,
-                             grid_points=cfg.grid_points)
         mk.to_csv(out / "sigma.csv", extra_header=header)
-        payload["nonmarkovianity"] = mk.to_json()
     _dump_json(out / "metrics.json", payload, cfg)
 
 
 def cmd_sidebands(cfg: RunConfig, out: Path) -> None:
     h = _model(cfg)
+    # both results first: a rejected spectrum writes no file
     sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
+    peak = n_max(h.spec, h.drive)
     sb.to_csv(out / "sidebands.csv", extra_header=_header(cfg))
-    _dump_json(out / "sidebands.json", {"n_max": n_max(h.spec, h.drive)}, cfg)
+    _dump_json(out / "sidebands.json", {"n_max": peak}, cfg)
 
 
 def cmd_markov(cfg: RunConfig, out: Path) -> None:
@@ -364,7 +368,7 @@ _COMMAND_DEFAULTS = {
     "decay": {"model": "decay", "t_f": 10.0},
     "rabi": {"model": "rabi", "t_f": 8.0, "omega0": 1.0},
     "sweep": {"model": "decay", "t_f": 10.0},
-    "sweep --size-scan": {"model": "rabi", "t_f": 10.0},
+    "sweep --size-scan": {"model": "rabi", "t_f": 16.0, "omega0": 10.0, "grid_points": 4001},
     "sidebands": {"model": "rabi", "t_f": 8.0, "omega0": 10.0, "n_half": 22},
     "markov": {"model": "rabi", "t_f": 24.0, "omega0": 1.0, "n_half": 25,
                "coupling_v": 0.25, "count": 256},

@@ -7,11 +7,13 @@ from fqcsim import (
     ConfigError,
     DriveSpec,
     FqcSpec,
+    NonHermitianSpec,
     adaptive_spec_for_size,
     build_single_level,
     build_two_level,
     critical_coupling,
     default_grid,
+    effective_hamiltonian,
     fit_effective_params,
     n_max,
     propagate,
@@ -21,7 +23,7 @@ from fqcsim import (
     zeno_time,
 )
 from fqcsim.analysis import _damped_cos2, _refine_parabolic
-from oracles import damped_rabi_population
+from oracles import damped_rabi_population, underdamped_discriminant
 
 
 def decay_series(n_half, v, t_f=10.0, points=2001):
@@ -225,11 +227,39 @@ def test_sidebands_quadrature_cross_check():
     assert abs(quad - closed) / closed <= 0.05
 
 
+# a window long enough for the drive to decay: the over-damped slow mode
+# decays at gamma/4 - sqrt(gamma^2/16 - omega0^2) = 0.021 at omega0 = 0.1, so
+# t_f = 60 would leave 29% of its amplitude
+@pytest.mark.parametrize("omega0, t_f", [
+    (10.0, 40.0), (2.0, 60.0), (1.0, 60.0), (0.25, 60.0), (0.1, 500.0),
+])
+def test_sidebands_quadrature_converges_to_the_resolvent(omega0, t_f):
+    # the quadrature is |c_k(t_f)|^2 from a |g> start, the resolvent the same
+    # start at t = infinity: they meet at every level, in every regime
+    sb = sideband_spectrum(FqcSpec(22, 0.3), DriveSpec(omega0, 0.0), t_f=t_f)
+    np.testing.assert_allclose(sb.occupations_quadrature, sb.occupations, rtol=1e-3)
+
+
+def test_sidebands_match_the_resolvent_of_h_eff():
+    # independent oracle: c_k = -v [(H_eff - k delta)^-1]_eg by a linear solve
+    spec = FqcSpec(22, 0.3)
+    for omega0 in (10.0, 1.0, 0.25, 0.1):
+        drive = DriveSpec(omega0, 0.0)
+        heff = effective_hamiltonian(NonHermitianSpec(1.0, drive))
+        ck = [-spec.coupling_v * np.linalg.solve(heff - e * np.eye(2), [1.0, 0.0])[1]
+              for e in spec.level_indices * spec.gap]
+        sb = sideband_spectrum(spec, drive)
+        np.testing.assert_allclose(sb.occupations, np.abs(ck) ** 2, rtol=1e-12)
+
+
 def test_sidebands_reject_detuning_and_overdamped():
-    with pytest.raises(ConfigError):
-        sideband_spectrum(FqcSpec(5, 0.3), DriveSpec(1.0, 0.5))
-    with pytest.raises(ConfigError):
-        sideband_spectrum(FqcSpec(5, 0.3), DriveSpec(0.1, 0.0))
+    # both sideband functions reject detuning, in every regime; an
+    # over-damped drive has a spectrum like any other
+    for omega0 in (1.0, 0.1):
+        for call in (sideband_spectrum, n_max):
+            with pytest.raises(ConfigError, match="zero detuning"):
+                call(FqcSpec(22, 0.3), DriveSpec(omega0, 0.5))
+    assert np.all(sideband_spectrum(FqcSpec(5, 0.3), DriveSpec(0.1, 0.0)).occupations > 0)
 
 
 def test_sidebands_csv(tmp_path):
@@ -295,7 +325,7 @@ def test_fit_recovers_its_own_model():
 
 @pytest.mark.parametrize("omega0,gamma", [(10.0, 1.0), (5.0, 0.5), (20.0, 2.0)])
 def test_fit_scale_consistent_recovery(omega0, gamma):
-    from fqcsim import TimeSeries, underdamped_discriminant
+    from fqcsim import TimeSeries
 
     times = default_grid(8.0 / gamma, 2001)
     target = damped_rabi_population(gamma, omega0, times)

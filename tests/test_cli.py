@@ -511,3 +511,23 @@ def test_embedded_config_errors(tmp_path):
 
     with pytest.raises(ConfigError):
         embedded_config(path)
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMAND_DEFAULTS))
+def test_every_command_runs_at_its_bare_defaults(tmp_path, command):
+    # a bare `sweep --size-scan` exited 2: its defaults left omega0 at 0, so
+    # the adaptive sizes had no hole to cut
+    assert run(command.split() + ["--out", tmp_path / "run"]) == 0
+
+
+@pytest.mark.parametrize("args", [
+    ["sidebands", "--omega0", 0],
+    ["sidebands", "--n", 0, "--omega0", 10],
+    ["rabi", "--sidebands", "--omega0", 0] + FAST,
+])
+def test_rejected_sideband_run_writes_no_file(tmp_path, args):
+    # n_max rejects these; they used to exit 2 after writing sidebands.csv,
+    # or rabi's four CSVs
+    out = tmp_path / "run"
+    assert run(args + ["--out", out]) == 2
+    assert list(out.iterdir()) == []

@@ -21,6 +21,9 @@ COMMANDS = [
     ["decay"] + _CELL,
     ["rabi", "--sidebands", "--omega0", "1"] + _CELL,
     ["sidebands", "--n", "8", "--v", "0.3", "--omega0", "10"],
+    # sidebands at the exceptional point and over-damped
+    ["sidebands", "--omega0", "0.25"],
+    ["rabi", "--sidebands", "--omega0", "0.2"] + _CELL,
     ["markov", "--count", "8", "--omega0", "1"] + _CELL,
     ["sweep"] + _GRID,
     ["fit", "--omega0", "10"] + _CELL,
