@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolve import TimeSeries, _grid_block, _phase_tables, diagonalize, write_csv
+from .evolve import TimeSeries, _grid_block, _phase_tables, default_grid, diagonalize, write_csv
 from .hamiltonian import DriveSpec, FqcSpec, HamiltonianMatrix
 from .metrics import _window
 from .reference import NonHermitianSpec, _amplitudes, effective_hamiltonian
@@ -27,6 +27,8 @@ __all__ = [
 
 # A revival bump must exceed the exponential tail by this factor.
 _PROMINENCE = 10.0
+# Residual evaluations after which a fit stops unconverged (status 0).
+_MAX_NFEV = 400
 
 
 @dataclass
@@ -120,13 +122,10 @@ def _refine_parabolic(times: np.ndarray, y: np.ndarray, i: int) -> float:
     return float(times[i] + shift)
 
 
-def revival_time(
-    series: TimeSeries,
-    search_start: float | None = None,
-) -> FitReport:
+def revival_time(series: TimeSeries) -> FitReport:
     """Detect the first population revival of an initially excited state.
 
-    A revival bump is the first local maximum of pi_e after `search_start`
+    A revival bump is the first local maximum of pi_e from t = 3 / gamma on
     exceeding 10 times the exponential tail pi_e(0) exp(-gamma t); this
     filters residual Rabi-like ripples.  The reported t_revival is the
     onset of the bump, i.e. the sharp population minimum immediately
@@ -135,15 +134,12 @@ def revival_time(
     revival is an explicit outcome, not a failure.
     """
     gamma = series.spec.gamma_target
-    start = search_start if search_start is not None else 3.0 / gamma
     t = series.times
     pie = series.pi_e
     tail = pie[0] * np.exp(-gamma * t)
 
     peak_idx = None
-    for i in range(1, t.size - 1):
-        if t[i] < start:
-            continue
+    for i in range(max(1, int(np.searchsorted(t, 3.0 / gamma))), t.size - 1):
         if pie[i] > pie[i - 1] and pie[i] >= pie[i + 1] and pie[i] > _PROMINENCE * tail[i]:
             peak_idx = i
             break
@@ -246,8 +242,7 @@ def _quadrature_occupations(
     t_f: float,
 ) -> np.ndarray:
     omega_max = max(drive.rabi_omega0, abs(ks[-1]) * spec.gap, 1.0)
-    nt = max(4001, int(40 * t_f * omega_max / (2 * math.pi)) + 1)
-    t = np.linspace(0.0, t_f, nt)
+    t = default_grid(t_f, max(4001, np.floor(40 * t_f * omega_max / (2 * math.pi)) + 1))
     nh = NonHermitianSpec(spec.gamma_target, drive)
     psi = _amplitudes(nh, "g", t)
     phases = np.exp(1j * np.outer(ks, t) * spec.gap)
@@ -557,20 +552,16 @@ def _trf(fun, x0, max_nfev: int):
     return x, f, status or 0, nfev
 
 
-def fit_effective_params(
-    series: TimeSeries,
-    t_f: float | None = None,
-    max_nfev: int = 400,
-) -> FitReport:
+def fit_effective_params(series: TimeSeries, t_f: float) -> FitReport:
     """Effective Rabi frequency and damping rate of an emulated population.
 
     Nonlinear least squares of pi_e(t) against
     exp(-gamma_eff t / 2) cos^2(omega_eff t), seeded with the drive Rabi
     frequency and the target decay rate from the series provenance.  The
-    window is t <= t_f (the whole series without t_f) under the rule of the
-    metrics: t_f > 0 and a series at least t_f long.  It must hold two times
-    other than 0, where the model is 1 whatever its parameters.  A window
-    that breaks either rule is a ConfigError.
+    window is t <= t_f under the rule of the metrics: t_f > 0 and a series
+    at least t_f long.  It must hold two times other than 0, where the model
+    is 1 whatever its parameters.  A window that breaks either rule is a
+    ConfigError.  The fit stops unconverged after 400 residual evaluations.
 
     The method is scipy's trust-region-reflective `trf` with bounds at 0,
     ported to two parameters (`_trf`): it takes the steps
@@ -585,7 +576,7 @@ def fit_effective_params(
     """
     if series.drive is None:
         raise ConfigError("fit_effective_params needs a driven series")
-    n = _window(series.times, t_f) if t_f is not None else None
+    n = _window(series.times, t_f)
     t = series.times[:n]
     pie = series.pi_e[:n]
     nonzero = np.count_nonzero(t)
@@ -598,7 +589,7 @@ def fit_effective_params(
         return model - pie, jac
 
     x0 = (max(series.drive.rabi_omega0, 1e-3), series.spec.gamma_target)
-    x, f, status, _ = _trf(residuals, x0, max_nfev)
+    x, f, status, _ = _trf(residuals, x0, _MAX_NFEV)
     return FitReport(
         params={"omega_eff": x[0], "gamma_eff": x[1]},
         residual_norm=float(np.linalg.norm(f)),

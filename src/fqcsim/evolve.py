@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
+# Most points of a `default_grid`: float64 arrays hold intp.max // 8 values,
+# and np.linspace's temporaries refuse counts a little below that.
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // 16
 
 
 def write_csv(path, columns: dict, header: tuple[str, ...] = ()) -> None:
@@ -325,18 +328,24 @@ def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
     return Eigensystem(values[0], vectors[0])
 
 
-def default_grid(t_f: float, points: int = 2001) -> np.ndarray:
-    """Uniform time grid on [0, t_f].
+def default_grid(t_f: float, points: float = 2001) -> np.ndarray:
+    """Uniform time grid on [0, t_f]: the one grid constructor.
 
     The metrics `d1` and `d2` converge to 1e-4 under doubling of `points`;
     2001 is ample for every regime studied here (tests check the `(N, v)` map
     and size-scan domains).  The fitted omega_eff and gamma_eff are not
     covered: gamma_eff moves by up to 5.5e-4 relative from 4001 to 8001
     points, which follows the fit's stopping tolerance, not the grid.
+
+    `points` may be a float, as a resolution rule computes it; it is
+    truncated to an integer.  A count that is not finite, or too large for
+    a numpy array, is a ConfigError naming it, raised before any allocation.
     """
     if not 0 < t_f < math.inf or points < 2:
         raise ConfigError("grid needs a finite t_f > 0 and at least 2 points")
-    return np.linspace(0.0, t_f, points)
+    if not points <= _MAX_GRID_POINTS:  # inf and NaN too
+        raise ConfigError(f"a grid of {points:.6g} points exceeds numpy's array limit")
+    return np.linspace(0.0, t_f, int(points))
 
 
 @dataclass(eq=False)

@@ -6,12 +6,10 @@ resolution (tests pin this over the default map and size-scan domains).
 
 The non-Markovianity Sigma is less stable, because it adds up the rises of a
 sampled trace distance.  From 2001 to 4001 points (64 pairs, seed 0) it moved
-by less than 1e-4 relative in 9 of 10 system-subspace cases (N = 15,
-v = 0.3, t_f = 10 and N = 25, v = 0.25, t_f = 24, each at omega0 in
-{0, 0.5, 1, 2, 10}), but by 5.8e-4 at N = 25, omega0 = 2; on the full
-subspace 7 of the 10 cases moved by more than 1e-4, up to 1.1e-3
-(N = 25, omega0 = 10).  A further doubling to 8001 points moved those two
-by 2.3e-6 and 2.0e-4.
+by less than 1e-4 relative in 9 of 10 cases (N = 15, v = 0.3, t_f = 10 and
+N = 25, v = 0.25, t_f = 24, each at omega0 in {0, 0.5, 1, 2, 10}), but by
+5.8e-4 at N = 25, omega0 = 2; a further doubling to 8001 points moved that
+case by 2.3e-6.
 """
 
 from __future__ import annotations
@@ -34,7 +32,9 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-8
-# Amplitude bytes per block of pairs in `nonmarkovianity`: about one L2 cache.
+# Bootstrap resamples behind `NonMarkovianityResult.std_error`.
+_BOOTSTRAP = 256
+# Bytes per block of pairs in `nonmarkovianity`: about one L2 cache.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -179,7 +179,6 @@ class NonMarkovianityResult:
     per_pair_final: np.ndarray
     count: int
     seed: int
-    subspace: str
     grid_points: int
 
     def to_json(self) -> dict:
@@ -188,7 +187,7 @@ class NonMarkovianityResult:
             "std_error": self.std_error,
             "count": self.count,
             "seed": self.seed,
-            "subspace": self.subspace,
+            "subspace": "system",
             "grid_points": self.grid_points,
             "t_final": float(self.times[-1]),
         }
@@ -197,16 +196,14 @@ class NonMarkovianityResult:
         write_csv(path, {"t": self.times, "sigma": self.sigma}, extra_header)
 
 
-def _sample_pairs(rng, count: int, dim: int, subspace: str) -> np.ndarray:
-    """Haar-like pure-state pairs: normalized complex-normal vectors,
-    shape (count, 2, sdim) over the first sdim basis states (2 for "system",
-    dim for "full").
+def _sample_pairs(rng, count: int) -> np.ndarray:
+    """Haar-like pure system-state pairs: normalized complex-normal vectors,
+    shape (count, 2, 2).
 
     Drawn pair-major from one stream, so a larger count extends (never
     reshuffles) a smaller one and the max estimate grows monotonically.
     """
-    sdim = 2 if subspace == "system" else dim
-    z = rng.standard_normal((count, 2, sdim, 2))
+    z = rng.standard_normal((count, 2, 2, 2))
     psis = z[..., 0] + 1j * z[..., 1]
     psis /= np.linalg.norm(psis, axis=-1, keepdims=True)
     return psis
@@ -243,90 +240,64 @@ def _bloch_distances(prop: np.ndarray, psis: np.ndarray):
                                  diff[:, 2 * nt:].view(complex))
 
 
-def _amplitude_distances(prop: np.ndarray, psis: np.ndarray):
-    """(first pair, trace distances (pairs, nt)) per block of the pairs
-    psis (count, 2, sdim), from their projected amplitudes under the
-    propagator prop (nt, 2, sdim)."""
-    nt, _, sdim = prop.shape
-    prop = prop.transpose(2, 1, 0).reshape(sdim, 2 * nt)      # rows m, columns (s, t)
-    block = max(1, _BLOCK_BYTES // (2 * 2 * 16 * nt))      # (q, s, t) complex per pair
-    for lo in range(0, len(psis), block):
-        pairs = psis[lo:lo + block]
-        amps = (pairs.reshape(-1, sdim) @ prop).reshape(-1, 2, 2, nt)  # (pair, q, s, t)
-        cg, ce = amps[:, :, 0], amps[:, :, 1]
-        dgg = np.abs(cg[:, 0]) ** 2 - np.abs(cg[:, 1]) ** 2
-        dee = np.abs(ce[:, 0]) ** 2 - np.abs(ce[:, 1]) ** 2
-        dge = cg[:, 0] * ce[:, 0].conj() - cg[:, 1] * ce[:, 1].conj()
-        yield lo, _td_two_by_two(dgg, dee, dge)
-
-
 def nonmarkovianity(
     h: HamiltonianMatrix,
     t_final: float,
     count: int = 64,
     seed: int = 0,
-    grid_points: int | None = None,
-    subspace: str = "system",
-    bootstrap: int = 256,
+    grid_points: int = 2001,
 ) -> NonMarkovianityResult:
-    """Estimate Sigma(t) for the projected dynamics of a two-level FQC model.
+    """Estimate Sigma(t) for the reduced dynamical map of a two-level FQC model.
 
-    Pairs of initial pure states are drawn from the system subspace (the
-    quasi-continuum starts empty, which defines the reduced dynamical map) or,
-    with subspace="full", from the whole Hilbert space.  Each pair is evolved
-    exactly, projected, and its trace distance accumulated over intervals of
-    positive increase; the reported Sigma(t) is the running maximum over
-    pairs.  The time grid is `default_grid(t_final, grid_points)` (2001
-    points if None, ConfigError unless t_final is finite and > 0 and
-    grid_points >= 2), refined to resolve the Rabi oscillation with at least
-    40 points per period.
+    Pairs of initial pure states are drawn from the system subspace: the
+    quasi-continuum starts empty, which defines the reduced map.  Each pair
+    is evolved exactly, projected, and its trace distance accumulated over
+    intervals of positive increase; the reported Sigma(t) is the running
+    maximum over pairs.  The time grid is `default_grid(t_final,
+    grid_points)`, refined to resolve the Rabi oscillation with at least 40
+    points per period.  ConfigError unless count >= 2, seed >= 0, t_final
+    is finite and > 0, grid_points >= 2 and the refined grid fits in a numpy
+    array.
 
     Every pair is evolved through the projected propagator block
     G[s, m](t) = <s| exp(-i H t) |m> = sum_n V[s,n] V[m,n] exp(-i E_n t),
-    with s in {g, e} and m over the sdim sampled components (2 for
-    "system", dim for "full"), in the eigenbasis from `diagonalize` (an
+    with s and m in {g, e}, in the eigenbasis from `diagonalize` (an
     orthonormality-checked Eigensystem).  G is built once by the shared
-    phase kernel of `propagate`.  On the system subspace a pair's
-    difference rho_1 - rho_2 = d . (sigma_x, sigma_y, sigma_z) is traceless
-    and Hermitian, so its projected difference at t is the real-linear
+    phase kernel of `propagate`.  A pair's difference
+    rho_1 - rho_2 = d . (sigma_x, sigma_y, sigma_z) is traceless and
+    Hermitian, so its projected difference at t is the real-linear
     sum_k d_k G sigma_k G^dagger: one (3, 4 nt) table of the reduced map,
     and 12 real multiply-adds per pair and time in one BLAS product per
-    block of pairs.  The full subspace forms every pair's projected
-    amplitudes instead, 4 * count * sdim * nt complex multiply-adds.
-    Each block of pairs stays cache-sized (about 1 MiB).
+    block of pairs.  Each block of pairs stays cache-sized (about 1 MiB).
     """
     if count < 2:
         raise ConfigError("need at least 2 sampled pairs")
-    if subspace not in ("system", "full"):
-        raise ConfigError(f"unknown subspace {subspace!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if h.n_system != 2:
         raise ConfigError("nonmarkovianity needs a two-level Hamiltonian")
-    times = default_grid(t_final, 2001 if grid_points is None else grid_points)
-    rabi_points = int(np.ceil(40.0 * t_final * h.drive.rabi_omega0 / (2.0 * np.pi))) + 1
+    times = default_grid(t_final, grid_points)
+    rabi_points = np.ceil(40.0 * t_final * h.drive.rabi_omega0 / (2.0 * np.pi)) + 1
     if rabi_points > times.size:
         times = default_grid(t_final, rabi_points)
     nt = times.size
 
     eig = diagonalize(h)
-    rng = np.random.default_rng(seed)
-    psis = _sample_pairs(rng, count, h.dim, subspace)
-    sdim = psis.shape[-1]
-
+    psis = _sample_pairs(np.random.default_rng(seed), count)
     v = eig.vectors
-    weights = (v[:2, None, :] * v[None, :sdim, :]).reshape(2 * sdim, h.dim).T
-    prop = _phase_sum(eig.values, weights, times).reshape(nt, 2, sdim)    # G[t, s, m]
-    distances = _bloch_distances if subspace == "system" else _amplitude_distances
+    weights = (v[:2, None, :] * v[None, :2, :]).reshape(4, h.dim).T
+    prop = _phase_sum(eig.values, weights, times).reshape(nt, 2, 2)    # G[t, s, m]
 
     sigma = np.zeros(nt)
     finals = np.empty(count)
-    for lo, td in distances(prop, psis):                   # td (pair, nt)
+    for lo, td in _bloch_distances(prop, psis):            # td (pair, nt)
         sig_pairs = np.cumsum(np.clip(np.diff(td, axis=1), 0.0, None), axis=1)
         np.maximum(sigma[1:], sig_pairs.max(axis=0), out=sigma[1:])
         finals[lo:lo + td.shape[0]] = sig_pairs[:, -1]
 
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB001]))
     maxima = np.array(
-        [finals[boot_rng.integers(0, count, count)].max() for _ in range(bootstrap)]
+        [finals[boot_rng.integers(0, count, count)].max() for _ in range(_BOOTSTRAP)]
     )
     return NonMarkovianityResult(
         times=times,
@@ -336,6 +307,5 @@ def nonmarkovianity(
         per_pair_final=finals,
         count=count,
         seed=seed,
-        subspace=subspace,
         grid_points=nt,
     )

@@ -74,14 +74,14 @@ METRICS = ("d1", "d2", "fit")
 _STACK_BYTES = 3 << 19
 
 
-def parallel_workers(requested: int | None = None) -> int:
-    """Worker count, capped by the FQCSIM_THREADS environment variable."""
+def parallel_workers() -> int:
+    """Worker count: the FQCSIM_THREADS environment variable, else the CPU count."""
     cap = os.environ.get("FQCSIM_THREADS")
     try:
         limit = int(cap) if cap else (os.cpu_count() or 1)
     except ValueError:
         raise ConfigError(f"FQCSIM_THREADS must be an integer, got {cap!r}") from None
-    return max(1, limit if requested is None else min(requested, limit))
+    return max(1, limit)
 
 
 def _hole_half_width(model: str, width: float | None, omega0: float) -> float | None:
@@ -153,10 +153,10 @@ def _attempt(fn, *args):
         return exc
 
 
-def _run_pool(job, tasks: list, max_workers: int | None) -> list:
-    """Run job on every task in a thread pool; each result, or the exception
-    it raised, comes back in task order."""
-    with ThreadPoolExecutor(max_workers=parallel_workers(max_workers)) as pool:
+def _run_pool(job, tasks: list) -> list:
+    """Run job on every task in a pool of `parallel_workers()` threads; each
+    result, or the exception it raised, comes back in task order."""
+    with ThreadPoolExecutor(max_workers=parallel_workers()) as pool:
         return list(pool.map(lambda task: _attempt(job, task), tasks))
 
 
@@ -273,11 +273,7 @@ class SweepMap:
             json.dump(self.to_json(), fh, sort_keys=True)
 
 
-def run_sweep(
-    grid: SweepGrid,
-    max_workers: int | None = None,
-    seed: int = 0,
-) -> SweepMap:
+def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
 
     Each pool task is consecutive cells of one N row, and its cells are
@@ -357,7 +353,7 @@ def run_sweep(
         else:
             size = _stack_cells(n, fx.grid_points, False)
         chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
-    for cells, res in zip(chunks, _run_pool(job, chunks, max_workers)):
+    for cells, res in zip(chunks, _run_pool(job, chunks)):
         for (i, j), cell in zip(cells, res if isinstance(res, list) else [res] * len(cells)):
             if isinstance(cell, Exception):
                 errors.append({"i": i, "j": j, "error": str(cell)})

@@ -22,6 +22,7 @@ from fqcsim import (
     sideband_spectrum,
     zeno_time,
 )
+from fqcsim import analysis
 from fqcsim.analysis import _damped_cos2, _refine_parabolic
 from oracles import damped_rabi_population, underdamped_discriminant
 
@@ -118,10 +119,14 @@ def test_no_revival_below_critical_coupling():
 
 
 def test_revival_search_start_respected():
-    series = decay_series(15, 0.45, points=4001)
-    late = revival_time(series, search_start=8.0)
-    # the first bump peaks near 7.0, so starting at 8 finds nothing
-    assert "t_revival" not in late.params
+    # the search starts at 3 / gamma: at v = 1 a bump above the prominence
+    # threshold peaks at 2.95, so the next one, at 3.32, is reported
+    series = decay_series(15, 1.0, points=4001)
+    t, pie = series.times, series.pi_e
+    early = [i for i in range(1, t.size - 1) if t[i] < 3.0 and pie[i - 1] < pie[i] >= pie[i + 1]
+             and pie[i] > 10.0 * np.exp(-t[i])]
+    assert early
+    assert 3.0 < revival_time(series).params["t_peak"] < 3.4
 
 
 def test_refine_parabolic_non_uniform_grid():
@@ -315,7 +320,7 @@ def test_fit_recovers_its_own_model():
     proj = np.zeros((times.size, 3), dtype=complex)
     proj[:, 1] = np.sqrt(target)
     series = TimeSeries(build_two_level(FqcSpec(0, 0.3), DriveSpec(10.0, 0.0)), times, proj)
-    report = fit_effective_params(series)
+    report = fit_effective_params(series, 8.0)
     omega = math.sqrt(4 * 10.0**2 - 0.25) / 2
     assert report.converged
     assert report.params["omega_eff"] == pytest.approx(omega, rel=1e-6)
@@ -333,7 +338,7 @@ def test_fit_scale_consistent_recovery(omega0, gamma):
     proj[:, 1] = np.sqrt(target)
     h = build_two_level(FqcSpec(0, 0.3, gamma), DriveSpec(omega0, 0.0))
     series = TimeSeries(h, times, proj)
-    report = fit_effective_params(series)
+    report = fit_effective_params(series, times[-1])
     omega = math.sqrt(underdamped_discriminant(gamma, omega0)) / 2
     assert report.params["omega_eff"] == pytest.approx(omega, rel=1e-6)
     assert report.params["gamma_eff"] == pytest.approx(gamma, rel=1e-6)
@@ -354,10 +359,11 @@ def test_fit_jacobian_matches_central_differences(omega, gamma):
         assert np.abs(jac[:, col] - central).max() <= 1e-6 * np.abs(central).max()
 
 
-def test_fit_flags_nonconvergence():
+def test_fit_flags_nonconvergence(monkeypatch):
     h = build_two_level(FqcSpec(2, 0.2), DriveSpec(1.0, 0.0))
     series = propagate(h, "e", default_grid(4.0, 201))
-    report = fit_effective_params(series, max_nfev=1)
+    monkeypatch.setattr(analysis, "_MAX_NFEV", 1)
+    report = fit_effective_params(series, 4.0)
     assert not report.converged
 
 
@@ -370,13 +376,13 @@ def test_fit_of_a_non_finite_population_is_a_numerical_error():
     broken = series.projections.copy()
     broken[50] = np.nan
     with pytest.raises(NumericalError):
-        fit_effective_params(TimeSeries(h, times, broken))
+        fit_effective_params(TimeSeries(h, times, broken), 4.0)
 
 
 def test_fit_requires_provenance():
     series = decay_series(5, 0.3, t_f=4.0, points=201)
     with pytest.raises(ConfigError):
-        fit_effective_params(series)  # single-level series carries no drive
+        fit_effective_params(series, 4.0)  # single-level series carries no drive
 
 
 @pytest.mark.parametrize("t_f, message", [

@@ -242,6 +242,37 @@ def test_non_positive_or_non_finite_t_f_rejected(tmp_path, t_f):
     assert run(["sidebands", "--out", tmp_path / "x", "--tf", t_f]) == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["markov", "--seed", -1], "seed must be >= 0, got -1"),
+    (["rabi", "--markov", "--seed", -3] + FAST, "seed must be >= 0, got -3"),
+    (["markov", "--tf", 1e307, "--count", 2], "a grid of inf points"),
+    (["markov", "--tf", 1e300, "--count", 2], "a grid of 6.3662e+300 points"),
+    (["sidebands", "--tf", 1e300], "a grid of 7.92e+301 points"),
+    (["rabi", "--sidebands", "--tf", 1e300, "--grid-points", 11], "a grid of 5.4e+301 points"),
+])
+def test_negative_seed_or_grid_beyond_any_array_rejected(tmp_path, args, message, capsys):
+    # each exited 1 with a traceback: default_rng rejects a negative seed,
+    # int() an infinite point count and np.linspace a count past its limit
+    out = tmp_path / "x"
+    assert run(args + ["--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_records_a_negative_seed(tmp_path):
+    # a map samples nothing: its seed is provenance only
+    out = tmp_path / "x"
+    assert run(["sweep", "--seed", -1, "--n-min", 5, "--n-max", 5, "--v-min", 0.3,
+                "--v-max", 0.3, "--out", out] + FAST) == 0
+    assert json.loads((out / "map.json").read_text())["provenance"]["seed"] == -1
+
+
+def test_markov_grid_beyond_memory_exits_3(tmp_path, capsys):
+    # 6.4e15 points fit a numpy array but no memory: the allocation fails at once
+    assert run(["markov", "--tf", 1e15, "--out", tmp_path / "x"]) == 3
+    assert "numerical failure: out of memory" in capsys.readouterr().err
+
+
 def test_non_integer_thread_cap_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("FQCSIM_THREADS", "abc")
     assert run(["sweep", "--out", tmp_path / "x", "--n-min", 5, "--n-max", 5,

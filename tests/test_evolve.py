@@ -261,10 +261,19 @@ def test_memory_kernel_matches_direct_sum(tau):
 
 @pytest.mark.parametrize("t_f,points", [
     (0.0, 11), (-1.0, 11), (math.nan, 11), (math.inf, 11), (1.0, 1),
+    # counts no numpy array holds, refused before np.linspace allocates
+    (1.0, math.inf), (1.0, math.nan), (1.0, 1e300), (1.0, 2.0**62),
 ])
 def test_default_grid_rejects_bad_window(t_f, points):
     with pytest.raises(ConfigError):
         default_grid(t_f, points)
+
+
+@pytest.mark.parametrize("points", [2.0, 2001.0, 2001.7, np.float64(4001.0)])
+def test_default_grid_truncates_a_float_count(points):
+    # a resolution rule's count (a ceil or floor plus one) keeps linspace's bits
+    grid = default_grid(3.0, points)
+    np.testing.assert_array_equal(grid, np.linspace(0.0, 3.0, int(points)))
 
 
 def test_propagate_rejects_dim_mismatch():
@@ -674,16 +683,17 @@ def test_lazy_reads_call_no_diagonalize(make, start, monkeypatch):
     assert abs(series.energy_variance0 - want_variance) <= 1e-12 * want_variance
 
 
-def test_decay_row_task_peak_memory():
+def test_decay_row_task_peak_memory(monkeypatch):
     # one N = 40 row of the default map is one task: one secular pass over
     # its 56 cells, then phase sums and d1 in stacks of `_stack_cells`
     v_values = tuple(round(0.05 + 0.01 * i, 4) for i in range(56))
     assert sweep._row_cells(40, len(v_values)) == len(v_values)
     grid = SweepGrid((40,), v_values, SweepFixed())
-    run_sweep(grid, max_workers=1)  # caches warm
+    monkeypatch.setenv("FQCSIM_THREADS", "1")
+    run_sweep(grid)  # caches warm
     tracemalloc.start()
     try:
-        result = run_sweep(grid, max_workers=1)
+        result = run_sweep(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -83,11 +83,15 @@ def test_concurrent_first_fit_gives_the_serial_rows(tmp_path):
     # the first fits of a two-worker fit map run in both threads at once:
     # each N row is its own task (the size scan runs in the calling thread)
     _fresh_python("""
+        import os
         import numpy as np
         from fqcsim import SweepFixed, SweepGrid, run_sweep
         grid = SweepGrid((8, 9, 10, 11), (0.25, 0.3), SweepFixed(
             t_f=4.0, omega0=4.0, model="rabi", grid_points=401), metric="fit")
-        pair, serial = run_sweep(grid, max_workers=2), run_sweep(grid, max_workers=1)
+        os.environ["FQCSIM_THREADS"] = "2"
+        pair = run_sweep(grid)
+        os.environ["FQCSIM_THREADS"] = "1"
+        serial = run_sweep(grid)
         assert not pair.cell_errors and not serial.cell_errors
         assert np.array_equal(pair.values, serial.values)
     """, tmp_path)

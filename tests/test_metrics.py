@@ -226,20 +226,14 @@ def test_nonmarkovianity_grid_resolves_rabi_period():
     assert result.grid_points >= 40 * 10.0 * 10.0 / (2 * math.pi)
 
 
-def test_nonmarkovianity_full_subspace_option():
-    h = build_two_level(FqcSpec(6, 0.25), DriveSpec(1.0, 0.0))
-    full = nonmarkovianity(h, 6.0, count=4, seed=2, subspace="full")
-    system = nonmarkovianity(h, 6.0, count=4, seed=2, subspace="system")
-    # initially populated quasi-continuum feeds back immediately
-    assert full.value > system.value
-
-
 def test_nonmarkovianity_validates_input():
     h = build_two_level(FqcSpec(4, 0.2), DriveSpec(1.0, 0.0))
     with pytest.raises(ConfigError):
         nonmarkovianity(h, 5.0, count=1)
-    with pytest.raises(ConfigError):
-        nonmarkovianity(h, 5.0, count=4, subspace="bogus")
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        nonmarkovianity(h, 5.0, count=4, seed=-1)
+    with pytest.raises(ConfigError, match="a grid of inf points"):
+        nonmarkovianity(h, 1e307, count=4)  # 40 points per Rabi period overflow
     single = build_single_level(FqcSpec(4, 0.2))
     with pytest.raises(ConfigError):
         nonmarkovianity(single, 5.0, count=4)
@@ -295,26 +289,25 @@ def test_nonmarkovianity_rejects_non_orthonormal_eigenbasis(monkeypatch):
 # ------------------------------------------------- non-Markovianity oracles
 
 
-def full_space_pairs(h, count, seed, subspace):
-    """The sampled pairs of `nonmarkovianity`, zero-padded to the full space."""
-    psis = _sample_pairs(np.random.default_rng(seed), count, h.dim, subspace)
+def full_space_pairs(h, count, seed):
+    """The sampled system pairs of `nonmarkovianity`, zero-padded to the
+    full space."""
     out = np.zeros((count, 2, h.dim), dtype=complex)
-    out[:, :, :psis.shape[-1]] = psis
+    out[:, :, :2] = _sample_pairs(np.random.default_rng(seed), count)
     return out
 
 
-def nonmarkovianity_dense(h, t_final, count, seed, grid_points=None,
-                          subspace="system", bootstrap=256):
+def nonmarkovianity_dense(h, t_final, count, seed, grid_points=None):
     """Oracle: the former dense formula, every pair's projected amplitudes
-    from the full (2, dim, nt) phase array by one einsum.  Returns sigma,
-    per_pair_final, value and std_error."""
+    from the full (2, dim, nt) phase array by one einsum, with a bootstrap
+    of 256 resamples.  Returns sigma, per_pair_final, value and std_error."""
     omega0 = abs(h.entries[0, 1])
     nt = grid_points or 2001
     if omega0 > 0:
         nt = max(nt, int(np.ceil(40.0 * t_final * omega0 / (2.0 * np.pi))) + 1)
     times = np.linspace(0.0, t_final, nt)
     values, vectors = np.linalg.eigh(h.entries)
-    psis = full_space_pairs(h, count, seed, subspace)
+    psis = full_space_pairs(h, count, seed)
 
     coeff = psis @ vectors
     proj = vectors[:2, :, None] * np.exp(-1j * np.outer(values, times))[None]
@@ -330,22 +323,24 @@ def nonmarkovianity_dense(h, t_final, count, seed, grid_points=None,
     sigma, finals = sig_pairs.max(axis=0), sig_pairs[:, -1]
     boot_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB001]))
     maxima = np.array(
-        [finals[boot_rng.integers(0, count, count)].max() for _ in range(bootstrap)]
+        [finals[boot_rng.integers(0, count, count)].max() for _ in range(256)]
     )
     return sigma, finals, float(sigma[-1]), float(maxima.std())
 
 
-@pytest.mark.parametrize("subspace", ["system", "full"])
+# `subspace` is the one markov.json records: pairs are drawn from the system
+# subspace only, the quasi-continuum empty
+@pytest.mark.parametrize("subspace", ["system"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("count,grid_points", [(13, None), (3, 20001)])
 def test_nonmarkovianity_matches_dense_formula(subspace, seed, count, grid_points):
-    # 13 pairs leave a partial last block; 20001 points make every block
-    # a single pair
+    # 13 pairs at the default 2001 points leave a partial last block; 20001
+    # points make every block a single pair
     h = build_two_level(FqcSpec(10, 0.3), DriveSpec(1.0, 0.2))
-    result = nonmarkovianity(h, 14.0, count=count, seed=seed,
-                             grid_points=grid_points, subspace=subspace)
-    sigma, finals, value, std_error = nonmarkovianity_dense(
-        h, 14.0, count, seed, grid_points, subspace)
+    grid = {} if grid_points is None else {"grid_points": grid_points}
+    result = nonmarkovianity(h, 14.0, count=count, seed=seed, **grid)
+    sigma, finals, value, std_error = nonmarkovianity_dense(h, 14.0, count, seed, grid_points)
+    assert result.to_json()["subspace"] == subspace
     assert result.grid_points == sigma.size
     assert np.abs(result.sigma - sigma).max() <= 1e-12
     assert np.abs(result.per_pair_final - finals).max() <= 1e-12
@@ -353,18 +348,18 @@ def test_nonmarkovianity_matches_dense_formula(subspace, seed, count, grid_point
     assert abs(result.std_error - std_error) <= 1e-12
 
 
-@pytest.mark.parametrize("subspace", ["system", "full"])
+@pytest.mark.parametrize("subspace", ["system"])
 def test_nonmarkovianity_matches_expm_oracle(subspace):
     expm = pytest.importorskip("scipy.linalg").expm
     # independent of the spectral code: exp(-i H t) by scipy at every grid
     # time, then the public trace_distance of the projected pair; past the
-    # rephasing time 1/v^2 = 4, so both subspaces show backflow
+    # rephasing time 1/v^2 = 4, so the reduced map shows backflow
     h = build_two_level(FqcSpec(4, 0.5), DriveSpec(1.0, 0.2))
     count, t_final, nt = 4, 6.0, 41
-    result = nonmarkovianity(h, t_final, count=count, seed=5,
-                             grid_points=nt, subspace=subspace)
+    result = nonmarkovianity(h, t_final, count=count, seed=5, grid_points=nt)
+    assert result.to_json()["subspace"] == subspace
     times = np.linspace(0.0, t_final, nt)
-    psis = full_space_pairs(h, count, 5, subspace)
+    psis = full_space_pairs(h, count, 5)
     td = np.empty((count, nt))
     for k, t in enumerate(times):
         states = psis @ expm(-1j * h.entries * t).T
@@ -395,7 +390,7 @@ def nonmarkovianity_by_state(h, times, count, seed):
     """Oracle: sigma and per_pair_final from rho_q = (G psi_q)(G psi_q)^dagger
     of every state, G the projected exp(-i H t) from eigh of the dense H."""
     values, vectors = np.linalg.eigh(h.entries)
-    psis = full_space_pairs(h, count, seed, "system")
+    psis = full_space_pairs(h, count, seed)
     td = np.empty((count, times.size))
     for k, t in enumerate(times):
         g = (vectors[:2] * np.exp(-1j * values * t)) @ vectors.conj().T
@@ -423,16 +418,17 @@ def test_nonmarkovianity_matches_each_state_evolved(model, omega0, count):
     assert result.value > 0.01
 
 
-@pytest.mark.parametrize("subspace", ["system", "full"])
+@pytest.mark.parametrize("subspace", ["system"])
 @pytest.mark.parametrize("seed", [0, 4])
 def test_nonmarkovianity_ignores_the_order_within_a_pair(monkeypatch, subspace, seed):
     # swapping the states negates the difference rho_1 - rho_2 exactly, and
     # the trace distance is even in it, bit for bit
     h = build_model("rabi", 10, 0.3, 1.0, DriveSpec(1.0, 0.2))
-    kept = nonmarkovianity(h, 14.0, count=13, seed=seed, subspace=subspace)
+    kept = nonmarkovianity(h, 14.0, count=13, seed=seed)
+    assert kept.to_json()["subspace"] == subspace
     monkeypatch.setattr(metrics, "_sample_pairs",
                         lambda *args: _sample_pairs(*args)[:, ::-1])
-    swapped = nonmarkovianity(h, 14.0, count=13, seed=seed, subspace=subspace)
+    swapped = nonmarkovianity(h, 14.0, count=13, seed=seed)
     np.testing.assert_array_equal(swapped.sigma, kept.sigma)
     np.testing.assert_array_equal(swapped.per_pair_final, kept.per_pair_final)
 
