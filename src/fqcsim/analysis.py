@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .evolve import TimeSeries, _grid_block, _phase_tables, default_grid, diagonalize, write_csv
 from .hamiltonian import DriveSpec, FqcSpec, HamiltonianMatrix
-from .metrics import _window
+from .metrics import _trapezoid_weights, _window
 from .reference import NonHermitianSpec, _amplitudes, effective_hamiltonian
 
 __all__ = [
@@ -241,17 +241,24 @@ def _quadrature_occupations(
     ks: np.ndarray,
     t_f: float,
 ) -> np.ndarray:
+    """|v sum_t w_t c_e(t) exp(i E_k t)|^2, w the trapezoid weights, on a uniform
+    grid of >= 4001 points and 40 per period of max(omega0, |E_k|, 1).  exp(i E_k t)
+    at t = b B + j is outer[b, k] inner[j, k] (`evolve._phase_tables`): w c_e,
+    zero-padded to (nb, B), times the inner table, summed over b against the outer.
+    The end correction -dt^2/12 [f'], f = c_e exp(i E t) and c_e' = -i (H_eff psi)_e,
+    makes the rule fourth order in dt."""
     omega_max = max(drive.rabi_omega0, abs(ks[-1]) * spec.gap, 1.0)
     t = default_grid(t_f, max(4001, np.floor(40 * t_f * omega_max / (2 * math.pi)) + 1))
     nh = NonHermitianSpec(spec.gamma_target, drive)
     psi = _amplitudes(nh, "g", t)
-    phases = np.exp(1j * np.outer(ks, t) * spec.gap)
-    ints = np.trapezoid(psi[:, 1] * phases, t, axis=1)
-    # the trapezoid's end correction -dt^2/12 [f'] on f = c_e exp(i E t), with
-    # c_e' = -i (H_eff psi)_e: fourth order in dt
+    energies = ks * spec.gap
+    outer, inner = _phase_tables(t, 1j * energies, _grid_block(t))
+    f = np.zeros(outer.shape[0] * inner.shape[0], dtype=complex)
+    np.multiply(psi[:, 1], _trapezoid_weights(t), out=f[:t.size])
+    ints = ((f.reshape(outer.shape[0], -1) @ inner) * outer).sum(axis=0)
     ends = psi[[0, -1]]
     df = (-1j * ends @ effective_hamiltonian(nh)[1]
-          + 1j * (ks * spec.gap)[:, None] * ends[:, 1]) * phases[:, [0, -1]]
+          + 1j * energies[:, None] * ends[:, 1]) * np.exp(1j * np.outer(ks, t[[0, -1]]) * spec.gap)
     ints -= (t[1] - t[0]) ** 2 / 12.0 * (df[:, 1] - df[:, 0])
     return np.abs(spec.coupling_v * ints) ** 2
 

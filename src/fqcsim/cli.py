@@ -211,6 +211,8 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
 
 
 def cmd_sidebands(cfg: RunConfig, out: Path) -> None:
+    if cfg.initial_state != "e":  # the atom always starts in |g>
+        raise ConfigError(f"sidebands starts from g, got initial_state {cfg.initial_state!r}")
     h = _model(cfg)
     # both results first: a rejected spectrum writes no file
     sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
@@ -220,6 +222,8 @@ def cmd_sidebands(cfg: RunConfig, out: Path) -> None:
 
 
 def cmd_markov(cfg: RunConfig, out: Path) -> None:
+    if cfg.initial_state != "e":
+        raise ConfigError(f"markov samples its own pairs, got initial_state {cfg.initial_state!r}")
     mk = nonmarkovianity(_model(cfg), cfg.t_f, count=cfg.count, seed=cfg.seed,
                          grid_points=cfg.grid_points)
     mk.to_csv(out / "sigma.csv", extra_header=_header(cfg))
@@ -306,30 +310,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite quasi-continuum emulation of non-Hermitian dynamics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=str, help="JSON config file")
+    common.add_argument("--out", type=str, default="fqcsim-out", help="output directory")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--grid-points", type=int, dest="grid_points")
+    common.add_argument("--tf", type=float, dest="t_f")
+    common.add_argument("--n", type=int, dest="n_half")
+    common.add_argument("--v", type=float, dest="coupling_v")
+    common.add_argument("--gamma", type=float)
+    common.add_argument("--omega0", type=float)
+    common.add_argument("--detuning", type=float)
+    common.add_argument("--hole-half-width", type=float, dest="hole_half_width")
+    common.add_argument("--initial-state", type=str, dest="initial_state")
 
-    def common(p):
-        p.add_argument("--config", type=str, help="JSON config file")
-        p.add_argument("--out", type=str, default="fqcsim-out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--grid-points", type=int, dest="grid_points")
-        p.add_argument("--tf", type=float, dest="t_f")
-        p.add_argument("--n", type=int, dest="n_half")
-        p.add_argument("--v", type=float, dest="coupling_v")
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--omega0", type=float)
-        p.add_argument("--detuning", type=float)
-        p.add_argument("--hole-half-width", type=float, dest="hole_half_width")
-        p.add_argument("--initial-state", type=str, dest="initial_state")
+    def add(name, text):
+        return sub.add_parser(name, help=text, parents=[common])
 
-    p = sub.add_parser("decay", help="single unstable level versus exponential decay")
-    common(p)
-    p = sub.add_parser("rabi", help="driven two-level system versus non-Hermitian dynamics")
-    common(p)
+    add("decay", "single unstable level versus exponential decay")
+    p = add("rabi", "driven two-level system versus non-Hermitian dynamics")
     p.add_argument("--sidebands", action="store_true")
     p.add_argument("--markov", action="store_true")
     p.add_argument("--count", type=int)
-    p = sub.add_parser("sweep", help="suitability map over (N, v), or a size scan")
-    common(p)
+    p = add("sweep", "suitability map over (N, v), or a size scan")
     p.add_argument("--metric", type=str, choices=("d1", "d2", "fit"))
     p.add_argument("--model", type=str, choices=MODELS)
     p.add_argument("--n-min", type=int)
@@ -342,15 +345,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=str, help="comma-separated FQC sizes")
     p.add_argument("--normalize", action="store_true",
                    help="rescale the map to its maximum value")
-    p = sub.add_parser("sidebands", help="FQC occupation spectrum under driving")
-    common(p)
-    p = sub.add_parser("markov", help="sampled non-Markovianity measure")
-    common(p)
+    add("sidebands", "FQC occupation spectrum under driving")
+    p = add("markov", "sampled non-Markovianity measure")
     p.add_argument("--count", type=int)
-    p = sub.add_parser("fit", help="effective Rabi frequency and damping rate")
-    common(p)
-    p = sub.add_parser("adaptive-compare", help="flat versus adaptive FQC at fixed budget")
-    common(p)
+    add("fit", "effective Rabi frequency and damping rate")
+    p = add("adaptive-compare", "flat versus adaptive FQC at fixed budget")
     p.add_argument("--flat-size", type=int, dest="flat_size")
     p.add_argument("--adaptive-size", type=int, dest="adaptive_size")
     return parser

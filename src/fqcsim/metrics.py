@@ -1,8 +1,9 @@
 """Distance and non-Markovianity measures between reduced dynamics.
 
-All integrals are trapezoidal on the sampling grid and the integrands are
-smooth.  `d1` and `d2` are stable to 1e-4 under grid doubling at the default
-resolution (tests pin this over the default map and size-scan domains).
+All integrals are trapezoidal on the sampling grid, as weights summed along
+the time axis (`_trapezoid_weights`), and the integrands are smooth.  `d1`
+and `d2` are stable to 1e-4 under grid doubling at the default resolution
+(tests pin this over the default map and size-scan domains).
 
 The non-Markovianity Sigma is less stable, because it adds up the rises of a
 sampled trace distance.  From 2001 to 4001 points (64 pairs, seed 0) it moved
@@ -112,6 +113,15 @@ def _window(times: np.ndarray, t_f: float) -> int:
     return int(np.searchsorted(times, t_f + 1e-9, side="right"))
 
 
+def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
+    """The trapezoid rule on the grid t as weights, sum_i w_i f(t_i): with d =
+    diff(t), w_0 = d_0 / 2, w_i = (d_(i-1) + d_i) / 2 and w_last = d_last / 2."""
+    half = 0.5 * np.diff(t)
+    w = np.append(half, 0.0)
+    w[1:] += half
+    return w
+
+
 def d1(series, gamma: float, t_f: float) -> MetricResult:
     """Time-averaged absolute population gap to the exponential reference.
 
@@ -128,7 +138,8 @@ def _d1_values(times: np.ndarray, pie: np.ndarray, gamma: float, t_f: float):
     n = _window(times, t_f)
     t = times[:n]
     gap = pie[..., :n] - pie[..., :1] * np.exp(-gamma * t)
-    return np.trapezoid(np.abs(gap, out=gap), t, axis=-1) / t_f, n
+    np.abs(gap, out=gap)
+    return np.multiply(gap, _trapezoid_weights(t), out=gap).sum(axis=-1) / t_f, n
 
 
 def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
@@ -160,7 +171,7 @@ def _d2_values(times: np.ndarray, ra: np.ndarray, rb: np.ndarray, t_f: float):
     t = times[:n]
     diff = ra[..., :n, :, :] - rb[:n]
     td = _td_two_by_two(diff[..., 0, 0].real, diff[..., 1, 1].real, diff[..., 0, 1])
-    return np.trapezoid(td, t, axis=-1) / t_f, n
+    return np.multiply(td, _trapezoid_weights(t), out=td).sum(axis=-1) / t_f, n
 
 
 @dataclass

@@ -5,14 +5,14 @@ output is bit-identical regardless of schedule or worker count.  Every task
 runs one body for every model: the spectra of its cells (`evolve._spectra`:
 one values-only SVD and secular pass for single-level cells, one batched
 `eigh` of H for two-level ones), then one phase sum and one scoring per
-stack (one `d1` or `d2` trapezoid over all its cells; only fits run cell by
-cell).  A task of the two-level models is one stack of cells of an N row; a
-task of the single-level `decay` model is a whole N row, with one secular
-pass and phase sums in stacks.  That work runs in LAPACK/BLAS and numpy
-with the GIL released, which is what lets the threads scale, as long as
-each numpy call is large: on 2 cores, the secular maths in stacks of 13 or
-14 cells took 0.55-0.81 s of the default map on two threads against
-0.36-0.43 s in rows.  Python run per cell holds the GIL and so caps the
+stack (one `d1` or `d2` trapezoid over all its cells; fits run cell by
+cell, in the calling thread).  A task of the two-level models is one stack
+of cells of an N row; a task of the single-level `decay` model is a whole N
+row, with one secular pass and phase sums in stacks.  That work runs in
+LAPACK/BLAS and numpy with the GIL released, which is what lets the threads
+scale, as long as each numpy call is large: on 2 cores, the secular maths in
+stacks of 13 or 14 cells took 0.55-0.81 s of the default map on two threads
+against 0.36-0.43 s in rows.  Python run per cell holds the GIL and so caps the
 second thread (a dense build, label formatting, energy variance and `d1`
 per cell did, at about a third of the map), so a cell does little of it: a
 structural Hamiltonian with cached labels and no TimeSeries unless fitted.
@@ -273,6 +273,16 @@ class SweepMap:
             json.dump(self.to_json(), fh, sort_keys=True)
 
 
+@dataclass
+class _FitCell:
+    """What `fit_effective_params` reads of a fit cell's series: real pi_e only."""
+
+    times: np.ndarray
+    pi_e: np.ndarray
+    drive: DriveSpec
+    spec: FqcSpec
+
+
 def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
 
@@ -283,13 +293,14 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     that N (`_stack_cells`).  Each group of equal basis labels gets its
     spectra and health checks at once (`evolve._spectra`), then a phase
     sum and a scoring per stack of `_stack_cells`: `d1` or `d2` as one
-    trapezoid (a single-level `d2` is its `d1`), a fit cell by cell.  Every
-    value has the bits a single `propagate` and metric give.  Individual
-    cell failures are recorded per cell (value NaN) and do not abort the
-    map: a cell whose build, decomposition, health check or fit fails keeps
-    its own error and leaves its stack-mates' values alone.  Nothing here
-    samples randomness; the seed is recorded in the provenance for
-    uniformity with sampled metrics.
+    trapezoid (a single-level `d2` is its `d1`); a fit holds the GIL, so the
+    pool returns a fit cell's pi_e and the calling thread fits the cells in
+    task order.  Every value has the bits a single `propagate` and metric
+    give.  Individual cell failures are recorded per cell (value NaN) and do
+    not abort the map: a cell whose build, decomposition, health check or
+    fit fails keeps its own error and leaves its stack-mates' values alone.
+    Nothing here samples randomness; the seed is recorded in the provenance
+    for uniformity with sampled metrics.
     """
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
@@ -317,8 +328,9 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
         ok = [k for k, err in enumerate(errs) if err is None]
         # the projections are sliced after stacking, so each elementwise op
         # sees the strides it sees on one series (`reduced`, `pi_e`): same bits
-        if grid.metric == "fit":
-            scored = [_attempt(fit, TimeSeries(hs[k], times, proj[k])) for k in ok]
+        if grid.metric == "fit":  # fitted in the calling thread
+            scored = [_FitCell(times, TimeSeries(hs[k], times, proj[k]).pi_e, drive, hs[k].spec)
+                      for k in ok]
         elif not ok:
             scored = []
         elif grid.metric == "d2" and hs[0].n_system == 2:
@@ -355,6 +367,8 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
         chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
     for cells, res in zip(chunks, _run_pool(job, chunks)):
         for (i, j), cell in zip(cells, res if isinstance(res, list) else [res] * len(cells)):
+            if isinstance(cell, _FitCell):
+                cell = _attempt(fit, cell)
             if isinstance(cell, Exception):
                 errors.append({"i": i, "j": j, "error": str(cell)})
             else:

@@ -1,8 +1,11 @@
 """Closed forms the tests compare against; the package itself does not use them."""
 
+import math
+
 import numpy as np
 
-from fqcsim import ConfigError, DriveSpec
+from fqcsim import ConfigError, DriveSpec, NonHermitianSpec, default_grid, effective_hamiltonian
+from fqcsim.reference import _amplitudes
 
 
 def underdamped_discriminant(gamma: float, omega0: float) -> float:
@@ -57,6 +60,27 @@ def damped_rabi_population(gamma: float, omega0: float, times: np.ndarray) -> np
     om = np.sqrt(disc) / 2.0
     times = np.asarray(times, dtype=float)
     return np.exp(-gamma * times / 2.0) * np.cos(om * times) ** 2
+
+
+def direct_quadrature_occupations(spec, drive, t_f: float) -> np.ndarray:
+    """The sideband quadrature `analysis._quadrature_occupations` replaced,
+    kept as its oracle: a (levels, times) table of direct exponentials
+    exp(i k delta t), `np.trapezoid` over it, and the same grid rule and
+    end correction."""
+    ks = spec.level_indices
+    omega_max = max(drive.rabi_omega0, abs(ks[-1]) * spec.gap, 1.0)
+    t = default_grid(t_f, max(4001, np.floor(40 * t_f * omega_max / (2 * math.pi)) + 1))
+    nh = NonHermitianSpec(spec.gamma_target, drive)
+    psi = _amplitudes(nh, "g", t)
+    phases = np.exp(1j * np.outer(ks, t) * spec.gap)
+    ints = np.trapezoid(psi[:, 1] * phases, t, axis=1)
+    # the trapezoid's end correction -dt^2/12 [f'] on f = c_e exp(i E t), with
+    # c_e' = -i (H_eff psi)_e: fourth order in dt
+    ends = psi[[0, -1]]
+    df = (-1j * ends @ effective_hamiltonian(nh)[1]
+          + 1j * (ks * spec.gap)[:, None] * ends[:, 1]) * phases[:, [0, -1]]
+    ints -= (t[1] - t[0]) ** 2 / 12.0 * (df[:, 1] - df[:, 0])
+    return np.abs(spec.coupling_v * ints) ** 2
 
 
 def source_infinity(rho: np.ndarray, gamma: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from fqcsim import (
 )
 from fqcsim import analysis
 from fqcsim.analysis import _damped_cos2, _refine_parabolic
-from oracles import damped_rabi_population, underdamped_discriminant
+from oracles import damped_rabi_population, direct_quadrature_occupations, underdamped_discriminant
 
 
 def decay_series(n_half, v, t_f=10.0, points=2001):
@@ -243,6 +243,26 @@ def test_sidebands_quadrature_converges_to_the_resolvent(omega0, t_f):
     # start at t = infinity: they meet at every level, in every regime
     sb = sideband_spectrum(FqcSpec(22, 0.3), DriveSpec(omega0, 0.0), t_f=t_f)
     np.testing.assert_allclose(sb.occupations_quadrature, sb.occupations, rtol=1e-3)
+
+
+@pytest.mark.parametrize("n_half, omega0, t_f, rtol", [
+    # `sidebands` defaults: 4001 points fill 63 blocks of B = 64, 31 slots padded
+    (22, 10.0, 8.0, 1e-12),
+    (15, 1.0, 8.0, 1e-12),     # `rabi --sidebands` defaults
+    (22, 10.0, 40.0, 1e-12),
+    (22, 0.25, 8.0, 1e-12),    # the exceptional point omega0 = gamma/4
+    (40, 10.0, 60.0, 5e-12),
+    (22, 0.1, 500.0, 1e-10),
+])
+def test_sidebands_quadrature_matches_direct_exponentials(n_half, omega0, t_f, rtol):
+    # the phase-table kernel against a table of direct exp(i k delta t) and
+    # np.trapezoid, level by level
+    spec, drive = FqcSpec(n_half, 0.3), DriveSpec(omega0, 0.0)
+    if t_f == 8.0:
+        assert analysis._grid_block(default_grid(t_f, 4001)) == 64 and 4001 % 64
+    got = sideband_spectrum(spec, drive, t_f=t_f).occupations_quadrature
+    np.testing.assert_allclose(got, direct_quadrature_occupations(spec, drive, t_f),
+                               rtol=rtol, atol=0)
 
 
 def test_sidebands_match_the_resolvent_of_h_eff():

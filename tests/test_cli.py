@@ -192,6 +192,35 @@ def test_sweep_initial_state_other_than_e_rejected(tmp_path, mode, capsys):
     assert "starts from e" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, start", [("sidebands", "starts from g"),
+                                            ("markov", "samples its own pairs")])
+def test_initial_state_a_command_does_not_read_rejected(tmp_path, command, start, capsys):
+    # sidebands always start the atom in |g> and markov samples its pairs:
+    # any other value than the default would be recorded but not used
+    assert run([command, "--out", tmp_path / "x", "--initial-state", "g"] + FAST) == 2
+    assert start in capsys.readouterr().err
+    assert not (tmp_path / "x" / f"{command}.json").exists()
+
+
+_COMMON_FLAGS = {
+    "--config": ("config", "c.json"), "--out": ("out", "o"), "--seed": ("seed", 3),
+    "--grid-points": ("grid_points", 11), "--tf": ("t_f", 2.5), "--n": ("n_half", 4),
+    "--v": ("coupling_v", 0.2), "--gamma": ("gamma", 1.5), "--omega0": ("omega0", 2.0),
+    "--detuning": ("detuning", 0.5), "--hole-half-width": ("hole_half_width", 0.75),
+    "--initial-state": ("initial_state", "g"),
+}
+
+
+@pytest.mark.parametrize("command", ["decay", "rabi", "sweep", "sidebands", "markov", "fit",
+                                     "adaptive-compare"])
+def test_common_flags_parse_under_every_subcommand(command):
+    argv = [command] + [str(a) for flag, (_, value) in _COMMON_FLAGS.items()
+                        for a in (flag, value)]
+    args = cli.build_parser().parse_args(argv)
+    assert {dest: getattr(args, dest) for dest, _ in _COMMON_FLAGS.values()} == dict(
+        _COMMON_FLAGS.values())
+
+
 def test_invalid_value_rejected(tmp_path):
     assert run(["decay", "--out", tmp_path / "x", "--v", -0.3]) == 2
 

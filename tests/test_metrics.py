@@ -23,6 +23,7 @@ from fqcsim import (
 )
 from fqcsim import NumericalError
 from fqcsim import metrics
+from fqcsim.evolve import _outer, _phase_sum, _spectra
 from fqcsim.metrics import _sample_pairs, _td_two_by_two
 from fqcsim.sweep import build_model
 
@@ -103,6 +104,39 @@ def test_d1_revival_dominated_value():
     gap = np.abs(series.pi_e - np.exp(-times))
     rect = float(np.sum(gap[:-1] * np.diff(times)) / 10.0)
     assert value == pytest.approx(rect, abs=2e-3)
+
+
+def test_trapezoid_weights_match_np_trapezoid_on_a_nonuniform_grid():
+    rng = np.random.default_rng(3)
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 7.0, 999)), [7.0]])
+    w = metrics._trapezoid_weights(t)
+    assert w.sum() == pytest.approx(7.0, rel=1e-14)
+    for f in (np.exp(-t), 1.5 + np.cos(3.0 * t), t**2):
+        assert (w * f).sum() == pytest.approx(np.trapezoid(f, t), rel=1e-14)
+    # a grid of one point has an empty integral
+    assert metrics._trapezoid_weights(np.array([2.0])).tolist() == [0.0]
+
+
+def test_weighted_d1_and_d2_match_np_trapezoid_on_the_default_map():
+    # every cell of the default 39x56 d1 map, and d2 over three of its rows
+    # driven at omega0 = 1, against np.trapezoid of the same integrands
+    times = default_grid(10.0)
+    vs = [round(0.05 + 0.01 * i, 4) for i in range(56)]
+    for n in range(2, 41):
+        values, weights, _, real = _spectra([build_model("decay", n, v, 1.0, DriveSpec(0.0, 0.0)) for v in vs])
+        pie = np.square(_phase_sum(values, weights, times, real)[..., 0])
+        want = np.trapezoid(np.abs(pie - pie[:, :1] * np.exp(-times)), times, axis=-1) / 10.0
+        np.testing.assert_allclose(metrics._d1_values(times, pie, 1.0, 10.0)[0], want,
+                                   rtol=1e-14, atol=0)
+    drive = DriveSpec(1.0, 0.0)
+    ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times).rho
+    for n in (2, 20, 40):
+        values, weights, _, _ = _spectra([build_model("rabi", n, v, 1.0, drive) for v in vs])
+        rho = _outer(_phase_sum(values, weights, times)[..., :2])
+        diff = rho - ref
+        td = _td_two_by_two(diff[..., 0, 0].real, diff[..., 1, 1].real, diff[..., 0, 1])
+        np.testing.assert_allclose(metrics._d2_values(times, rho, ref, 10.0)[0],
+                                   np.trapezoid(td, times, axis=-1) / 10.0, rtol=1e-14, atol=0)
 
 
 def test_d1_grid_doubling_convergence():

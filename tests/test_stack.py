@@ -135,9 +135,10 @@ def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
             "--v-min", "0.1", "--v-max", "0.5", "--v-step", "0.05",
             "--tf", "4", "--grid-points", "401"]
     for model, budget in ((["--model", "rabi", "--metric", "d2", "--omega0", "2"], 1 << 17),
+                          (["--model", "adaptive", "--metric", "fit", "--omega0", "2"], 1 << 17),
                           (["--model", "decay"], 1 << 15)):
         monkeypatch.setattr(sweep, "_STACK_BYTES", budget)
-        assert model[1] == "rabi" or sweep._row_cells(20, 9) < 9
+        assert model[1] != "decay" or sweep._row_cells(20, 9) < 9
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("FQCSIM_THREADS", threads)
