@@ -82,7 +82,10 @@ def zeno_time(series: TimeSeries) -> FitReport:
     y = series._depletion(mask)
 
     def fit(n):  # over the first n times of the window
-        c = float(t2[:n] @ y[:n]) / float(t2[:n] @ t2[:n])
+        norm = float(t2[:n] @ t2[:n])
+        if norm == 0.0:  # t^4 underflows: times below about 1e-81
+            raise ConfigError("zeno window under-resolved: t^4 underflows to 0 in the window")
+        c = float(t2[:n] @ y[:n]) / norm
         return c, float(np.linalg.norm(y[:n] - c * t2[:n]))
 
     c, res = fit(t2.size)

@@ -11,16 +11,12 @@ Every projection from |e> is one phase sum, sum_n weights[n, r]
 exp(-i E_n t) (`_phase_sum`), and `_spectra` is the one place that picks
 the spectrum and weights of a stack of cells of equal basis; `propagate` is
 the same core on a stack of one, and stacked and single calls give the same
-bits.  A single-level Hamiltonian is bipartite in the symmetric/antisymmetric
-combinations of the levels +-k, so from |e> it needs only the spectrum of
-its half-size e/FQC coupling block B: c_e(t) = sum_n U[e, n]^2
-cos(sigma_n t), the real part of a phase sum, which one real matmul gives
-as a real array.  B^T B is a rank-one change of
-a diagonal, so the sigma_n (a values-only SVD, refined on the secular
-equation) and the weights U[e, n]^2 (a closed form) come without singular
-vectors (`_single_level_weights`).  Two-level models take one batched
-`eigh` of H; other initial states go through `diagonalize`.  The full
-amplitudes of a series are built on first read, in the eigenbasis of H.
+bits.  A single-level Hamiltonian from |e> needs no matrix: c_e(t) =
+sum_n w_n cos(sigma_n t) over the roots sigma >= 0 of its secular equation,
+whose ladder sum has a closed form in digamma functions (`_ladder_spectra`),
+and one real matmul gives c_e as a real array.  Two-level models take one
+batched `eigh` of H; other initial states go through `diagonalize`.  The
+full amplitudes of a series are built on first read, in the eigenbasis of H.
 
 Every CSV output goes through `write_csv`, which writes a float exactly as
 `'%.16e' % x` would without formatting it in Python: the 17 digits come
@@ -281,43 +277,31 @@ def _gram_defect(vectors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", gram, gram))
 
 
-def _lapack_stack(solve, entries: np.ndarray, ranks: tuple[int, ...]) -> tuple[tuple, list]:
-    """The outputs of `solve` (a batched LAPACK routine of numpy.linalg) on a
-    (s, d, d) stack of matrices, and the error of each matrix: None, or a
-    NumericalError if LAPACK fails on it.  Output k has ranks[k] axes of
-    size d per matrix (`eigh`: (1, 2)).
-
-    A LAPACK failure in a stack is retried one matrix at a time, so it stays
-    with its own matrix, whose outputs are NaN.
-    """
-    try:
-        return solve(entries), [None] * len(entries)
-    except np.linalg.LinAlgError as exc:
-        if len(entries) > 1:
-            parts = [_lapack_stack(solve, m[None], ranks) for m in entries]
-            return (tuple(np.concatenate(out) for out in zip(*(p[0] for p in parts))),
-                    [p[1][0] for p in parts])
-        d = entries.shape[-1]
-        nan = tuple(np.full((1,) + (d,) * rank, np.nan) for rank in ranks)
-        return nan, [NumericalError(f"eigensolver failed: {exc}")]
-
-
 def _eigh_stack(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """Eigenvalues (s, d), eigenvectors (s, d, d) and the error of each
     matrix of a (s, d, d) stack of real symmetric Hamiltonians, by one
-    batched `eigh` (`_lapack_stack`).
+    batched `eigh`.
 
     A matrix's error is None, a NumericalError if LAPACK fails on it, a
     ConfigError if it is not symmetric, or a NumericalError if its basis
-    fails the Eigensystem bound (one batched `_gram_defect` per stack).
+    fails the Eigensystem bound (one batched `_gram_defect` per stack).  A
+    LAPACK failure in a stack is retried one matrix at a time, so it stays
+    with its own matrix, whose outputs are NaN.
     """
-    (values, vectors), errors = _lapack_stack(np.linalg.eigh, entries, (1, 2))
+    try:
+        values, vectors = np.linalg.eigh(entries)
+    except np.linalg.LinAlgError as exc:
+        if len(entries) == 1:
+            nan = np.full(entries.shape, np.nan)
+            return nan[..., 0], nan, [NumericalError(f"eigensolver failed: {exc}")]
+        parts = [_eigh_stack(m[None]) for m in entries]
+        return *(np.concatenate(out) for out in list(zip(*parts))[:2]), [p[2][0] for p in parts]
     symmetric = (entries == np.swapaxes(entries, -1, -2)).all(axis=(-2, -1))
     return values, vectors, [
-        err or (None if sym else ConfigError("Hamiltonian matrix is not symmetric"))
+        (None if sym else ConfigError("Hamiltonian matrix is not symmetric"))
         or (None if defect <= NORM_TOL else NumericalError(
             f"eigenbasis orthonormality defect {defect} exceeds {NORM_TOL}"))
-        for err, sym, defect in zip(errors, symmetric, _gram_defect(vectors))]
+        for sym, defect in zip(symmetric, _gram_defect(vectors))]
 
 
 def diagonalize(h: HamiltonianMatrix) -> Eigensystem:
@@ -394,13 +378,14 @@ class TimeSeries:
     """
 
     def __init__(self, h: HamiltonianMatrix, times: np.ndarray, projections: np.ndarray,
-                 psi: np.ndarray | None = None):
+                 psi: np.ndarray | None = None, spectrum: tuple | None = None):
         self.times = times
         self.projections = projections
         self.spec, self.drive = h.spec, h.drive
         self.basis_labels, self.system_dim = h.basis_labels, h.n_system
         self._h = h
         self._psi = basis_state(h).amplitudes if psi is None else psi
+        self._spectrum = spectrum  # (sigma, weights) of c_e, as `propagate` solved it
         self._variance = None
         self._amplitudes = None
 
@@ -428,16 +413,17 @@ class TimeSeries:
 
     def _depletion(self, mask: np.ndarray) -> np.ndarray:
         """1 - pi_e at times[mask].  A single-level series from |e> has
-        c_e = sum_n w_n cos(sigma_n t) with sum_n w_n = 1 (`_spectra`), so
-        1 - c_e = 2 sum_n w_n sin^2(sigma_n t / 2), by direct sines, and
-        1 - pi_e = (1 - c_e)(1 + c_e) keeps its relative accuracy where
-        pi_e is close to 1; any other series subtracts."""
-        if self.system_dim != 1 or not np.array_equal(self._psi, basis_state(self._h).amplitudes):
-            return 1.0 - self.pi_e[mask]
-        sigma, weights, (error,), _ = _spectra([self._h])
-        if error is not None:
-            raise error
-        loss = 2.0 * np.sin(np.outer(self.times[mask], 0.5 * sigma[0])) ** 2 @ weights[0, :, 0]
+        c_e = sum_n w_n cos(sigma_n t) with sum_n w_n = 1 (as `propagate`
+        solves it), so 1 - c_e = 2 sum_n w_n sin^2(sigma_n t / 2), by direct
+        sines, and 1 - pi_e = (1 - c_e)(1 + c_e) keeps its relative accuracy
+        where pi_e is close to 1; any other series subtracts."""
+        if self._spectrum is None:
+            if self.system_dim != 1 or not np.array_equal(self._psi,
+                                                          basis_state(self._h).amplitudes):
+                return 1.0 - self.pi_e[mask]
+            self._spectrum = propagate(self._h, "e", self.times[:1])._spectrum
+        sigma, weights = self._spectrum
+        loss = 2.0 * np.sin(np.outer(self.times[mask], 0.5 * sigma)) ** 2 @ weights
         return loss * (2.0 - loss)
 
     @property
@@ -487,17 +473,18 @@ def propagate(h: HamiltonianMatrix, psi0: StateVector | str,
     TimeSeries).
 
     A single-level Hamiltonian started in |e> (psi0 "e") takes the secular
-    spectrum of `_spectra` on a stack of one.  Everything else is
-    phase-rotated in the eigenbasis from `diagonalize`, whose basis is
-    checked for orthonormality (see Eigensystem), which bounds the norm
-    drift at every grid time.
+    spectrum of `_spectra` on a stack of one, which the series keeps.
+    Everything else is phase-rotated in the eigenbasis from `diagonalize`,
+    whose basis is checked for orthonormality (see Eigensystem), which
+    bounds the norm drift at every grid time.
     """
     times = _time_grid(times)
     if psi0 == "e" and h.n_system == 1:
         values, weights, (error,), _ = _spectra([h])
         if error is not None:
             raise error
-        return TimeSeries(h, times, _phase_sum(values, weights, times, real=True)[0])
+        return TimeSeries(h, times, _phase_sum(values, weights, times, real=True)[0],
+                          spectrum=(values[0], weights[0, :, 0]))
     if isinstance(psi0, str):
         psi0 = basis_state(h, psi0)
     if psi0.dim != h.dim:
@@ -514,16 +501,16 @@ def _spectra(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list,
     the FqcsimError of its decomposition or health check) and whether the
     projection is the real part of the sum.
 
-    Single-level cells take the secular spectrum of their half-size
-    coupling blocks (`_single_level_weights`): c_e is the cosine sum, the
-    real part of a phase sum over m = N + 1 values, half the phases of H.
-    Two-level cells take one batched `eigh` of H with the Eigensystem bound
-    on every basis (`_eigh_stack`), and the weights of c_g, c_e and
-    sum_k c_k.  A stacked cell gets the bits it gets alone.
+    Single-level cells take the closed-form secular spectrum
+    (`_ladder_spectra`): c_e is the cosine sum, the real part of a phase sum
+    over the roots x >= 0, half the phases of H.  Two-level cells take one
+    batched `eigh` of H with the Eigensystem bound on every basis
+    (`_eigh_stack`), and the weights of c_g, c_e and sum_k c_k.  A stacked
+    cell gets the bits it gets alone.
     """
     if hs[0].n_system == 1:
-        sigma, weights, errors = _single_level_weights(hs)
-        return sigma, weights[..., None], errors, True
+        sigma, weights, _, errors = _ladder_spectra(hs)
+        return sigma.reshape(len(hs), -1), weights.reshape(len(hs), -1, 1), errors, True
     values, vectors, errors = _eigh_stack(np.stack([h.entries for h in hs]))
     psi = np.zeros(values.shape, dtype=complex)
     psi[:, hs[0].basis_labels.index("e")] = 1.0
@@ -563,126 +550,133 @@ def _outer(c: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _coupling_blocks(hs: list[HamiltonianMatrix]) -> np.ndarray:
-    """The e/FQC coupling blocks B of single-level Hamiltonians of equal
-    basis labels, shape (s, m, m) with m = n_pos + 1 for n_pos levels k > 0.
+# psi(w) ~ ln w - 1/(2w) - sum_k B_2k / (2k w^2k) and psi'(w) ~ 1/w + 1/(2w^2)
+# + sum_k B_2k / w^(2k+1), k = 8..1: at w >= 10 the next terms are below 1e-17
+_BERNOULLI = np.array([-3617 / 510, 7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6])
+_ASYMPTOTIC = np.stack([_BERNOULLI / np.arange(16, 0, -2), _BERNOULLI], axis=1)[..., None]
+_ROOTS_PER_PASS = 4096  # the (4 r, 10) shift table of a pass stays near 1.3 MB
 
-    Every single-level ladder is symmetric about |e> at E = 0 (a hole is
-    symmetric too).  In the basis s_k = (f_k + f_-k)/sqrt(2),
-    a_k = (f_k - f_-k)/sqrt(2) (k > 0), H is bipartite between
-    A = (e, a_1, ...) and (f0, s_1, ...): H = [[0, B], [B^T, 0]] with
-    B[e, f0] = v, B[e, s_k] = sqrt(2) v and B[a_k, s_k] = k delta.  A
-    ladder without f0 gets a zero column in its place.
+
+def _digamma(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi(z) and psi'(z) of a 1-d array z > 0, in numpy alone: the shift
+    psi(z) = psi(z + 10) - sum_(j<10) 1/(z + j) (psi' adds the squares),
+    then the asymptotic series at z + 10."""
+    r = np.add.outer(np.arange(10.0), z)  # summed in order down each column when z.size > 1
+    shift = np.reciprocal(r, out=r).sum(axis=0)
+    shift1 = np.square(r, out=r).sum(axis=0)
+    w = z + 10.0
+    q = 1.0 / w
+    q2 = q * q
+    series = _ASYMPTOTIC[0] * q2
+    for c in _ASYMPTOTIC[1:]:
+        series += c
+        series *= q2
+    return np.log(w) - 0.5 * q - series[0] - shift, q + 0.5 * q2 + q * series[1] + shift1
+
+
+def _ladder_spectra(hs: list[HamiltonianMatrix]) -> tuple:
+    """sigma and weights of c_e(t) = sum_n weights[n] cos(sigma_n t) of
+    single-level cells of any ladders, one cell after another (each
+    ascending), each cell's offset in them, and each cell's error.
+
+    In x = E / delta the eigenvalues of H on |e> solve x = a S(x),
+    a = (v / delta)^2, S = sum_k 1/(x - k) over the ladder: pi cot(pi x) +
+    psi(N + 1 + x) - psi(N + 1 - x) over |k| <= N (the infinite ladder of
+    Bixon and Jortner, J. Chem. Phys. 48, 715 (1968), and its finite-band
+    correction), less psi(x + k_min) - psi(x - k_min + 1) for a hole.  The
+    roots +-x pair up, one in each interval (k, k + 1) above the first level
+    k >= 0 and one above N, of weight 2 / (1 + a T(x)), T = -S'; a hole adds
+    x = 0, first, of weight 1 / (1 + 2 a (psi'(k_min) - psi'(N + 1))).  A
+    cell with v = 0 is decoupled (sigma = 0, c_e = 1).  A cell fails alone
+    its sum rule |sum_n weights[n] - 1| or its largest relative secular
+    residual (infinite for a NaN root or one outside its interval) beyond
+    NORM_TOL.
     """
-    ks = hs[0].level_indices
-    pos = ks[ks > 0]
-    v = np.array([h.spec.coupling_v for h in hs])
-    gap = np.array([h.spec.gap for h in hs])
-    blocks = np.zeros((len(hs), pos.size + 1, pos.size + 1))
-    if 0 in ks:
-        blocks[:, 0, 0] = v
-    blocks[:, 0, 1:] = math.sqrt(2.0) * v[:, None]
-    diag = np.arange(1, pos.size + 1)
-    blocks[:, diag, diag] = pos * gap[:, None]
-    return blocks
+    n, v, gap, levels = np.array([(h.spec.n_half, h.spec.coupling_v, h.spec.gap, h.dim - 1)
+                                  for h in hs], dtype=float).reshape(-1, 4).T
+    levels = levels.astype(int)  # 2N + 1, or 2 (N + 1 - k_min) with a hole
+    holed = levels % 2 == 0
+    k_min = np.where(holed, n + 1 - levels // 2, 0.0)
+    count = levels // 2 + 1  # N + 1 roots, or N + 2 - k_min with x = 0
+    start = np.cumsum(count) - count
+    sigma, weights, worst = np.zeros(count.sum()), np.zeros(count.sum()), np.zeros(len(n))
+    weights[start] = 1.0  # v = 0
+    with np.errstate(all="ignore"):  # a bad root fails its check
+        a = np.divide(v, gap, out=np.zeros_like(v), where=v > 0) ** 2
+        for lo in range(0, sigma.size, _ROOTS_PER_PASS):  # in passes, to bound the memory
+            roots = np.arange(lo, min(lo + _ROOTS_PER_PASS, sigma.size))
+            c = np.searchsorted(start, roots, side="right") - 1
+            keep = (v[c] > 0) & ~(holed[c] & (roots == start[c]))  # not x = 0
+            roots, c = roots[keep], c[keep]
+            k = roots - start[c] + k_min[c] - holed[c]  # the level below
+            x, weights[roots], residual = _secular_roots(n[c], k_min[c], a[c], k)
+            sigma[roots] = x * gap[c]
+            np.maximum.at(worst, c, residual)
+        if (holed & (v > 0)).any():
+            c = np.flatnonzero(holed & (v > 0))
+            psi1 = _digamma(np.concatenate([k_min[c], n[c] + 1.0]))[1].reshape(2, -1)
+            weights[start[c]] = 1.0 / (1.0 + 2.0 * a[c] * (psi1[0] - psi1[1]))
+    defect = np.abs(np.add.reduceat(weights, start) - 1.0)
+    return sigma, weights, start, [
+        NumericalError(f"secular residual {r} exceeds {NORM_TOL}") if not r <= NORM_TOL
+        else NumericalError(f"sum rule defect {d} exceeds {NORM_TOL}") if not d <= NORM_TOL
+        else None for r, d in zip(worst, defect)]
 
 
-def _single_level_weights(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list]:
-    """The spectrum of c_e(t) = sum_n weights[n] cos(sigma_n t) for
-    single-level cells of equal basis labels: sigma and weights (s, m), and
-    the error of each cell, without singular vectors.
-
-    The coupling block B (`_coupling_blocks`) has first row z = (v, sqrt(2)
-    v, ...) and poles d_j = p_j delta (p_j = 0, 1, ... on a flat ladder), so
-    B^T B = D^2 + z z^T.  Its sigma_n are the roots of the secular equation
-    1 + sum_j z_j^2 / (d_j^2 - sigma^2) = 0, one in each pole interval
-    (p_n, p_n + 1) delta and the last above the top pole, and
-    U[e, n]^2 = 1 / (sigma_n^2 sum_j z_j^2 / (d_j^2 - sigma_n^2)^2).  A
-    values-only SVD of the stacked blocks starts the roots, and one Newton
-    step refines them (`_secular_roots`).  A holed ladder has no f0: its
-    zero column is dropped, and the dark state at E = 0 comes first, with
-    weight 1 / (1 + sum_j z_j^2 / d_j^2).  A cell with v = 0 is decoupled:
-    sigma = 0 and c_e = 1, with no division by its zero gap.
-
-    Two checks take the place of the Gram check of U and W, each within
-    NORM_TOL: the sum rule |sum_n U[e, n]^2 - 1| and the relative secular
-    residual (`_secular_roots`).  A cell that fails either, or whose LAPACK
-    call fails (`_lapack_stack`), keeps its own error.
+def _secular_roots(n, k_min, a, k):
+    """x, weight and relative secular residual of the roots x = k + u of
+    `_ladder_spectra` (1-d arrays, one entry per root), each solved
+    elementwise, so with the same bits in any batch.  Inside (k, k + 1):
+    Newton on u = atan2(pi a, x - a R(x)) / pi, R = S - pi cot(pi x), from
+    the Bixon-Jortner angle atan2(pi a, k + 1/2) / pi.  Above N (u = x - N):
+    Newton on the pole, -a/u + h(u) = 0 with the concave h = x - a (S - 1/u)
+    replaced by its tangent, from the lower bounds u (N + u) = a and
+    x^2 = a (levels), so it rises monotonically.  A root stops once its step
+    is below 1e-12 x.
     """
-    ks = hs[0].level_indices
-    flat = 0 in ks
-    poles = ks[ks >= 0].astype(float)
-    v = np.array([h.spec.coupling_v for h in hs])
-    gap = np.array([h.spec.gap for h in hs])
-    (roots,), errors = _lapack_stack(lambda b: (np.linalg.svd(b, compute_uv=False),),
-                                     _coupling_blocks(hs)[:, :, 0 if flat else 1:], (1,))
-    n = poles.size
-    sigma = np.zeros((len(hs), n + (not flat)))
-    weights = np.zeros_like(sigma)
-    weights[:, 0] = 1.0  # v = 0
-    residual = np.zeros(len(hs))
-    live = v > 0
-    if live.any():
-        delta = gap[live, None]
-        w = (v[live, None] / delta) ** 2 * np.where(poles > 0, 2.0, 1.0)  # z_j^2 / delta^2
-        with np.errstate(divide="ignore", invalid="ignore"):  # a bad root fails its check
-            x, s2, residual[live] = _secular_roots(roots[live, ::-1] / delta, poles, w)
-        sigma[live, -n:] = x * delta
-        weights[live, -n:] = 1.0 / (x * x * s2)
-        if not flat:
-            weights[live, 0] = 1.0 / (1.0 + (w / poles**2).sum(axis=-1))
-    defect = np.abs(weights.sum(axis=-1) - 1.0)
-    errors = [err or _secular_error(r, d) for err, r, d in zip(errors, residual, defect)]
-    return sigma, weights, errors
+    top = k == n
+    levels = np.where(k_min > 0, 2.0 * (n - k_min + 1), 2.0 * n + 1)
+    bound = np.maximum(2.0 * a / (n + np.sqrt(n * n + 4.0 * a)), np.sqrt(a * levels) - n)
+    u = np.where(top, bound, np.arctan2(np.pi * a, k + 0.5) / np.pi)
+    params = np.stack([n, k_min, a, k])
+    live = np.arange(k.size)
+    for _ in range(8):
+        new = _secular_step(u[live], *params[:, live])[0]
+        step = np.abs(new - u[live])
+        u[live] = new
+        live = live[~(step <= 1e-12 * (k[live] + new))]
+        if not live.size:
+            break
+    _, residual, dq = _secular_step(u, *params)
+    t = np.where(top, 1.0 / (u * u), (np.pi / np.sin(np.pi * np.minimum(u, 1.0 - u))) ** 2) - dq
+    inside = (u > 0) & ((u < 1) | top)
+    return k + u, 2.0 / (1.0 + a * t), np.where(inside, np.abs(residual), np.inf)
 
 
-def _secular_roots(x0: np.ndarray, poles: np.ndarray, w: np.ndarray):
-    """One Newton step on f(x) = 1 + sum_j w_j / (p_j^2 - x^2) = 0 from the
-    roots x0 (s, n), ascending, in units of the gap (x = sigma / delta, poles
-    p_j, w_j = z_j^2 / delta^2 of shape (s, n)).
-
-    Root n is written x = k + t, with k the pole of its interval nearest to
-    it, so p_j^2 - x^2 = (p_j - k - t)(p_j + k + t) with exact integers
-    p_j - k: the step restores the digits that the SVD's absolute accuracy
-    loses next to a pole.  Returns x, sum_j w_j / (p_j^2 - x^2)^2 (so that
-    U[e, n]^2 = 1 / (x^2 times it)) and each cell's largest relative
-    residual |f(x)| / (1 + sum_j |w_j / (p_j^2 - x^2)|), infinite for a
-    root that is NaN or outside its interval.
-    """
-    n = poles.size
-    top = np.arange(n) == n - 1
-    k = poles + ((x0 - poles > 0.5) & ~top)
-    t = x0 - k
-    w = w[..., None]
-
-    def inverse_gaps(t, out=None):
-        # 1 / ((p_j - k - t)(p_j + k + t)), in two (s, n, n) arrays
-        r = np.subtract(poles, k[..., None], out=out)
-        r -= t[..., None]
-        q = poles + k[..., None]
-        q += t[..., None]
-        r *= q
-        return np.reciprocal(r, out=r)
-
-    r = inverse_gaps(t)
-    f = 1.0 + (r @ w)[..., 0]
-    t = t - f / (2.0 * (k + t) * (np.square(r, out=r) @ w)[..., 0])
-    r = inverse_gaps(t, out=r)
-    f = 1.0 + (r @ w)[..., 0]
-    scale = 1.0 + (np.abs(r, out=r) @ w)[..., 0]
-    r *= r
-    lower = (k - poles) + t  # the offset from the interval's lower pole
-    inside = (lower > 0) & ((lower < 1) | top)
-    residual = np.where(inside, np.abs(f) / scale, np.inf).max(axis=-1)
-    return k + t, (r @ w)[..., 0], residual
-
-
-def _secular_error(residual: float, defect: float) -> NumericalError | None:
-    if not residual <= NORM_TOL:
-        return NumericalError(f"secular residual {residual} exceeds {NORM_TOL}")
-    if not defect <= NORM_TOL:
-        return NumericalError(f"sum rule defect {defect} exceeds {NORM_TOL}")
-    return None
+def _secular_step(u, n, k_min, a, k):
+    """The next u of roots at x = k + u (`_secular_roots`), the secular
+    residual at u and dQ/dx, Q = R inside and S - 1/u above N, so that
+    T = pi^2 / sin^2(pi u) - dQ/dx or 1/u^2 - dQ/dx.  Every psi argument > 0."""
+    top, holed = k == n, k_min > 0
+    z = [k + n + 1 + u, np.where(top, 1.0 + u, n + 1 - k - u)]
+    if holed.any():
+        z += [k + k_min + u, k - k_min + 1 + u]
+    psi, psi1 = (f.reshape(len(z), -1) for f in _digamma(np.concatenate(z)))
+    q = psi[0] - psi[1]
+    dq = psi1[0] + np.where(top, -psi1[1], psi1[1])
+    if len(z) > 2:
+        q -= np.where(holed, psi[2] - psi[3], 0.0)
+        dq -= np.where(holed, psi1[2] - psi1[3], 0.0)
+    x = k + u
+    y = x - a * q
+    slope = 1.0 - a * dq
+    pa = np.pi * a
+    g = u - np.arctan2(pa, y) / np.pi
+    inside = np.clip(u - g / (1.0 + a * slope / (y * y + pa * pa)), 0.0, 1.0)
+    b = y - slope * u
+    root = np.sqrt(b * b + 4.0 * a * slope)
+    above = np.where(b > 0, 2.0 * a / (b + root), (root - b) / (2.0 * slope))
+    return np.where(top, above, inside), np.where(top, y - a / u, g) / x, dq
 
 
 def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray,

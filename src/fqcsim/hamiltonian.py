@@ -48,7 +48,8 @@ class FqcSpec:
     levels for a flat spectrum).  coupling_v = 0 is the decoupled limit; the
     spacing then degenerates to 0, which is harmless because the levels no
     longer influence the dynamics.  Every value must be finite
-    (ConfigError otherwise, naming the field).
+    (ConfigError otherwise, naming the field); so must the spacing, > 0 too
+    once coupling_v > 0 (a ConfigError naming coupling_v).
     """
 
     n_half: int
@@ -65,6 +66,13 @@ class FqcSpec:
             raise ConfigError(f"gamma_target must be finite and > 0, got {self.gamma_target}")
         if self.hole is not None and self.coupling_v == 0:
             raise ConfigError("a spectral hole requires coupling_v > 0")
+        try:  # the one spacing rule
+            gap = self.gap
+        except OverflowError:  # v**2
+            gap = math.inf
+        if not gap < math.inf or (self.coupling_v > 0 and not gap > 0):
+            raise ConfigError(f"coupling_v {self.coupling_v} gives the spacing {gap}: "
+                              "it must be finite and > 0")
 
     @property
     def gap(self) -> float:
@@ -171,16 +179,20 @@ def _check_band(spec: FqcSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _labels(system: tuple[str, ...], ks: tuple[int, ...]) -> tuple[str, ...]:
-    """The basis labels of a ladder: one tuple for every cell that has it."""
-    return system + tuple(f"f{k}" for k in ks)
+def _ladder(system: tuple[str, ...], ks: tuple[int, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The basis labels and the read-only level indices of a ladder: one of
+    each for every cell that has it (a decay map holds all its cells)."""
+    indices = np.array(ks, dtype=np.int64)
+    indices.flags.writeable = False
+    return system + tuple(f"f{k}" for k in ks), indices
 
 
 def _arrowhead(spec: FqcSpec, drive: DriveSpec | None) -> HamiltonianMatrix:
     """The one constructor: system [g], e coupled to the checked ladder of spec."""
     ks = _check_band(spec)
     system = ("e",) if drive is None else ("g", "e")
-    return HamiltonianMatrix(spec, drive, ks, _labels(system, tuple(ks.tolist())))
+    labels, ks = _ladder(system, tuple(ks.tolist()))
+    return HamiltonianMatrix(spec, drive, ks, labels)
 
 
 def build_single_level(spec: FqcSpec) -> HamiltonianMatrix:
@@ -227,9 +239,7 @@ def adaptive_spec_for_size(
         raise ConfigError(f"adaptive size must be a positive even integer, got {n_fqc}")
     if not 0 < half_width < math.inf:  # HoleSpec(0) removes no level: an odd count
         raise ConfigError(f"adaptive hole half_width must be finite and > 0, got {half_width}")
-    gap = 2.0 * math.pi * coupling_v**2 / gamma_target
-    if not gap > 0:  # NaN too
-        raise ConfigError(f"adaptive spec requires a finite coupling_v > 0, got {coupling_v}")
+    gap = FqcSpec(0, coupling_v, gamma_target, HoleSpec(half_width)).gap  # v > 0 and its rule
     # first surviving level k, by the comparison level_indices makes; the
     # ceil of the rounded quotient is off by one next to a multiple of the gap
     k_min = max(1, math.ceil(half_width / gap))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .evolve import DensitySeries, _outer
 from .hamiltonian import DriveSpec
 
@@ -88,7 +88,7 @@ def _amplitudes(spec: NonHermitianSpec, psi0: np.ndarray | str, times) -> np.nda
 
     where e^{-i(tau+s)t}, e^z and (e^z - 1)/z all stay bounded by 1 (cos and
     sinc alone overflow once Im(s) t exceeds ~709), and (e^z - 1)/z is 1 at
-    z = 0.
+    z = 0.  Amplitudes that overflow (K^2 does) are a NumericalError.
     """
     if isinstance(psi0, str):
         if psi0 not in ("g", "e"):
@@ -99,9 +99,12 @@ def _amplitudes(spec: NonHermitianSpec, psi0: np.ndarray | str, times) -> np.nda
     heff = effective_hamiltonian(spec)
     tau = 0.5 * np.trace(heff)
     k = heff - tau * np.eye(2)
-    s = 1j * np.sqrt(-(k[0, 0] ** 2 + k[0, 1] * k[1, 0]))
-    z = 2j * s * times
-    phi = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
-    return np.exp(-1j * (tau + s) * times)[:, None] * (
-        0.5 * (1.0 + np.exp(z))[:, None] * psi0 - 1j * (times * phi)[:, None] * (k @ psi0)
-    )
+    with np.errstate(all="ignore"):
+        s = 1j * np.sqrt(-(k[0, 0] ** 2 + k[0, 1] * k[1, 0]))
+        z = 2j * s * times
+        phi = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0)
+        amps = np.exp(-1j * (tau + s) * times)[:, None] * (
+            0.5 * (1.0 + np.exp(z))[:, None] * psi0 - 1j * (times * phi)[:, None] * (k @ psi0))
+    if not np.isfinite(amps).all():
+        raise NumericalError("the non-Hermitian reference overflows: H_eff is too large")
+    return amps

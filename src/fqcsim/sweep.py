@@ -2,20 +2,14 @@
 
 Map tasks run in a thread pool; results are aggregated by index, so the
 output is bit-identical regardless of schedule or worker count.  Every task
-runs one body for every model: the spectra of its cells (`evolve._spectra`:
-one values-only SVD and secular pass for single-level cells, one batched
-`eigh` of H for two-level ones), then one phase sum and one scoring per
-stack (one `d1` or `d2` trapezoid over all its cells; fits run cell by
-cell, in the calling thread).  A task of the two-level models is one stack
-of cells of an N row; a task of the single-level `decay` model is a whole N
-row, with one secular pass and phase sums in stacks.  That work runs in
-LAPACK/BLAS and numpy with the GIL released, which is what lets the threads
-scale, as long as each numpy call is large: on 2 cores, the secular maths in
-stacks of 13 or 14 cells took 0.55-0.81 s of the default map on two threads
-against 0.36-0.43 s in rows.  Python run per cell holds the GIL and so caps the
-second thread (a dense build, label formatting, energy variance and `d1`
-per cell did, at about a third of the map), so a cell does little of it: a
-structural Hamiltonian with cached labels and no TimeSeries unless fitted.
+is one stack of cells of an N row (`_stack_cells`): their spectra (one
+batched `eigh` for two-level cells), one phase sum and one scoring (one
+`d1` or `d2` trapezoid; fits run cell by cell, in the calling thread).  A
+single-level map solves all its closed-form spectra in one call before the
+pool (`evolve._ladder_spectra`), whose many small numpy calls would hold
+the GIL.  LAPACK/BLAS and large numpy calls release it, which lets the
+threads scale; Python run per cell holds it, so a cell does little of it:
+a structural Hamiltonian with cached labels and no TimeSeries unless fitted.
 A size scan runs its sizes one after another in the calling thread
 (`size_cell`, through `propagate`): its fits, 0.16 of 0.35 s CPU on 2 cores,
 are mostly Python-level `trf` steps, which hold the GIL, so a second thread
@@ -35,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import TimeSeries, _outer, _phase_sum, _spectra, default_grid, propagate, write_csv
+from .evolve import (TimeSeries, _ladder_spectra, _outer, _phase_sum, _spectra, default_grid,
+                     propagate, write_csv)
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -66,11 +61,10 @@ __all__ = [
 
 MODELS = ("decay", "rabi", "adaptive")
 METRICS = ("d1", "d2", "fit")
-# Peak bytes of one stack of map cells (see `_stack_cells`, and `_row_cells`
-# for the secular pass of a decay row): enough cells to pay the per-stack
-# Python glue once, few enough that a stack per thread keeps the map's peak
-# memory near that of single cells (2 MiB already cost the default map 3%
-# more peak RSS on two threads).
+# Peak bytes of one stack of map cells (see `_stack_cells`): enough cells to
+# pay the per-stack Python glue once, few enough that a stack per thread keeps
+# the map's peak memory near that of single cells (2 MiB already cost the
+# default map 3% more peak RSS on two threads).
 _STACK_BYTES = 3 << 19
 
 
@@ -167,27 +161,19 @@ def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
     A two-level cell peaks at about 16 (d (d + 5 B) + 5 nt) bytes
     (measured) for dimension d (at most 2N + 3): its `eigh` in
     `evolve._spectra` and the phase sum of its 3 projections.  A one-level
-    cell's stack is only its phase sum over the m = N + 1 values of
-    `_single_level_weights` and its `d1`: the tracemalloc peaks measured
-    for m up to 151 and nt from 401 to 8001 are within 12% of
-    max(8 (6 m B + nt), 46 nt) for nt >= 2001 (20% at 401): the phase sum
-    (three complex tables of m B and its real result) or the trapezoid.
+    cell's stack is only its phase sum over at most m = N + 1 roots and its
+    `d1`: the tracemalloc peaks measured for m up to 151 and nt from 401 to
+    8001 are within 1% of max(8 (6 m B + nt), 32 nt) for nt >= 2001 (28%
+    above it at 401): the phase sum (three complex tables of m B and its
+    real result) or the trapezoid (c_e, pi_e and two temporaries of nt).
     """
     block = math.isqrt(grid_points - 1) + 1
     if one_level:
-        cell_bytes = max(8 * (6 * (n_half + 1) * block + grid_points), 46 * grid_points)
+        cell_bytes = max(8 * (6 * (n_half + 1) * block + grid_points), 32 * grid_points)
     else:
         dim = 2 * n_half + 3
         cell_bytes = 16 * (dim * (dim + 5 * block) + 5 * grid_points)
     return max(1, _STACK_BYTES // cell_bytes)
-
-
-def _row_cells(n_half: int, count: int) -> int:
-    """Cells per task of a `decay` row of `count` cells: the whole row, or
-    equal parts of it if the two (cells, m, m) arrays of its secular pass
-    (m = N + 1, `evolve._secular_roots`) would outgrow `_STACK_BYTES`."""
-    parts = -(-count * 16 * (n_half + 1) ** 2 // _STACK_BYTES)
-    return -(-count // parts)
 
 
 @dataclass(frozen=True)
@@ -286,21 +272,19 @@ class _FitCell:
 def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
 
-    Each pool task is consecutive cells of one N row, and its cells are
-    built by `build_model`.  A `decay` task is the whole row (`_row_cells`
-    splits it only where its secular pass would outgrow `_STACK_BYTES`);
-    any other task is a stack of as many cells as `_STACK_BYTES` admits at
-    that N (`_stack_cells`).  Each group of equal basis labels gets its
-    spectra and health checks at once (`evolve._spectra`), then a phase
-    sum and a scoring per stack of `_stack_cells`: `d1` or `d2` as one
+    Each pool task is a stack of as many consecutive cells of one N row as
+    `_STACK_BYTES` admits (`_stack_cells`), built by `build_model` (a
+    `decay` map builds and solves all its cells before the pool).  Each
+    group of equal basis labels gets its spectra and health checks at once
+    (`evolve._spectra`), a phase sum and a scoring: `d1` or `d2` as one
     trapezoid (a single-level `d2` is its `d1`); a fit holds the GIL, so the
     pool returns a fit cell's pi_e and the calling thread fits the cells in
     task order.  Every value has the bits a single `propagate` and metric
-    give.  Individual cell failures are recorded per cell (value NaN) and do
-    not abort the map: a cell whose build, decomposition, health check or
-    fit fails keeps its own error and leaves its stack-mates' values alone.
-    Nothing here samples randomness; the seed is recorded in the provenance
-    for uniformity with sampled metrics.
+    give.  Individual cell failures are recorded per cell (value
+    NaN) and do not abort the map: a cell whose build, decomposition,
+    health check or fit fails keeps its own error and leaves its
+    stack-mates' values alone.  Nothing here samples randomness; the seed is
+    recorded in the provenance for uniformity with sampled metrics.
     """
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
@@ -342,29 +326,34 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
         scored = iter(scored)
         return [err or next(scored) for err in errs]
 
+    chunks = []
+    for i, n in enumerate(grid.n_values):
+        size = _stack_cells(n, fx.grid_points, fx.model == "decay")
+        chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
+    built, spectra = {}, lambda hs, group: _spectra(hs)
+    if fx.model == "decay":  # one solve of every root before the pool (module docstring)
+        built = {idx: _attempt(build, *idx) for cells in chunks for idx in cells}
+        ok = [idx for idx, h in built.items() if not isinstance(h, Exception)]
+        sigma, weights, start, errs = _ladder_spectra([built[idx] for idx in ok])
+        solved = dict(zip(ok, zip(start.tolist(), errs)))
+
+        def spectra(hs, group):  # each cell's (dim + 1) // 2 roots
+            rows = np.add.outer([solved[idx][0] for idx in group], np.arange((hs[0].dim + 1) // 2))
+            return sigma[rows], weights[rows][..., None], [solved[idx][1] for idx in group], True
+
     def job(cells):
         results, groups = {}, {}
         for idx in cells:
-            h = results[idx] = _attempt(build, *idx)
+            h = results[idx] = built[idx] if built else _attempt(build, *idx)
             if not isinstance(h, Exception):
                 groups.setdefault(h.basis_labels, []).append(idx)
         for group in groups.values():
             hs = [results[idx] for idx in group]
-            values, weights, errs, real = _spectra(hs)
-            size = _stack_cells(hs[0].spec.n_half, fx.grid_points, hs[0].n_system == 1)
-            for lo in range(0, len(hs), size):
-                proj = _phase_sum(values[lo:lo + size], weights[lo:lo + size], times, real)
-                results.update(zip(group[lo:lo + size], score(
-                    hs[lo:lo + size], proj, errs[lo:lo + size])))
+            values, weights, errs, real = spectra(hs, group)
+            proj = _phase_sum(values, weights, times, real)
+            results.update(zip(group, score(hs, proj, errs)))
         return [results[idx] for idx in cells]
 
-    chunks = []
-    for i, n in enumerate(grid.n_values):
-        if fx.model == "decay":
-            size = _row_cells(n, nv)
-        else:
-            size = _stack_cells(n, fx.grid_points, False)
-        chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
     for cells, res in zip(chunks, _run_pool(job, chunks)):
         for (i, j), cell in zip(cells, res if isinstance(res, list) else [res] * len(cells)):
             if isinstance(cell, _FitCell):

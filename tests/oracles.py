@@ -62,6 +62,30 @@ def damped_rabi_population(gamma: float, omega0: float, times: np.ndarray) -> np
     return np.exp(-gamma * times / 2.0) * np.cos(om * times) ** 2
 
 
+def coupling_block(h) -> np.ndarray:
+    """The e/FQC coupling block B of a single-level Hamiltonian, (m, m) with
+    m = n_pos + 1 for its n_pos levels k > 0: the full-SVD oracle of the
+    closed-form secular spectrum.
+
+    Every single-level ladder is symmetric about |e> at E = 0 (a hole is
+    symmetric too).  In the basis s_k = (f_k + f_-k)/sqrt(2),
+    a_k = (f_k - f_-k)/sqrt(2) (k > 0), H is bipartite between
+    A = (e, a_1, ...) and (f0, s_1, ...): H = [[0, B], [B^T, 0]] with
+    B[e, f0] = v, B[e, s_k] = sqrt(2) v and B[a_k, s_k] = k delta, so the
+    singular values of B are the eigenvalues of H >= 0 and U[e, n]^2 the
+    weight of cos(sigma_n t) in c_e.  A ladder without f0 gets a zero column
+    in its place.
+    """
+    ks = h.level_indices
+    pos = ks[ks > 0]
+    v = h.spec.coupling_v
+    block = np.zeros((pos.size + 1, pos.size + 1))
+    block[0, 0] = v if 0 in ks else 0.0
+    block[0, 1:] = math.sqrt(2.0) * v
+    block[np.arange(1, pos.size + 1), np.arange(1, pos.size + 1)] = pos * h.spec.gap
+    return block
+
+
 def direct_quadrature_occupations(spec, drive, t_f: float) -> np.ndarray:
     """The sideband quadrature `analysis._quadrature_occupations` replaced,
     kept as its oracle: a (levels, times) table of direct exponentials

@@ -93,6 +93,13 @@ def test_zeno_window_under_resolved():
         zeno_time(decay_series(15, 0.3, points=21))
 
 
+@pytest.mark.parametrize("t_f", [1e-300, 1e-200, 1e-100])
+def test_zeno_window_whose_t4_underflows_is_under_resolved(t_f):
+    # the fit divided by sum t^4, which underflows to 0 below about 1e-81
+    with pytest.raises(ConfigError, match="under-resolved: t\\^4 underflows"):
+        zeno_time(decay_series(15, 0.3, t_f=t_f))
+
+
 def test_zeno_on_decoupled_series_flags_nonconvergence():
     report = zeno_time(decay_series(4, 0.0, t_f=2.0, points=101))
     assert not report.converged

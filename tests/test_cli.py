@@ -240,6 +240,12 @@ def test_invalid_value_rejected(tmp_path):
     (["sweep", "--hole-half-width", "nan", "--n-min", 5, "--n-max", 5, "--v-min", 0.3,
       "--v-max", 0.3], "half_width"),
     (["sweep", "--size-scan", "--sizes", 20, "--omega0", 2, "--v", "nan"], "coupling_v"),
+    # v^2 overflows (an OverflowError, exit 1) or underflows the spacing to 0
+    (["decay", "--v", 1e200], "coupling_v"),
+    (["rabi", "--v", 1e200], "coupling_v"),
+    (["adaptive-compare", "--v", 1e200], "coupling_v"),
+    (["sweep", "--size-scan", "--sizes", 20, "--v", 1e200], "coupling_v"),
+    (["decay", "--v", 1e-170], "coupling_v"),
 ])
 def test_non_finite_model_input_rejected(tmp_path, args, field, capsys):
     # rabi --omega0 inf wrote all-NaN outputs and decay --hole-half-width nan
@@ -294,6 +300,23 @@ def test_sweep_records_a_negative_seed(tmp_path):
     assert run(["sweep", "--seed", -1, "--n-min", 5, "--n-max", 5, "--v-min", 0.3,
                 "--v-max", 0.3, "--out", out] + FAST) == 0
     assert json.loads((out / "map.json").read_text())["provenance"]["seed"] == -1
+
+
+def test_reference_beyond_the_float_range_exits_3(tmp_path, capsys):
+    # K^2 of H_eff overflowed: exit 0, NaN in reference.csv and metrics.json
+    out = tmp_path / "x"
+    assert run(["rabi", "--detuning", 1e300, "--out", out] + FAST) == 3
+    assert "numerical failure: the non-Hermitian reference overflows" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("t_f", [1e-300, 1e-200])
+def test_decay_zeno_window_whose_t4_underflows_is_recorded(tmp_path, t_f):
+    # the Zeno fit divided by zero (exit 1); now it is under-resolved
+    out = tmp_path / "x"
+    assert run(["decay", "--tf", t_f, "--out", out]) == 0
+    zeno = json.loads((out / "metrics.json").read_text())["zeno"]
+    assert not zeno["converged"] and "under-resolved" in zeno["notes"]
 
 
 def test_markov_grid_beyond_memory_exits_3(tmp_path, capsys):

@@ -32,8 +32,9 @@ from fqcsim import (
     write_csv,
 )
 from fqcsim import evolve, sweep
-from fqcsim.evolve import _coupling_blocks, _phase_sum, _single_level_weights, _spectra
-from oracles import source_infinity
+from fqcsim.cli import main
+from fqcsim.evolve import _digamma, _phase_sum, _spectra
+from oracles import coupling_block, source_infinity
 
 
 def test_diagonalize_two_by_two_closed_form():
@@ -479,7 +480,7 @@ def test_single_level_path_matches_eigh(spec, t_f):
     assert series.energy_variance0 == _dense_variance(h, basis_state(h, "e").amplitudes)
 
 
-@pytest.mark.parametrize("n_half", [50, 100, 200, 400])
+@pytest.mark.parametrize("n_half", [50, 100, 200, 400, 10_000])
 def test_single_level_path_follows_the_bixon_jortner_law(n_half):
     # an infinite flat ladder gives c_e(t) = exp(-gamma t / 2) exactly up to
     # the first revival at 2 pi / delta (Bixon and Jortner, J. Chem. Phys.
@@ -490,23 +491,50 @@ def test_single_level_path_follows_the_bixon_jortner_law(n_half):
     h = build_single_level(spec)
     c_e = propagate(h, "e", times).projections[:, h.basis_labels.index("e")]
     assert n_half * np.abs(c_e.real - np.exp(-times / 2)).max() <= 0.35
-    # the path takes c_e real; the eigenbasis agrees
-    assert np.abs(_eigh_path(h, times).imag).max() <= 1e-13
+    if n_half <= 400:  # the path takes c_e real; the eigenbasis agrees
+        assert np.abs(_eigh_path(h, times).imag).max() <= 1e-13
+
+
+def test_sum_rule_holds_at_n_1e5():
+    sigma, weights = _weights(build_single_level(FqcSpec(100_000, 0.3)))
+    assert sigma.size == 100_001 and (np.diff(sigma) > 0).all()
+    assert abs(weights.sum() - 1.0) <= 1e-14
 
 
 def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
     h = build_single_level(FqcSpec(6, 0.3))
     times = default_grid(2.0, 21)
 
-    def failing_svd(blocks, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
-    with pytest.raises(NumericalError, match="eigensolver failed: SVD did not converge"):
+    # a closed form that returns NaN fails the secular residual check
+    monkeypatch.setattr(evolve, "_digamma", lambda z: (np.full_like(z, np.nan),) * 2)
+    with pytest.raises(NumericalError, match="secular residual inf exceeds 1e-10"):
         propagate(h, "e", times)
     # any other start stays on the eigenbasis
     for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times)):
         assert np.isfinite(series.pi_e).all()
+
+
+def test_digamma_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    z = np.concatenate([np.geomspace(1e-3, 1e5, 400), np.linspace(0.5, 30.5, 301)])
+    psi, psi1 = _digamma(z)
+    # absolute near the root of psi at 1.4616, relative elsewhere
+    assert np.abs(psi - special.digamma(z)).max() <= 4e-16 * np.abs(psi).max()
+    assert np.abs(psi - special.digamma(z)).max(initial=0, where=z > 2) <= 4e-16 * 12
+    assert np.abs(psi1 / special.polygamma(1, z) - 1.0).max() <= 1e-15
+
+
+def test_digamma_identities():
+    # numpy only: the values at 1 and 1/2 and the recurrences
+    psi, psi1 = _digamma(np.array([1.0, 0.5]))
+    euler = 0.57721566490153286
+    assert psi[0] == pytest.approx(-euler, rel=1e-15)
+    assert psi[1] == pytest.approx(-euler - 2 * math.log(2.0), rel=1e-15)
+    assert psi1.tolist() == pytest.approx([math.pi**2 / 6, math.pi**2 / 2], rel=1e-15)
+    z = np.linspace(0.05, 40.0, 800)
+    (p0, d0), (p1, d1) = _digamma(z), _digamma(z + 1.0)
+    assert np.abs(p1 - p0 - 1.0 / z).max() <= 1e-15 * np.abs(1.0 / z).max()
+    assert np.abs((d0 - d1) * z * z - 1.0).max() <= 1e-13
 
 
 def _secular_cases():
@@ -529,11 +557,24 @@ SECULAR_CASES = _secular_cases()
 
 
 def _weights(h):
-    """sigma and U[e, n]^2 of one cell by `_single_level_weights`, which
-    must pass its checks."""
-    sigma, weights, (error,) = _single_level_weights([h])
-    assert error is None
-    return sigma[0], weights[0]
+    """sigma and the weights of c_e of one cell by `_spectra`, which must
+    pass its checks."""
+    sigma, weights, (error,), real = _spectra([h])
+    assert error is None and real
+    return sigma[0], weights[0, :, 0]
+
+
+def test_one_solve_of_mixed_ladders_gives_every_cell_its_own_bits():
+    # the map solves the roots of all its cells at once: each cell must get
+    # the bits it gets alone, from N = 0 (one root) to N = 300
+    hs = [build_single_level(FqcSpec(*case.values[:2], hole=case.values[2] and
+                                     HoleSpec(case.values[2]))) for case in SECULAR_CASES]
+    sigma, weights, start, errors = evolve._ladder_spectra(hs[::-1] + hs)
+    assert errors == [None] * (2 * len(hs))
+    for h, lo in zip(hs[::-1] + hs, start):
+        alone, alone_weights = _weights(h)
+        assert sigma[lo:lo + alone.size].tobytes() == alone.tobytes()
+        assert weights[lo:lo + alone.size].tobytes() == alone_weights.tobytes()
 
 
 def test_secular_cases_cover_flat_and_both_holes():
@@ -546,7 +587,7 @@ def test_secular_cases_cover_flat_and_both_holes():
 def test_secular_spectrum_matches_the_full_svd(n_half, v, width):
     h = build_single_level(FqcSpec(n_half, v, hole=width and HoleSpec(width)))
     sigma, weights = _weights(h)
-    u, s, _ = np.linalg.svd(_coupling_blocks([h])[0])
+    u, s, _ = np.linalg.svd(coupling_block(h))
     # ascending; a holed ladder's zero column gives the dark state, first
     assert np.abs(sigma - s[::-1]).max() <= 1e-13 * s.max()
     assert np.abs(weights - u[0, ::-1] ** 2).max() <= 1e-13
@@ -614,43 +655,40 @@ def test_holed_ladder_has_a_dark_state_at_zero():
     assert sigma[0] == 0.0 and (sigma[1:] > 0).all() and sigma.size == pos.size + 1
     # the null vector of B^T: u_e z_j + u_{a_j} d_j = 0
     assert weights[0] == pytest.approx(1.0 / (1.0 + np.sum(2 * 0.3**2 / pos**2)), rel=1e-14)
-    u, s, _ = np.linalg.svd(_coupling_blocks([h])[0])
+    u, s, _ = np.linalg.svd(coupling_block(h))
     assert s[-1] == 0.0 and abs(weights[0] - u[0, -1] ** 2) <= 1e-13
 
 
 def test_sum_rule_failure_stays_in_its_cell(monkeypatch):
     roots = evolve._secular_roots
 
-    def halved_weights(x0, poles, w):  # the cell v = 0.3 gets every U[e, n]^2 halved
-        x, s2, residual = roots(x0, poles, w)
-        s2[np.isclose(w[:, -1], 2 * 0.3**2 / FqcSpec(1, 0.3).gap ** 2)] *= 2.0
-        return x, s2, residual
+    def lost_weights(n, k_min, a, k):  # the cell v = 0.3 loses every weight
+        x, w, residual = roots(n, k_min, a, k)
+        w[np.isclose(a, (0.3 / FqcSpec(1, 0.3).gap) ** 2)] = 0.0
+        return x, w, residual
 
-    monkeypatch.setattr(evolve, "_secular_roots", halved_weights)
+    monkeypatch.setattr(evolve, "_secular_roots", lost_weights)
     hs = [build_single_level(FqcSpec(6, v)) for v in (0.2, 0.3, 0.4)]
     errors = _spectra(hs)[2]
-    assert str(errors[1]) == "sum rule defect 0.5 exceeds 1e-10"
+    assert str(errors[1]) == "sum rule defect 1.0 exceeds 1e-10"
     assert errors[0] is None and errors[2] is None
 
 
-def test_decay_map_takes_no_singular_vectors(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
+def test_decay_map_takes_no_singular_vectors(monkeypatch, tmp_path):
+    # the closed-form spectrum calls no SVD at all: not on a map, not on one
+    # cell, not in the decay command
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
 
-    def recorded(a, *args, **kwargs):
-        calls.append(kwargs.get("compute_uv", True))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    monkeypatch.setattr(np.linalg, "svd", forbidden)
     for width in (None, 0.3):
         grid = SweepGrid((3, 8), (0.25, 0.4), SweepFixed(t_f=4.0, grid_points=401,
                                                        hole_half_width=width))
         assert not run_sweep(grid).cell_errors
-    assert calls and not any(calls)
-    # the lazy full amplitudes of one cell come from eigh, not the SVD
-    count = len(calls)
-    propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(2.0, 21)).amplitudes
-    assert len(calls) == count + 1 and not any(calls)
+    # the lazy full amplitudes of one cell come from eigh
+    series = propagate(build_single_level(FqcSpec(6, 0.3)), "e", default_grid(2.0, 21))
+    assert np.isfinite(series.amplitudes).all()
+    assert main(["decay", "--out", str(tmp_path / "decay")]) == 0
 
 
 def test_lazy_amplitudes_keep_the_gram_check(monkeypatch):
@@ -683,22 +721,24 @@ def test_lazy_reads_call_no_diagonalize(make, start, monkeypatch):
     assert abs(series.energy_variance0 - want_variance) <= 1e-12 * want_variance
 
 
-def test_decay_row_task_peak_memory(monkeypatch):
-    # one N = 40 row of the default map is one task: one secular pass over
-    # its 56 cells, then phase sums and d1 in stacks of `_stack_cells`
+def test_decay_stack_task_peak_memory(monkeypatch):
+    # rows of the default map: every root solved before the pool, then tasks
+    # of `_stack_cells` cells, each one phase sum and one d1.  At N = 2 the
+    # trapezoid sets the stack size, at N = 40 the phase sum
     v_values = tuple(round(0.05 + 0.01 * i, 4) for i in range(56))
-    assert sweep._row_cells(40, len(v_values)) == len(v_values)
-    grid = SweepGrid((40,), v_values, SweepFixed())
     monkeypatch.setenv("FQCSIM_THREADS", "1")
-    run_sweep(grid)  # caches warm
-    tracemalloc.start()
-    try:
-        result = run_sweep(grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not result.cell_errors
-    assert peak <= 2 * sweep._STACK_BYTES  # measured 1.85 MiB
+    for n_half in (2, 40):
+        assert 1 < sweep._stack_cells(n_half, 2001, True) < len(v_values)
+        grid = SweepGrid((n_half,), v_values, SweepFixed())
+        run_sweep(grid)  # caches warm
+        tracemalloc.start()
+        try:
+            result = run_sweep(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.cell_errors
+        assert peak <= 2 * sweep._STACK_BYTES  # measured 1.89 MiB (N = 2), 1.60 MiB (N = 40)
 
 
 def test_reduced_diagonal_is_exactly_real():

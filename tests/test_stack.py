@@ -1,5 +1,5 @@
 """Stacked sweep cells: the spectra of a stack (`evolve._spectra`: one
-values-only SVD and secular pass per row of single-level cells, one batched
+closed-form secular solve of every single-level cell of a map, one batched
 `eigh` per stack of two-level cells), one phase sum per stack and one
 scoring of all its cells.
 
@@ -13,8 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from fqcsim import DriveSpec, SweepFixed, SweepGrid, d1, d2, propagate, run_sweep
-from fqcsim import sweep
+from fqcsim import DriveSpec, FqcSpec, SweepFixed, SweepGrid, d1, d2, propagate, run_sweep
+from fqcsim import evolve, sweep
 from fqcsim.analysis import fit_effective_params
 from fqcsim.cli import main
 from fqcsim.evolve import _phase_sum, _spectra, default_grid
@@ -22,6 +22,7 @@ from fqcsim.reference import NonHermitianSpec, evolve_nonhermitian
 
 N_VALUES = (2, 5, 9)
 V_VALUES = (0.2, 0.3, 0.45)
+A_03 = (0.3 / FqcSpec(1, 0.3).gap) ** 2  # a = (v / delta)^2 of the cells v = 0.3
 
 
 def _grid(model, metric, **fixed):
@@ -78,8 +79,8 @@ def test_stacked_cells_equal_single_cells_bit_for_bit(model, metric):
 def test_stack_size_does_not_change_a_bit(monkeypatch):
     grids = [_grid("rabi", "d2"), _grid("decay", "d1"), _grid("decay", "d1", hole_half_width=0.3)]
     stacked = [run_sweep(grid) for grid in grids]
-    monkeypatch.setattr(sweep, "_STACK_BYTES", 1)  # stacks, and decay tasks, of one
-    assert sweep._row_cells(9, len(V_VALUES)) == sweep._stack_cells(9, 401, True) == 1
+    monkeypatch.setattr(sweep, "_STACK_BYTES", 1)  # stacks of one
+    assert sweep._stack_cells(9, 401, True) == sweep._stack_cells(9, 401, False) == 1
     for grid, result in zip(grids, stacked):
         assert not result.cell_errors
         assert result.values.tobytes() == run_sweep(grid).values.tobytes()
@@ -129,8 +130,8 @@ def test_stacked_phase_sums_equal_single_ones_bit_for_bit(single_level, times):
 
 
 def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
-    # several stacks per two-level row, and two tasks for the decay row N = 20,
-    # so both threads take cells of one row
+    # several stacks per row N = 20 of every model, so both threads take
+    # cells of one row
     grid = ["--n-min", "2", "--n-max", "20", "--n-step", "6",
             "--v-min", "0.1", "--v-max", "0.5", "--v-step", "0.05",
             "--tf", "4", "--grid-points", "401"]
@@ -138,7 +139,7 @@ def test_thread_counts_write_identical_maps(tmp_path, monkeypatch):
                           (["--model", "adaptive", "--metric", "fit", "--omega0", "2"], 1 << 17),
                           (["--model", "decay"], 1 << 15)):
         monkeypatch.setattr(sweep, "_STACK_BYTES", budget)
-        assert model[1] != "decay" or sweep._row_cells(20, 9) < 9
+        assert sweep._stack_cells(20, 401, model[1] == "decay") < 9
         outputs = []
         for threads in ("1", "2"):
             monkeypatch.setenv("FQCSIM_THREADS", threads)
@@ -177,12 +178,6 @@ def _marked(entries, coupling):
     return np.atleast_1d(entries[..., -1, :2].max(axis=-1) == coupling)
 
 
-def _marked_blocks(blocks, coupling):
-    """Which single-level coupling blocks of a stack couple |e> to the top
-    level pair by sqrt(2) `coupling`."""
-    return np.atleast_1d(np.isclose(blocks[..., 0, -1], math.sqrt(2.0) * coupling))
-
-
 def _failed_column(monkeypatch, grid, name, patched, j):
     """Run the map with np.linalg.<name> patched: every cell outside column j
     keeps its clean value; the cells of column j come back, as a list."""
@@ -195,21 +190,33 @@ def _failed_column(monkeypatch, grid, name, patched, j):
     return [value for (_, jj), value in got.items() if jj == j]
 
 
+def _faulty_roots(monkeypatch, fault, marked):
+    """Patch the closed-form Newton step so that `fault` takes the next
+    iterate of the roots `marked(n, a, k)`."""
+    step = evolve._secular_step
+
+    def faulty(u, n, k_min, a, k):
+        new, residual, dq = step(u, n, k_min, a, k)
+        hit = marked(n, a, k)
+        new[hit] = fault(new[hit])
+        return new, residual, dq
+
+    monkeypatch.setattr(evolve, "_secular_step", faulty)
+
+
 def test_gram_check_failure_stays_in_its_cell(monkeypatch):
     # single-level cells: the health checks of the secular roots, which take
-    # the place of the Gram check of U; the smallest root of the marked
-    # cells turns NaN, or moves into the next pole interval
-    svd = np.linalg.svd
-    for fault in (lambda sigma: np.nan, lambda sigma: sigma[:, -2]):
-        def faulty_svd(blocks, compute_uv):
-            sigma = svd(blocks, compute_uv=compute_uv)
-            marked = _marked_blocks(blocks, 0.3)
-            sigma[marked, -1] = fault(sigma[marked])
-            return sigma
-
+    # the place of the Gram check of an eigenbasis; the roots of the marked
+    # cells turn NaN, or move into the next interval
+    grid = _grid("decay", "d1")
+    clean = _cells(run_sweep(grid))
+    for fault in (lambda u: np.nan, lambda u: u + 1.0):
         with monkeypatch.context() as patch:
-            column = _failed_column(patch, _grid("decay", "d1"), "svd", faulty_svd, 1)  # v = 0.3
-        assert column == ["secular residual inf exceeds 1e-10"] * len(N_VALUES)
+            _faulty_roots(patch, fault, lambda n, a, k: np.isclose(a, A_03))
+            got = _cells(run_sweep(grid))
+        for (i, j), value in got.items():
+            want = "secular residual inf exceeds 1e-10" if j == 1 else clean[i, j]
+            assert value == want, (i, j)
 
 
 def test_eigh_gram_check_failure_stays_in_its_cell(monkeypatch):
@@ -243,20 +250,21 @@ def test_lapack_failure_stays_in_its_cell(monkeypatch):
             assert value == clean[i, j], (i, j)
 
 
-def test_svd_lapack_failure_stays_in_its_cell(monkeypatch):
-    svd = np.linalg.svd
-
-    def failing_svd(blocks, **kwargs):
-        if _marked_blocks(blocks, 0.45).any():
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(blocks, **kwargs)
-
-    column = _failed_column(monkeypatch, _grid("decay", "d1"), "svd", failing_svd, 2)  # v = 0.45
-    assert column == ["eigensolver failed: SVD did not converge"] * len(N_VALUES)
+def test_non_finite_root_stays_in_its_cell():
+    # v = 1e-160 keeps a spacing delta = 6.3e-320 > 0, but a = (v / delta)^2
+    # overflows, and every root of its cells is NaN
+    fixed = SweepFixed(t_f=4.0, grid_points=401)
+    grid = SweepGrid(N_VALUES, (V_VALUES[0], 1e-160, V_VALUES[2]), fixed)
+    got = _cells(run_sweep(grid))
+    for (i, j), value in got.items():
+        if j == 1:
+            assert value == "secular residual inf exceeds 1e-10"
+        else:
+            assert value == _single_cell(grid, i, j), (i, j)
 
 
 @pytest.mark.parametrize("model, metric, name, size", [
-    ("decay", "d1", "svd", 6),     # the (N + 1)-square coupling block of N = 5
+    ("decay", "d1", "roots", 6),   # the N + 1 secular roots of N = 5
     ("rabi", "d2", "eigh", 13),    # the (2N + 3)-square H of N = 5
     ("rabi", "fit", "eigh", 13),   # a failed cell is not fitted
 ])
@@ -264,23 +272,24 @@ def test_gram_failure_of_one_cell_leaves_its_stack_mates_alone(monkeypatch, mode
                                                                name, size):
     # break the decomposition of the cell N = 5, v = 0.3 alone; its row is
     # one stack.  A two-level cell gets a skewed basis; a single-level one,
-    # which has no basis, its smallest secular root in the next pole interval
-    solve = getattr(np.linalg, name)
+    # which has no basis, its smallest secular root in the next interval
+    if name == "roots":
+        _faulty_roots(monkeypatch, lambda u: u + 1.0,
+                      lambda n, a, k: (n == size - 1) & (k == 0) & np.isclose(a, A_03))
+    else:
+        eigh = np.linalg.eigh
 
-    def skewed(matrices, **kwargs):
-        out = solve(matrices, **kwargs)
-        if matrices.shape[-1] == size and name == "svd":
-            marked = _marked_blocks(matrices, 0.3)
-            out[marked, -1] = out[marked, -2]
-        elif matrices.shape[-1] == size:
-            out[1][_marked(matrices, 0.3), :, 0] *= 1.0 + 1e-8
-        return out
+        def skewed(matrices, **kwargs):
+            out = eigh(matrices, **kwargs)
+            if matrices.shape[-1] == size:
+                out[1][_marked(matrices, 0.3), :, 0] *= 1.0 + 1e-8
+            return out
 
+        monkeypatch.setattr(np.linalg, "eigh", skewed)
     grid = _grid(model, metric)
-    monkeypatch.setattr(np.linalg, name, skewed)
     got = _cells(run_sweep(grid))
     assert [idx for idx, value in got.items() if isinstance(value, str)] == [(1, 1)]
-    assert ("secular residual" if name == "svd" else "orthonormality defect") in got[1, 1]
+    assert ("secular residual" if name == "roots" else "orthonormality defect") in got[1, 1]
     for (i, j), value in got.items():
         if (i, j) != (1, 1):
             assert value == _single_cell(grid, i, j), (i, j)
