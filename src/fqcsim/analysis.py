@@ -318,10 +318,10 @@ def _damped_cos2(t: np.ndarray, omega: float, gamma: float, block: int | None = 
     outer, inner = _phase_tables(t, a, block or _grid_block(t))
     z = (outer * inner[:, 0]).ravel()[:t.size]
     model = 0.5 * (np.abs(z) + z.real)
-    jac = np.empty((t.size, 2))
-    np.multiply(-t, z.imag, out=jac[:, 0])
-    np.multiply(-0.5 * t, model, out=jac[:, 1])
-    return model, jac
+    jac = np.empty((2, t.size))  # contiguous columns for the dot products of `_trf`
+    np.multiply(-t, z.imag, out=jac[0])
+    np.multiply(-0.5 * t, model, out=jac[1])
+    return model, jac.T
 
 
 # ---------------------------------------------------------------- trust-region-reflective fit
@@ -334,9 +334,11 @@ def _damped_cos2(t: np.ndarray, omega: float, gamma: float, block: int | None = 
 # the augmented Jacobian [J d; diag(diag_h)^(1/2)] (m + 2 rows); its right
 # singular vectors and squared singular values are the eigenpairs of the 2x2
 # matrix B_h = d J^T J d + diag(diag_h), and U^T f_aug = V^T (d g) / s, so J
-# enters only through g = J^T f and J^T J, formed once per accepted step.
-# Every quadratic model scipy evaluates with J is a quadratic form in B_h.
-# 2-vectors are pairs of floats and B_h is (B00, B01, B11).
+# enters only through g = J^T f and J^T J, four dot products of its columns
+# once per accepted step (`_normal_equations`), and B_h's eigenpairs are a
+# closed form (`_eigh2`).  Every quadratic model scipy evaluates with J is a
+# quadratic form in B_h.  2-vectors are pairs of floats and B_h is
+# (B00, B01, B11).
 
 _TOL = 1e-8  # scipy's default ftol, xtol and gtol
 _EPS = math.ulp(1.0)
@@ -353,6 +355,32 @@ def _norm(u) -> float:
 def _quad(b_h, u, w) -> float:
     """u^T B_h w."""
     return u[0] * (b_h[0] * w[0] + b_h[1] * w[1]) + u[1] * (b_h[1] * w[0] + b_h[2] * w[1])
+
+
+def _normal_equations(jac, f):
+    """g = J^T f and J^T J as (B00, B01, B11), dot products of J's columns."""
+    j0, j1 = jac.T
+    return (float(j0 @ f), float(j1 @ f)), (float(j0 @ j0), float(j0 @ j1), float(j1 @ j1))
+
+
+def _eigh2(b_h):
+    """B_h's eigenvalues, descending, and V by rows, in closed form: half sum
+    +- r, r = hypot(half difference h, B01), for the one larger in magnitude,
+    det / it for the other (as LAPACK's dlaev2), and the top eigenvector
+    (h + r, B01), or (B01, r - h) for h < 0, free of cancellation."""
+    b00, b01, b11 = b_h
+    if b01 == 0:
+        return ((b00, b11), ((1.0, 0.0), (0.0, 1.0))) if b00 >= b11 else \
+            ((b11, b00), ((0.0, 1.0), (1.0, 0.0)))
+    half_sum, half_diff = 0.5 * (b00 + b11), 0.5 * (b00 - b11)
+    r = math.hypot(half_diff, b01)
+    far = half_sum + math.copysign(r, half_sum)
+    big, small = (b00, b11) if abs(b00) > abs(b11) else (b11, b00)
+    near = (big / far) * small - (b01 / far) * b01
+    x, y = (half_diff + r, b01) if half_diff >= 0 else (b01, r - half_diff)
+    norm = math.hypot(x, y)
+    c, s = x / norm, y / norm
+    return (max(far, near), min(far, near)), ((c, -s), (s, c))
 
 
 def _to_bound(x, s) -> tuple[float, list[bool]]:
@@ -497,7 +525,7 @@ def _trf(fun, x0, max_nfev: int):
         raise NumericalError("fit residuals are not finite at the start")
     nfev = 1
     cost = 0.5 * float(f @ f)
-    g, gram = (jac.T @ f).tolist(), (jac.T @ jac).tolist()
+    g, gram = _normal_equations(jac, f)
 
     v = [xi if gi > 0 else 1.0 for xi, gi in zip(x, g)]  # Coleman-Li scaling
     delta = _norm([xi / vi**0.5 for xi, vi in zip(x, v)]) or 1.0
@@ -513,11 +541,10 @@ def _trf(fun, x0, max_nfev: int):
 
         d = [vi**0.5 for vi in v]
         g_h = (d[0] * g[0], d[1] * g[1])
-        b_h = (d[0] * d[0] * gram[0][0] + (g[0] if g[0] > 0 else 0.0),  # diag_h = g dv
-               d[0] * d[1] * gram[0][1],
-               d[1] * d[1] * gram[1][1] + (g[1] if g[1] > 0 else 0.0))
-        lam, vecs = np.linalg.eigh(np.array([[b_h[0], b_h[1]], [b_h[1], b_h[2]]]))
-        lam, vecs = lam[::-1].tolist(), vecs[:, ::-1].tolist()  # the SVD's order
+        b_h = (d[0] * d[0] * gram[0] + (g[0] if g[0] > 0 else 0.0),  # diag_h = g dv
+               d[0] * d[1] * gram[1],
+               d[1] * d[1] * gram[2] + (g[1] if g[1] > 0 else 0.0))
+        lam, vecs = _eigh2(b_h)  # descending: the SVD's order
         suf = (vecs[0][0] * g_h[0] + vecs[1][0] * g_h[1],
                vecs[0][1] * g_h[0] + vecs[1][1] * g_h[1])
         theta = max(0.995, 1 - g_norm)
@@ -558,7 +585,7 @@ def _trf(fun, x0, max_nfev: int):
 
         if reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            g, gram = (jac_new.T @ f).tolist(), (jac_new.T @ jac_new).tolist()
+            g, gram = _normal_equations(jac_new, f)
     return x, f, status or 0, nfev
 
 
@@ -576,8 +603,10 @@ def fit_effective_params(series: TimeSeries, t_f: float) -> FitReport:
     The method is scipy's trust-region-reflective `trf` with bounds at 0,
     ported to two parameters (`_trf`): it takes the steps
     `least_squares(method="trf")` takes from the same start, on the exact
-    Jacobian of the model from `_damped_cos2`, computed with each residual,
-    and works on the 2x2 matrix J^T J instead of an SVD of the Jacobian.
+    Jacobian of the model from `_damped_cos2`, computed with each residual.
+    Instead of an SVD of the Jacobian it takes J^T f and J^T J from dot
+    products of the Jacobian's columns, and the eigenpairs of the 2x2
+    trust-region matrix in closed form: no LAPACK call.
     The fit stops on scipy's default tolerances (1e-8), in practice on
     `ftol` (status 2), so its parameters lie within about 1e-4 relative of
     the tight least-squares minimum, not within 1e-6: over the sizes 10..80
@@ -602,7 +631,7 @@ def fit_effective_params(series: TimeSeries, t_f: float) -> FitReport:
     x, f, status, _ = _trf(residuals, x0, _MAX_NFEV)
     return FitReport(
         params={"omega_eff": x[0], "gamma_eff": x[1]},
-        residual_norm=float(np.linalg.norm(f)),
+        residual_norm=math.sqrt(float(f @ f)),
         grid_points=int(t.size),
         converged=status > 0,
         notes="damped-cosine-squared least squares",

@@ -276,6 +276,8 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
         result.provenance["normalized_to_max"] = float(peak)
     result.to_csv(out / "map.csv", extra_header=_header(cfg))
     _dump_json(out / "map.json", result.to_json(), cfg)
+    if len(result.cell_errors) == result.values.size:  # the files keep every cell's error
+        raise FqcsimError("no cell of the map was scored")
 
 
 def cmd_adaptive_compare(cfg: RunConfig, out: Path) -> None:

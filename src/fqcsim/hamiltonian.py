@@ -49,7 +49,8 @@ class FqcSpec:
     spacing then degenerates to 0, which is harmless because the levels no
     longer influence the dynamics.  Every value must be finite
     (ConfigError otherwise, naming the field); so must the spacing, > 0 too
-    once coupling_v > 0 (a ConfigError naming coupling_v).
+    once coupling_v > 0, and the secular coupling (v / spacing)^2 (a
+    ConfigError naming coupling_v).
     """
 
     n_half: int
@@ -73,6 +74,10 @@ class FqcSpec:
         if not gap < math.inf or (self.coupling_v > 0 and not gap > 0):
             raise ConfigError(f"coupling_v {self.coupling_v} gives the spacing {gap}: "
                               "it must be finite and > 0")
+        ratio = self.coupling_v / gap if self.coupling_v > 0 else 0.0
+        if not ratio * ratio < math.inf:  # a subnormal spacing
+            raise ConfigError(f"coupling_v {self.coupling_v} gives (v / spacing)^2 = inf: "
+                              "it must be finite")
 
     @property
     def gap(self) -> float:

@@ -89,21 +89,6 @@ def _td_two_by_two(a, d, b):
     return 0.5 * (np.abs(half_sum + rad) + np.abs(half_sum - rad))
 
 
-def _embed_classical(rho: np.ndarray) -> np.ndarray:
-    """Complete 1x1 system blocks with the decayed-population sector.
-
-    A one-level system plus its loss channel is the classical bit
-    diag(pi, 1 - pi); distinguishability then includes the leaked population
-    and the time-averaged trace distance reduces exactly to the population
-    measure d1.
-    """
-    pi = rho[:, 0, 0].real
-    out = np.zeros((rho.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = pi
-    out[:, 1, 1] = 1.0 - pi
-    return out
-
-
 def _window(times: np.ndarray, t_f: float) -> int:
     """The length of the prefix t <= t_f of the increasing grid times."""
     if not t_f > 0:  # NaN too
@@ -148,30 +133,48 @@ def d2(fqc_series, ref_series, t_f: float) -> MetricResult:
     One-level (1x1) inputs are completed with their decayed-population sector
     before taking the distance, so the one-dimensional case coincides with d1.
     """
-    a = fqc_series.reduced() if isinstance(fqc_series, TimeSeries) else fqc_series
-    b = ref_series.reduced() if isinstance(ref_series, TimeSeries) else ref_series
-    ta = np.asarray(a.times, dtype=float)
-    tb = np.asarray(b.times, dtype=float)
+    (ta, dim_a, a), (tb, dim_b, b) = _system_entries(fqc_series), _system_entries(ref_series)
     if ta.size != tb.size or np.abs(ta - tb).max() > 1e-9:
         raise ConfigError("d2 requires both series on the same time grid")
-    if a.dim != b.dim:
-        raise ConfigError(f"system dims differ: {a.dim} vs {b.dim}")
-    ra, rb = a.rho, b.rho
-    if a.dim == 1:
-        ra, rb = _embed_classical(ra), _embed_classical(rb)
-    value, points = _d2_values(ta, ra, rb, t_f)
+    if dim_a != dim_b:
+        raise ConfigError(f"system dims differ: {dim_a} vs {dim_b}")
+    value, points = _d2_values(ta, a, b, t_f)
     return MetricResult(float(value), t_f, points, "trapezoid of trace distance")
 
 
-def _d2_values(times: np.ndarray, ra: np.ndarray, rb: np.ndarray, t_f: float):
-    """d2 between 2x2 density series ra (..., nt, 2, 2) and rb (nt, 2, 2) on
-    the grid times, shape (...), and the number of grid points it
-    integrates."""
+def _system_entries(series):
+    """The times, system dimension and entries (rho_gg, rho_ee, rho_ge) of a
+    series: of a two-level TimeSeries from its c_g and c_e projections, of
+    any other from rho.  A one-level system plus its loss channel is the
+    classical bit diag(pi, 1 - pi), so a 1x1 d2 includes the leaked
+    population and equals d1."""
+    times = np.asarray(series.times, dtype=float)
+    if isinstance(series, TimeSeries):
+        if series.system_dim == 2:
+            return times, 2, _amplitude_entries(series.projections[:, :2])
+        series = series.reduced()
+    rho = series.rho
+    if series.dim == 2:
+        return times, 2, (rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1])
+    pi = rho[:, 0, 0].real
+    return times, 1, (pi, 1.0 - pi, np.zeros(pi.shape, dtype=complex))
+
+
+def _amplitude_entries(c: np.ndarray):
+    """rho_gg, rho_ee and rho_ge of amplitudes c (..., 2) = (c_g, c_e), column
+    by column (no inner loop over the pair), |c|^2 as re^2 + im^2."""
+    g, e = c[..., 0], c[..., 1]
+    pop_g, pop_e = (np.square(x.real) + np.square(x.imag) for x in (g, e))
+    return pop_g, pop_e, g * e.conj()
+
+
+def _d2_values(times: np.ndarray, a: tuple, b: tuple, t_f: float):
+    """d2 between 2x2 density series given by their entries a = (rho_gg,
+    rho_ee, rho_ge), each (..., nt), and b, each (nt,), on the grid times,
+    shape (...), and the number of grid points it integrates."""
     n = _window(times, t_f)
-    t = times[:n]
-    diff = ra[..., :n, :, :] - rb[:n]
-    td = _td_two_by_two(diff[..., 0, 0].real, diff[..., 1, 1].real, diff[..., 0, 1])
-    return np.multiply(td, _trapezoid_weights(t), out=td).sum(axis=-1) / t_f, n
+    td = _td_two_by_two(*(x[..., :n] - y[:n] for x, y in zip(a, b)))
+    return np.multiply(td, _trapezoid_weights(times[:n]), out=td).sum(axis=-1) / t_f, n
 
 
 @dataclass

@@ -11,10 +11,10 @@ the GIL.  LAPACK/BLAS and large numpy calls release it, which lets the
 threads scale; Python run per cell holds it, so a cell does little of it:
 a structural Hamiltonian with cached labels and no TimeSeries unless fitted.
 A size scan runs its sizes one after another in the calling thread
-(`size_cell`, through `propagate`): its fits, 0.16 of 0.35 s CPU on 2 cores,
-are mostly Python-level `trf` steps, which hold the GIL, so a second thread
-only adds hand-overs: two threads ran the default scan slower than one and
-spent about 1.5 times its CPU time.
+(`size_cell`, through `propagate`): its fits, about 0.08 of the 0.17 s CPU
+of the default scan in process, are mostly Python-level `trf` steps, which
+hold the GIL, so a second thread only adds hand-overs: two threads ran the
+default scan slower than one and spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import (TimeSeries, _ladder_spectra, _outer, _phase_sum, _spectra, default_grid,
-                     propagate, write_csv)
+from .evolve import (TimeSeries, _ladder_spectra, _phase_sum, _spectra, default_grid, propagate,
+                     write_csv)
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -42,7 +42,8 @@ from .hamiltonian import (
     build_two_level,
 )
 # perfbench/tracing.py wraps d1 at this module too, so it stays imported
-from .metrics import _d1_values, _d2_values, d1, d2  # noqa: F401
+from .metrics import (_amplitude_entries, _d1_values, _d2_values, _system_entries,  # noqa: F401
+                      d1, d2)
 from .analysis import fit_effective_params
 from .reference import NonHermitianSpec, evolve_nonhermitian
 
@@ -289,9 +290,10 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
     drive = DriveSpec(fx.omega0, fx.detuning)
-    ref_rho = None
-    if grid.metric == "d2":
-        ref_rho = evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e", times).rho
+    ref = None
+    if grid.metric == "d2":  # rho_gg, rho_ee and rho_ge of the reference
+        ref = _system_entries(evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e",
+                                                  times))[2]
     nv, nn = len(grid.v_values), len(grid.n_values)
     values = np.full((nn, nv), np.nan)
     errors: list[dict] = []
@@ -318,7 +320,8 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
         elif not ok:
             scored = []
         elif grid.metric == "d2" and hs[0].n_system == 2:
-            scored = _d2_values(times, _outer(proj[ok][..., :2]), ref_rho, fx.t_f)[0].tolist()
+            scored = _d2_values(times, _amplitude_entries(proj[ok][..., :2]), ref, fx.t_f)[0]
+            scored = scored.tolist()
         else:  # a single-level d2 is its d1
             c = proj[ok][..., hs[0].basis_labels.index("e")]
             pie = np.square(c) if np.isrealobj(c) else np.abs(c) ** 2

@@ -184,6 +184,22 @@ def test_fit_on_one_time_after_0_rejected(tmp_path, args, capsys):
     assert not (tmp_path / "x" / "map.json").exists()
 
 
+@pytest.mark.parametrize("width, want", [(100, 3), (3, 0)])
+def test_map_with_no_scored_cell_exits_3_after_writing_it(tmp_path, width, want, capsys):
+    # a hole past the band edge of every cell used to exit 0 with an all-NaN
+    # map; one scored cell (N 3, v 0.4 of a hole 3 wide) still exits 0
+    out = tmp_path / "x"
+    assert run(["sweep", "--out", out, "--hole-half-width", width, "--n-min", 2, "--n-max", 3,
+                "--v-min", 0.39, "--v-max", 0.4] + FAST) == want
+    err = capsys.readouterr().err
+    assert err == ("error: no cell of the map was scored\n" if want else "")
+    payload = json.loads((out / "map.json").read_text())
+    assert len((out / "map.csv").read_text().splitlines()) == 3 + 4  # header, 2 x 2 cells
+    assert len(payload["cell_errors"]) == 4 - (want == 0)
+    assert all("exceeds the FQC band edge" in e["error"] for e in payload["cell_errors"])
+    assert np.isnan(payload["values"]).sum() == len(payload["cell_errors"])
+
+
 @pytest.mark.parametrize("mode", [[], ["--size-scan", "--sizes", "11", "--omega0", 2]])
 def test_sweep_initial_state_other_than_e_rejected(tmp_path, mode, capsys):
     # every cell and the d2 reference start in |e>
@@ -246,6 +262,8 @@ def test_invalid_value_rejected(tmp_path):
     (["adaptive-compare", "--v", 1e200], "coupling_v"),
     (["sweep", "--size-scan", "--sizes", 20, "--v", 1e200], "coupling_v"),
     (["decay", "--v", 1e-170], "coupling_v"),
+    # a subnormal spacing overflowed a = (v / spacing)^2: exit 3, "secular residual inf"
+    (["decay", "--v", 1e-160], "coupling_v"),
 ])
 def test_non_finite_model_input_rejected(tmp_path, args, field, capsys):
     # rabi --omega0 inf wrote all-NaN outputs and decay --hole-half-width nan

@@ -25,7 +25,7 @@ from fqcsim import NumericalError
 from fqcsim import metrics
 from fqcsim.evolve import _outer, _phase_sum, _spectra
 from fqcsim.metrics import _sample_pairs, _td_two_by_two
-from fqcsim.sweep import build_model
+from fqcsim.sweep import SweepFixed, SweepGrid, build_model, run_sweep, size_cell
 
 
 def random_density(rng, dim=2):
@@ -129,14 +129,17 @@ def test_weighted_d1_and_d2_match_np_trapezoid_on_the_default_map():
         np.testing.assert_allclose(metrics._d1_values(times, pie, 1.0, 10.0)[0], want,
                                    rtol=1e-14, atol=0)
     drive = DriveSpec(1.0, 0.0)
-    ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times).rho
+    ref_series = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times)
+    ref = ref_series.rho
     for n in (2, 20, 40):
         values, weights, _, _ = _spectra([build_model("rabi", n, v, 1.0, drive) for v in vs])
-        rho = _outer(_phase_sum(values, weights, times)[..., :2])
-        diff = rho - ref
+        c = _phase_sum(values, weights, times)[..., :2]
+        diff = _outer(c) - ref
         td = _td_two_by_two(diff[..., 0, 0].real, diff[..., 1, 1].real, diff[..., 0, 1])
-        np.testing.assert_allclose(metrics._d2_values(times, rho, ref, 10.0)[0],
-                                   np.trapezoid(td, times, axis=-1) / 10.0, rtol=1e-14, atol=0)
+        got = metrics._d2_values(times, metrics._amplitude_entries(c),
+                                 metrics._system_entries(ref_series)[2], 10.0)[0]
+        np.testing.assert_allclose(got, np.trapezoid(td, times, axis=-1) / 10.0,
+                                   rtol=1e-14, atol=0)
 
 
 def test_d1_grid_doubling_convergence():
@@ -187,6 +190,41 @@ def test_d2_reduces_to_d1_for_one_level():
     v1 = d1(series, 1.0, 10.0).value
     v2 = d2(series, ref, 10.0).value
     assert abs(v1 - v2) < 1e-12
+
+
+def _rho_route_d2(series, ref, t_f):
+    """The oracle of d2 from the amplitudes: `_td_two_by_two` of `_outer` of
+    the projections minus the reference rho, trapezoid-weighted."""
+    n = metrics._window(series.times, t_f)
+    diff = _outer(series.projections[:n, :2]) - ref.rho[:n]
+    td = _td_two_by_two(diff[:, 0, 0].real, diff[:, 1, 1].real, diff[:, 0, 1])
+    return np.multiply(td, metrics._trapezoid_weights(series.times[:n]), out=td).sum() / t_f
+
+
+def test_d2_from_the_amplitudes_equals_the_density_route_on_every_scan_size():
+    # the default size scan (omega0 10, t_f 16, 4001 points): byte-equal, and
+    # so is d2 of the reduced DensitySeries, which takes the rho route
+    times = default_grid(16.0, 4001)
+    drive = DriveSpec(10.0, 0.0)
+    ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times)
+    for size in range(10, 81):
+        _, series, _, dist = size_cell(size, drive, 0.3, 1.0, None, times, ref, 16.0)
+        assert dist.value == _rho_route_d2(series, ref, 16.0), size
+        assert d2(series.reduced(), ref, 16.0).value == dist.value, size
+
+
+@pytest.mark.parametrize("model", ["rabi", "adaptive"])
+def test_d2_map_from_the_amplitudes_equals_the_density_route(model):
+    # the axes of the golden maps: stacks of two cells, N 8 and 12, v 0.25 and 0.35
+    fixed = SweepFixed(t_f=4.0, omega0=4.0, model=model, grid_points=401)
+    result = run_sweep(SweepGrid((8, 12), (0.25, 0.35), fixed, "d2"))
+    assert not result.cell_errors
+    times = default_grid(4.0, 401)
+    drive = DriveSpec(4.0, 0.0)
+    ref = evolve_nonhermitian(NonHermitianSpec(1.0, drive), "e", times)
+    for (i, j), value in np.ndenumerate(result.values):
+        h = build_model(model, (8, 12)[i], (0.25, 0.35)[j], 1.0, drive)
+        assert value == _rho_route_d2(propagate(h, "e", times), ref, 4.0), (i, j)
 
 
 def test_d2_grid_doubling_convergence():

@@ -250,15 +250,28 @@ def test_lapack_failure_stays_in_its_cell(monkeypatch):
             assert value == clean[i, j], (i, j)
 
 
-def test_non_finite_root_stays_in_its_cell():
+def test_non_finite_root_stays_in_its_cell(monkeypatch):
+    # the smallest root of each cell v = 0.3 turns NaN; its stack-mates keep
+    # the values they get alone
+    grid = _grid("decay", "d1")
+    _faulty_roots(monkeypatch, lambda u: np.nan, lambda n, a, k: (k == 0) & np.isclose(a, A_03))
+    got = _cells(run_sweep(grid))
+    for (i, j), value in got.items():
+        if j == 1:
+            assert value == "secular residual inf exceeds 1e-10"
+        else:
+            assert value == _single_cell(grid, i, j), (i, j)
+
+
+def test_a_subnormal_spacing_fails_its_cell_alone():
     # v = 1e-160 keeps a spacing delta = 6.3e-320 > 0, but a = (v / delta)^2
-    # overflows, and every root of its cells is NaN
+    # overflows: a ConfigError of the cell's build, not NaN roots
     fixed = SweepFixed(t_f=4.0, grid_points=401)
     grid = SweepGrid(N_VALUES, (V_VALUES[0], 1e-160, V_VALUES[2]), fixed)
     got = _cells(run_sweep(grid))
     for (i, j), value in got.items():
         if j == 1:
-            assert value == "secular residual inf exceeds 1e-10"
+            assert value == "coupling_v 1e-160 gives (v / spacing)^2 = inf: it must be finite"
         else:
             assert value == _single_cell(grid, i, j), (i, j)
 
