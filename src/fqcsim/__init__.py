@@ -30,8 +30,8 @@ from .evolve import (
     diagonalize,
     propagate,
     source_term_series,
-    write_csv,
 )
+from .output import write_csv
 from .reference import (
     NonHermitianSpec,
     decay_single,

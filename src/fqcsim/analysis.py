@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .evolve import TimeSeries, _grid_block, _phase_tables, default_grid, diagonalize, write_csv
+from .evolve import TimeSeries, _grid_block, _phase_tables, default_grid, diagonalize
 from .hamiltonian import DriveSpec, FqcSpec, HamiltonianMatrix
 from .metrics import _trapezoid_weights, _window
+from .output import write_csv
 from .reference import NonHermitianSpec, _amplitudes, effective_hamiltonian
 
 __all__ = [
@@ -42,13 +43,7 @@ class FitReport:
     notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "params": self.params,
-            "residual_norm": self.residual_norm,
-            "grid_points": self.grid_points,
-            "converged": self.converged,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def zeno_time(series: TimeSeries) -> FitReport:

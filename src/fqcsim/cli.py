@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
 from .analysis import (
     fit_effective_params,
     n_max,
@@ -29,11 +28,14 @@ from .analysis import (
     zeno_time,
 )
 from .errors import ConfigError, FqcsimError, NumericalError
-from .evolve import default_grid, propagate, source_term_series, write_csv
+from .evolve import default_grid, propagate, source_term_series
 from .hamiltonian import DriveSpec, HamiltonianMatrix
 # perfbench/tracing.py wraps the builders at this module too, so they stay imported
 from .hamiltonian import build_adaptive, build_single_level, build_two_level  # noqa: F401
 from .metrics import d1, d2, nonmarkovianity
+from .output import config_header, write_csv
+# the JSON writer under the name perfbench/tracing.py wraps, called through this global
+from .output import write_json as _dump_json
 from .reference import NonHermitianSpec, decay_single, evolve_nonhermitian
 from .sweep import (MODELS, SweepFixed, SweepGrid, build_model, run_size_scan, run_sweep,
                     size_cell)
@@ -87,12 +89,6 @@ class RunConfig:
             raise ConfigError("t_f must be finite and > 0")
         return cfg
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
 
 def _has_type(value, hint) -> bool:
     """Whether a JSON value fits a RunConfig annotation: a bool is not an
@@ -106,33 +102,6 @@ def _has_type(value, hint) -> bool:
     if hint is float:
         hint = (int, float)
     return isinstance(value, hint) and not isinstance(value, bool)
-
-
-def embedded_config(path) -> dict:
-    """Recover the resolved config embedded in an output file."""
-    text = Path(path).read_text()
-    if text.lstrip().startswith("{"):
-        return json.loads(text)["config"]
-    for line in text.splitlines():
-        if line.startswith("# fqcsim-config: "):
-            return json.loads(line[len("# fqcsim-config: "):])
-    raise ConfigError(f"no embedded config found in {path}")
-
-
-def _header(cfg: RunConfig) -> tuple[str, ...]:
-    return (
-        f"fqcsim-version: {__version__}",
-        f"fqcsim-config: {cfg.canonical_json()}",
-    )
-
-
-def _dump_json(path, payload: dict, cfg: RunConfig) -> None:
-    payload = dict(payload)
-    payload["config"] = cfg.to_dict()
-    payload["version"] = __version__
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
 
 
 def _drive(cfg: RunConfig) -> DriveSpec:
@@ -157,7 +126,7 @@ def cmd_decay(cfg: RunConfig, out: Path) -> None:
     # the start state's exact population of |e>, not the computed pi_e[0]
     ref = decay_single(cfg.gamma, 1.0 if cfg.initial_state == "e" else 0.0, times)
     write_csv(out / "timeseries.csv",
-              {"t": times, "pi_e": series.pi_e, "pi_ref": ref.pi_e}, _header(cfg))
+              {"t": times, "pi_e": series.pi_e, "pi_ref": ref.pi_e}, config_header(cfg))
 
     metric = d1(series, cfg.gamma, cfg.t_f)
     try:
@@ -192,7 +161,7 @@ def cmd_rabi(cfg: RunConfig, out: Path, with_sidebands: bool, with_markov: bool)
                              grid_points=cfg.grid_points)
         payload["nonmarkovianity"] = mk.to_json()
 
-    header = _header(cfg)
+    header = config_header(cfg)
     series.to_csv(out / "timeseries.csv", extra_header=header)
     ref.to_csv(out / "reference.csv", extra_header=header)
     sources = source_term_series(series)
@@ -217,7 +186,7 @@ def cmd_sidebands(cfg: RunConfig, out: Path) -> None:
     # both results first: a rejected spectrum writes no file
     sb = sideband_spectrum(h.spec, h.drive, t_f=cfg.t_f)
     peak = n_max(h.spec, h.drive)
-    sb.to_csv(out / "sidebands.csv", extra_header=_header(cfg))
+    sb.to_csv(out / "sidebands.csv", extra_header=config_header(cfg))
     _dump_json(out / "sidebands.json", {"n_max": peak}, cfg)
 
 
@@ -226,7 +195,7 @@ def cmd_markov(cfg: RunConfig, out: Path) -> None:
         raise ConfigError(f"markov samples its own pairs, got initial_state {cfg.initial_state!r}")
     mk = nonmarkovianity(_model(cfg), cfg.t_f, count=cfg.count, seed=cfg.seed,
                          grid_points=cfg.grid_points)
-    mk.to_csv(out / "sigma.csv", extra_header=_header(cfg))
+    mk.to_csv(out / "sigma.csv", extra_header=config_header(cfg))
     _dump_json(out / "markov.json", {"nonmarkovianity": mk.to_json()}, cfg)
 
 
@@ -255,7 +224,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
             grid_points=cfg.grid_points,
             hole_half_width=cfg.hole_half_width,
         )
-        scan.to_csv(out / "size_scan.csv", extra_header=_header(cfg))
+        scan.to_csv(out / "size_scan.csv", extra_header=config_header(cfg))
         _dump_json(out / "size_scan.json", scan.to_json(), cfg)
         return
     n_values = list(range(2, 41)) if cfg.n_values is None else cfg.n_values
@@ -274,7 +243,7 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
         if peak > 0:
             result.values = result.values / peak
         result.provenance["normalized_to_max"] = float(peak)
-    result.to_csv(out / "map.csv", extra_header=_header(cfg))
+    result.to_csv(out / "map.csv", extra_header=config_header(cfg))
     _dump_json(out / "map.json", result.to_json(), cfg)
     if len(result.cell_errors) == result.values.size:  # the files keep every cell's error
         raise FqcsimError("no cell of the map was scored")
@@ -287,7 +256,7 @@ def cmd_adaptive_compare(cfg: RunConfig, out: Path) -> None:
         raise ConfigError(f"adaptive size must be a positive even integer, got {cfg.adaptive_size}")
     drive = _drive(cfg)
     times = default_grid(cfg.t_f, cfg.grid_points)
-    header = _header(cfg)
+    header = config_header(cfg)
     ref = evolve_nonhermitian(NonHermitianSpec(cfg.gamma, drive), cfg.initial_state, times)
     # both sizes first: a rejected size writes no file
     cells = [size_cell(size, drive, cfg.coupling_v, cfg.gamma, cfg.hole_half_width, times,

@@ -15,13 +15,14 @@ case by 2.3e-6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .evolve import TimeSeries, _phase_sum, default_grid, diagonalize, write_csv
+from .evolve import TimeSeries, _phase_sum, default_grid, diagonalize
 from .hamiltonian import HamiltonianMatrix
+from .output import write_csv
 
 __all__ = [
     "MetricResult",
@@ -49,12 +50,7 @@ class MetricResult:
     method_notes: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "t_final": self.t_final,
-            "grid_points": self.grid_points,
-            "method_notes": self.method_notes,
-        }
+        return asdict(self)
 
 
 def trace_distance(rho, sigma) -> float:

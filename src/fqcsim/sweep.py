@@ -19,18 +19,16 @@ default scan slower than one and spent about 1.5 times its CPU time.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import (TimeSeries, _ladder_spectra, _phase_sum, _spectra, default_grid, propagate,
-                     write_csv)
+from .evolve import TimeSeries, _ladder_spectra, _phase_sum, _spectra, default_grid, propagate
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -45,6 +43,7 @@ from .hamiltonian import (
 from .metrics import (_amplitude_entries, _d1_values, _d2_values, _system_entries,  # noqa: F401
                       d1, d2)
 from .analysis import fit_effective_params
+from .output import write_csv, write_json
 from .reference import NonHermitianSpec, evolve_nonhermitian
 
 __all__ = [
@@ -256,8 +255,7 @@ class SweepMap:
         }
 
     def dump_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
+        write_json(path, self.to_json())
 
 
 @dataclass
@@ -390,14 +388,9 @@ class SizeScanResult:
     provenance: dict = field(default_factory=dict)
 
     def to_csv(self, path, extra_header: tuple[str, ...] = ()) -> None:
-        cols = {
-            "variant": [r.variant for r in self.rows],
-            "n_fqc": [r.n_fqc for r in self.rows],
-            "omega_eff": [r.omega_eff for r in self.rows],
-            "gamma_eff": [r.gamma_eff for r in self.rows],
-            "d2": [r.d2 for r in self.rows],
-            "converged": [int(r.converged) for r in self.rows],
-        }
+        # one column per row field, in field order; converged as 0 or 1
+        cols = {f.name: [getattr(r, f.name) for r in self.rows] for f in fields(SizeScanRow)}
+        cols["converged"] = [int(r.converged) for r in self.rows]
         write_csv(path, cols, extra_header)
 
     def to_json(self) -> dict:

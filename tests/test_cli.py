@@ -5,7 +5,8 @@ import pytest
 
 from fqcsim import FqcsimError
 from fqcsim import cli, sweep
-from fqcsim.cli import embedded_config, main
+from fqcsim.cli import main
+from fqcsim.output import embedded_config
 
 FAST = ["--grid-points", "301"]
 

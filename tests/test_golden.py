@@ -20,7 +20,7 @@ import pytest
 
 from fqcsim import analysis, cli, evolve, metrics, sweep
 from fqcsim.cli import main
-from fqcsim.evolve import write_csv
+from fqcsim.output import write_csv
 from oracles import write_csv_rows
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
