@@ -220,17 +220,23 @@ class SidebandSpectrum:
 
 def _occupations(spec: FqcSpec, drive: DriveSpec, ks: np.ndarray) -> np.ndarray:
     """|c_k(inf)|^2 from the resolvent of H_eff, c_k = -v [(H_eff - k delta)^-1]_eg;
-    the one zero-detuning rule of the sideband functions."""
+    the one zero-detuning rule of the sideband functions.  In numpy floats: an
+    occupation that is not finite (a drive whose square overflows, or whose
+    fourth power underflows to a zero denominator) is a NumericalError."""
     if drive.detuning_delta != 0.0:
         raise ConfigError("sideband spectrum is defined at zero detuning")
-    om0 = drive.rabi_omega0
+    om0 = np.float64(drive.rabi_omega0)
     if om0 == 0.0:
         # vanishing numerator: nothing is emitted without a drive
         return np.zeros(ks.size)
     e = ks * spec.gap
-    return (spec.coupling_v * om0) ** 2 / (
-        (e**2 - om0**2) ** 2 + (0.5 * spec.gamma_target * e) ** 2
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        occ = (spec.coupling_v * om0) ** 2 / (
+            (e**2 - om0**2) ** 2 + (0.5 * spec.gamma_target * e) ** 2
+        )
+    if not np.isfinite(occ).all():
+        raise NumericalError(f"sideband occupations are not finite at omega0 {om0}")
+    return occ
 
 
 def _quadrature_occupations(

@@ -408,7 +408,10 @@ def _ladder_spectra(hs: list[HamiltonianMatrix]) -> tuple:
     roots +-x pair up, one in each interval (k, k + 1) above the first level
     k >= 0 and one above N, of weight 2 / (1 + a T(x)), T = -S'; a hole adds
     x = 0, first, of weight 1 / (1 + 2 a (psi'(k_min) - psi'(N + 1))).  A
-    cell with v = 0 is decoupled (sigma = 0, c_e = 1).  A cell fails alone
+    cell with v = 0, or with a below the smallest normal double, takes the
+    limit a = 0, to which every sigma and weight is then rounded: |e> alone
+    (sigma = 0, c_e = 1), or on a flat ladder the doublet of |e> and f0
+    (sigma = v, c_e = cos(v t)).  A cell fails alone
     its sum rule |sum_n weights[n] - 1| or its largest relative secular
     residual (infinite for a NaN root or one outside its interval) beyond
     NORM_TOL.
@@ -421,20 +424,22 @@ def _ladder_spectra(hs: list[HamiltonianMatrix]) -> tuple:
     count = levels // 2 + 1  # N + 1 roots, or N + 2 - k_min with x = 0
     start = np.cumsum(count) - count
     sigma, weights, worst = np.zeros(count.sum()), np.zeros(count.sum()), np.zeros(len(n))
-    weights[start] = 1.0  # v = 0
+    weights[start] = 1.0  # a = 0: |e> alone, or with f0 on a flat ladder
+    sigma[start] = np.where(holed, 0.0, v)
     with np.errstate(all="ignore"):  # a bad root fails its check
         a = np.divide(v, gap, out=np.zeros_like(v), where=v > 0) ** 2
+        a[a < np.finfo(float).tiny] = 0.0
         for lo in range(0, sigma.size, _ROOTS_PER_PASS):  # in passes, to bound the memory
             roots = np.arange(lo, min(lo + _ROOTS_PER_PASS, sigma.size))
             c = np.searchsorted(start, roots, side="right") - 1
-            keep = (v[c] > 0) & ~(holed[c] & (roots == start[c]))  # not x = 0
+            keep = (a[c] > 0) & ~(holed[c] & (roots == start[c]))  # not x = 0
             roots, c = roots[keep], c[keep]
             k = roots - start[c] + k_min[c] - holed[c]  # the level below
             x, weights[roots], residual = _secular_roots(n[c], k_min[c], a[c], k)
             sigma[roots] = x * gap[c]
             np.maximum.at(worst, c, residual)
-        if (holed & (v > 0)).any():
-            c = np.flatnonzero(holed & (v > 0))
+        if (holed & (a > 0)).any():
+            c = np.flatnonzero(holed & (a > 0))
             psi1 = _digamma(np.concatenate([k_min[c], n[c] + 1.0]))[1].reshape(2, -1)
             weights[start[c]] = 1.0 / (1.0 + 2.0 * a[c] * (psi1[0] - psi1[1]))
     defect = np.abs(np.add.reduceat(weights, start) - 1.0)
@@ -449,7 +454,10 @@ def _secular_roots(n, k_min, a, k):
     `_ladder_spectra` (1-d arrays, one entry per root), each solved
     elementwise, so with the same bits in any batch.  Inside (k, k + 1):
     Newton on u = atan2(pi a, x - a R(x)) / pi, R = S - pi cot(pi x), from
-    the Bixon-Jortner angle atan2(pi a, k + 1/2) / pi.  Above N (u = x - N):
+    the Bixon-Jortner angle atan2(pi a, k + 1/2) / pi, or for k = 0 (the
+    |e>-f0 doublet of a flat ladder, x about sqrt(a) when a is small) from
+    at least sqrt(a) / (1 + 2 sqrt(a)), which the angle, about 2a, is far
+    below.  Above N (u = x - N):
     Newton on the pole, -a/u + h(u) = 0 with the concave h = x - a (S - 1/u)
     replaced by its tangent, from the lower bounds u (N + u) = a and
     x^2 = a (levels), so it rises monotonically.  A root stops once its step
@@ -458,7 +466,9 @@ def _secular_roots(n, k_min, a, k):
     top = k == n
     levels = np.where(k_min > 0, 2.0 * (n - k_min + 1), 2.0 * n + 1)
     bound = np.maximum(2.0 * a / (n + np.sqrt(n * n + 4.0 * a)), np.sqrt(a * levels) - n)
-    u = np.where(top, bound, np.arctan2(np.pi * a, k + 0.5) / np.pi)
+    angle = np.arctan2(np.pi * a, k + 0.5) / np.pi
+    doublet = np.maximum(angle, np.sqrt(a) / (1.0 + 2.0 * np.sqrt(a)))
+    u = np.where(top, bound, np.where(k == 0, doublet, angle))
     params = np.stack([n, k_min, a, k])
     live = np.arange(k.size)
     for _ in range(8):
@@ -477,27 +487,53 @@ def _secular_roots(n, k_min, a, k):
 def _secular_step(u, n, k_min, a, k):
     """The next u of roots at x = k + u (`_secular_roots`), the secular
     residual at u and dQ/dx, Q = R inside and S - 1/u above N, so that
-    T = pi^2 / sin^2(pi u) - dQ/dx or 1/u^2 - dQ/dx.  Every psi argument > 0."""
+    T = pi^2 / sin^2(pi u) - dQ/dx or 1/u^2 - dQ/dx.  Every psi argument > 0;
+    above N, Q and dQ/dx are the sums of `_levels_below` instead."""
     top, holed = k == n, k_min > 0
-    z = [k + n + 1 + u, np.where(top, 1.0 + u, n + 1 - k - u)]
+    z = [k + n + 1 + u, np.where(top, 1.0, n + 1 - k - u)]  # a top root's psi goes unread
     if holed.any():
         z += [k + k_min + u, k - k_min + 1 + u]
     psi, psi1 = (f.reshape(len(z), -1) for f in _digamma(np.concatenate(z)))
     q = psi[0] - psi[1]
-    dq = psi1[0] + np.where(top, -psi1[1], psi1[1])
+    dq = psi1[0] + psi1[1]
     if len(z) > 2:
         q -= np.where(holed, psi[2] - psi[3], 0.0)
         dq -= np.where(holed, psi1[2] - psi1[3], 0.0)
+    if top.any():
+        q[top], dq[top] = _levels_below(u[top], n[top], k_min[top])
     x = k + u
     y = x - a * q
     slope = 1.0 - a * dq
     pa = np.pi * a
     g = u - np.arctan2(pa, y) / np.pi
-    inside = np.clip(u - g / (1.0 + a * slope / (y * y + pa * pa)), 0.0, 1.0)
+    h = np.hypot(y, pa)  # not y^2 + (pi a)^2, which overflows once a > 1e154
+    inside = np.clip(u - g / (1.0 + (a / h) * (slope / h)), 0.0, 1.0)
     b = y - slope * u
     root = np.sqrt(b * b + 4.0 * a * slope)
     above = np.where(b > 0, 2.0 * a / (b + root), (root - b) / (2.0 * slope))
     return np.where(top, above, inside), np.where(top, y - a / u, g) / x, dq
+
+
+def _levels_below(u, n, k_min):
+    """Q = sum_m 1/(u + m) and dQ/dx = -sum_m 1/(u + m)^2 of roots x = N + u
+    above the top level, over the levels k < N at m = N - k: the ranges
+    N + max(k_min, 1)..2N and 1..N - k_min.  Summed term by term (all
+    positive, smallest first), since the digamma difference
+    psi(2N + 1 + u) - psi(1 + u) cancels once u >> N."""
+    lengths = np.stack([n + 1.0 - np.maximum(k_min, 1.0), n - k_min], axis=1).ravel()
+    lengths = lengths.astype(np.intp)
+    ends = np.cumsum(lengths)
+    tops = np.stack([2.0 * n, n - k_min], axis=1).ravel()
+    m = np.repeat(tops + (ends - lengths), lengths) - np.arange(ends[-1])  # each range descending
+    count = lengths[0::2] + lengths[1::2]
+    r = 1.0 / (np.repeat(u, count) + m)
+    q, dq = np.zeros_like(u), np.zeros_like(u)
+    terms = count > 0  # a one-level ladder has no level below
+    if terms.any():
+        starts = (np.cumsum(count) - count)[terms]
+        q[terms] = np.add.reduceat(r, starts)
+        dq[terms] = -np.add.reduceat(r * r, starts)
+    return q, dq
 
 
 def _phase_sum(values: np.ndarray, weights: np.ndarray, times: np.ndarray,

@@ -50,7 +50,10 @@ class FqcSpec:
     longer influence the dynamics.  Every value must be finite
     (ConfigError otherwise, naming the field); so must the spacing, > 0 too
     once coupling_v > 0, and the secular coupling (v / spacing)^2 (a
-    ConfigError naming coupling_v).
+    ConfigError naming coupling_v).  The collective coupling
+    (2 n_half + 1) (v / spacing)^2, the square of the top secular root in
+    units of the spacing, is at most 1e300, far enough from overflow for
+    the root's Newton steps.
     """
 
     n_half: int
@@ -78,6 +81,10 @@ class FqcSpec:
         if not ratio * ratio < math.inf:  # a subnormal spacing
             raise ConfigError(f"coupling_v {self.coupling_v} gives (v / spacing)^2 = inf: "
                               "it must be finite")
+        collective = ratio * ratio * (2 * self.n_half + 1)
+        if collective > 1e300:
+            raise ConfigError(f"coupling_v {self.coupling_v} gives (2N + 1)(v / spacing)^2 = "
+                              f"{collective:.3g}: it must be at most 1e300")
 
     @property
     def gap(self) -> float:

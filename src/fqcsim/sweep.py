@@ -11,10 +11,12 @@ the GIL.  LAPACK/BLAS and large numpy calls release it, which lets the
 threads scale; Python run per cell holds it, so a cell does little of it:
 a structural Hamiltonian with cached labels and no TimeSeries unless fitted.
 A size scan runs its sizes one after another in the calling thread
-(`size_cell`, through `propagate`): its fits, about 0.08 of the 0.17 s CPU
-of the default scan in process, are mostly Python-level `trf` steps, which
-hold the GIL, so a second thread only adds hand-overs: two threads ran the
-default scan slower than one and spent about 1.5 times its CPU time.
+(`size_cell`, through `propagate`): its 71 fits, 0.084 of the 0.167 s CPU
+of the default scan in process (medians of 7 on 2 cores, one BLAS thread),
+are about 800 model evaluations on 4001-point arrays and the Python-level
+`trf` steps between them, calls too short to spend long outside the GIL,
+so a second thread only adds hand-overs: two threads ran the default scan
+slower than one and spent about 1.5 times its CPU time.
 """
 
 from __future__ import annotations

@@ -329,6 +329,40 @@ def test_reference_beyond_the_float_range_exits_3(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    # sparse ladders, a = (v / delta)^2 about 3e-5 and 6e-5: the |e>-f0
+    # doublet's root started far below sqrt(a) and failed its residual check
+    ["--gamma", 0.01], ["--v", 20],
+    # dense ladders, a about 2.5e14 and 2.5e198: the top root's digamma
+    # difference cancelled, and (pi a)^2 overflowed
+    ["--v", 1e-8], ["--v", 1e-100],
+    # a subnormal a and one that underflows to 0: the limit a = 0
+    ["--gamma", 1e-155], ["--gamma", 1e-300],
+])
+def test_decay_solves_sparse_and_dense_ladders(tmp_path, args):
+    out = tmp_path / "x"
+    assert run(["decay", "--out", out] + args + FAST) == 0
+    if args[0] == "--gamma" and args[1] < 1e-100:
+        # |e> and the level f0 at its energy alone: c_e = cos(v t), not 1
+        rows = np.loadtxt(out / "timeseries.csv", delimiter=",", skiprows=3)
+        assert np.abs(rows[:, 1] - np.cos(0.3 * rows[:, 0]) ** 2).max() <= 1e-13
+
+
+def test_collective_coupling_beyond_1e300_exits_2(tmp_path, capsys):
+    # (2N + 1)(v / delta)^2 = 7.9e301: the top root's Newton step overflowed
+    assert run(["decay", "--v", 1e-151, "--out", tmp_path / "x"] + FAST) == 2
+    assert "(2N + 1)(v / spacing)^2 = 7.85e+301: it must be at most 1e300" in (
+        capsys.readouterr().err)
+
+
+def test_sideband_occupation_beyond_the_float_range_exits_3(tmp_path, capsys):
+    # (v omega0)^2 overflowed a Python float: exit 1 with an OverflowError
+    out = tmp_path / "x"
+    assert run(["sidebands", "--omega0", 1e160, "--out", out]) == 3
+    assert "sideband occupations are not finite at omega0 1e+160" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("t_f", [1e-300, 1e-200])
 def test_decay_zeno_window_whose_t4_underflows_is_recorded(tmp_path, t_f):
     # the Zeno fit divided by zero (exit 1); now it is under-resolved

@@ -630,6 +630,31 @@ def test_secular_path_pi_e_matches_eigh(n_half, v, width):
     assert np.abs(propagate(h, "e", times).pi_e - want).max() <= 1e-12
 
 
+def _oracle_cell(n_half, exponent, holed):
+    """The ladder of N levels on each side with a = (v / delta)^2 = 10^exponent
+    (v = 1, delta = 10^(-exponent / 2)), flat or without its level at 0."""
+    gamma = 2 * math.pi * 10.0 ** (exponent / 2)
+    hole = HoleSpec(0.5 * 10.0 ** (-exponent / 2)) if holed else None
+    return build_single_level(FqcSpec(n_half, 1.0, gamma, hole))
+
+
+@pytest.mark.parametrize("n_half, holed", [(n, holed) for n in (0, 1, 2, 15, 40)
+                                            for holed in (False, True) if n or not holed])
+def test_ladder_spectra_match_dense_eigh_from_sparse_to_dense(n_half, holed):
+    # a from 1e-12 (the doublet |e>-f0 of a flat ladder, x about sqrt(a)) to
+    # 1e14 (the top root, x about sqrt((2N + 1) a), holds nearly all the
+    # weight): c_e up to a phase of 4 on the fastest root
+    for exponent in range(-12, 15):
+        h = _oracle_cell(n_half, exponent, holed)
+        sigma, weights, _, (error,) = evolve._ladder_spectra([h])
+        assert error is None, exponent
+        values, vectors = np.linalg.eigh(h.entries)
+        times = np.linspace(0.0, 4.0 / np.abs(values).max(), 65)
+        want = (vectors[0] ** 2 * np.exp(-1j * np.outer(times, values))).sum(axis=1)
+        got = np.cos(np.outer(times, sigma)) @ weights
+        assert np.abs(got - want).max() <= 1e-12, exponent
+
+
 def test_decoupled_cell_deflates_without_dividing_by_its_gap():
     h = build_single_level(FqcSpec(4, 0.0))
     with warnings.catch_warnings():
