@@ -323,19 +323,30 @@ def _spectra(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list,
     projection is the real part of the sum.
 
     Single-level cells take the closed-form secular spectrum
-    (`_ladder_spectra`): c_e is the cosine sum, the real part of a phase sum
-    over the roots x >= 0, half the phases of H.  Two-level cells take one
-    batched `eigh` of H with the Eigensystem bound on every basis
+    (`_ladder_stacks` of this one stack): c_e is the cosine sum, the real
+    part of a phase sum over the roots x >= 0, half the phases of H.
+    Two-level cells take one batched `eigh` of `_dense()` matrices (not
+    cached on the cells) with the Eigensystem bound on every basis
     (`_eigh_stack`), and the weights of c_g, c_e and sum_k c_k.  A stacked
     cell gets the bits it gets alone.
     """
     if hs[0].n_system == 1:
-        sigma, weights, _, errors = _ladder_spectra(hs)
-        return sigma.reshape(len(hs), -1), weights.reshape(len(hs), -1, 1), errors, True
-    values, vectors, errors = _eigh_stack(np.stack([h.entries for h in hs]))
+        return _ladder_stacks([hs])[0]
+    values, vectors, errors = _eigh_stack(np.stack([h._dense() for h in hs]))
     psi = np.zeros(values.shape, dtype=complex)
     psi[:, hs[0].basis_labels.index("e")] = 1.0
     return values, _projection_weights(vectors, psi, 2), errors, False
+
+
+def _ladder_stacks(stacks: list[list[HamiltonianMatrix]]) -> list[tuple]:
+    """`_spectra` of every stack of single-level cells of equal basis labels,
+    from one `_ladder_spectra` call: each stack's (values, weights, errors,
+    real), its cells' roots side by side."""
+    sigma, weights, start, errors = _ladder_spectra([h for hs in stacks for h in hs])
+    ends = np.cumsum([len(hs) for hs in stacks], dtype=int)
+    cuts = start[ends[:-1]]
+    return [(s.reshape(len(hs), -1), w.reshape(len(hs), -1, 1), errors[end - len(hs):end], True)
+            for hs, end, s, w in zip(stacks, ends, np.split(sigma, cuts), np.split(weights, cuts))]
 
 
 def _overlaps(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:

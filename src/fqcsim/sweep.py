@@ -1,15 +1,15 @@
 """Model dispatch (`build_model`) and parameter grids: suitability maps, size scans.
 
-Map tasks run in a thread pool; results are aggregated by index, so the
-output is bit-identical regardless of schedule or worker count.  Every task
-is one stack of cells of an N row (`_stack_cells`): their spectra (one
-batched `eigh` for two-level cells), one phase sum and one scoring (one
-`d1` or `d2` trapezoid; fits run cell by cell, in the calling thread).  A
-single-level map solves all its closed-form spectra in one call before the
-pool (`evolve._ladder_spectra`), whose many small numpy calls would hold
-the GIL.  LAPACK/BLAS and large numpy calls release it, which lets the
-threads scale; Python run per cell holds it, so a cell does little of it:
-a structural Hamiltonian with cached labels and no TimeSeries unless fitted.
+Map cells are built once, in the calling thread, and stacked: consecutive
+cells of an N row with equal basis labels (`_stack_cells`).  Every stack
+is one task of a thread pool, of one shape for every model: its spectra
+(one batched `eigh` for two-level cells; a single-level map solves all its
+closed-form spectra in one call before the pool, `evolve._ladder_stacks`),
+one phase sum and one `d1` or `d2` trapezoid (fits run in the calling
+thread, after the pool).  Results are aggregated by index, so the output is
+bit-identical regardless of schedule or worker count.  LAPACK/BLAS and
+large numpy calls release the GIL, so the threads scale; Python run per
+cell holds it, so a cell does little: a structural Hamiltonian, no series.
 A size scan runs its sizes one after another in the calling thread
 (`size_cell`, through `propagate`): its 71 fits, 0.084 of the 0.167 s CPU
 of the default scan in process (medians of 7 on 2 cores, one BLAS thread),
@@ -21,6 +21,9 @@ slower than one and spent about 1.5 times its CPU time.
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FqcsimError
-from .evolve import TimeSeries, _ladder_spectra, _phase_sum, _spectra, default_grid, propagate
+from .evolve import TimeSeries, _ladder_stacks, _phase_sum, _spectra, default_grid, propagate
 from .hamiltonian import (
     DriveSpec,
     FqcSpec,
@@ -150,10 +153,21 @@ def _attempt(fn, *args):
 
 
 def _run_pool(job, tasks: list) -> list:
-    """Run job on every task in a pool of `parallel_workers()` threads; each
-    result, or the exception it raised, comes back in task order."""
-    with ThreadPoolExecutor(max_workers=parallel_workers()) as pool:
-        return list(pool.map(lambda task: _attempt(job, task), tasks))
+    """Run job on every task in a pool of `parallel_workers()` threads, each
+    taking the next task left (one future per thread: 1200 futures held 0.8
+    MiB of a d2 map's peak); results or exceptions come back in task order."""
+    results, left = [None] * len(tasks), collections.deque(enumerate(tasks))
+
+    def worker():
+        with contextlib.suppress(IndexError):  # until no task is left
+            while True:
+                k, task = left.popleft()
+                results[k] = _attempt(job, task)
+
+    workers = parallel_workers()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(lambda _: worker(), range(min(workers, len(tasks)))))
+    return results
 
 
 def _stack_cells(n_half: int, grid_points: int, one_level: bool) -> int:
@@ -273,19 +287,17 @@ class _FitCell:
 def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     """Evaluate the configured metric on every (N, v) cell of the grid.
 
-    Each pool task is a stack of as many consecutive cells of one N row as
-    `_STACK_BYTES` admits (`_stack_cells`), built by `build_model` (a
-    `decay` map builds and solves all its cells before the pool).  Each
-    group of equal basis labels gets its spectra and health checks at once
-    (`evolve._spectra`), a phase sum and a scoring: `d1` or `d2` as one
-    trapezoid (a single-level `d2` is its `d1`); a fit holds the GIL, so the
-    pool returns a fit cell's pi_e and the calling thread fits the cells in
-    task order.  Every value has the bits a single `propagate` and metric
-    give.  Individual cell failures are recorded per cell (value
-    NaN) and do not abort the map: a cell whose build, decomposition,
-    health check or fit fails keeps its own error and leaves its
-    stack-mates' values alone.  Nothing here samples randomness; the seed is
-    recorded in the provenance for uniformity with sampled metrics.
+    Every cell is built once (`build_model`).  Each pool task is a stack of
+    up to `_stack_cells` consecutive built cells of one N row with equal
+    basis labels: spectra and health checks (`evolve._spectra`; a `decay`
+    map takes `evolve._ladder_stacks` of all its stacks before the pool), a
+    phase sum and a scoring, `d1` or `d2` as one trapezoid (a single-level
+    `d2` is its `d1`).  A fit holds the GIL, so the pool returns a fit
+    cell's pi_e and the calling thread fits after the pool.  Every value has
+    the bits a single `propagate` and metric give.  A cell whose build,
+    decomposition, health check or fit fails is NaN with its own entry in
+    `cell_errors` (row-major); its stack-mates keep their values.  The seed
+    is only recorded in the provenance: nothing here samples randomness.
     """
     fx = grid.fixed
     times = default_grid(fx.t_f, fx.grid_points)
@@ -294,84 +306,60 @@ def run_sweep(grid: SweepGrid, seed: int = 0) -> SweepMap:
     if grid.metric == "d2":  # rho_gg, rho_ee and rho_ge of the reference
         ref = _system_entries(evolve_nonhermitian(NonHermitianSpec(fx.gamma, drive), "e",
                                                   times))[2]
-    nv, nn = len(grid.v_values), len(grid.n_values)
-    values = np.full((nn, nv), np.nan)
-    errors: list[dict] = []
+    # each cell's Hamiltonian, then its value, _FitCell or error
+    cells = [[_attempt(build_model, fx.model, n, v, fx.gamma, drive, fx.hole_half_width)
+              for v in grid.v_values] for n in grid.n_values]
+    stacks = []  # (i, lo, hi): built cells lo..hi-1 of row i, of one basis
+    for i, row in enumerate(cells):
+        size = _stack_cells(grid.n_values[i], fx.grid_points, fx.model == "decay")
+        runs = itertools.groupby(range(len(row)), lambda j: getattr(row[j], "basis_labels", None))
+        for labels, run in runs:
+            run = list(run)
+            if labels is not None:
+                stacks += [(i, lo, min(lo + size, run[-1] + 1)) for lo in run[::size]]
+    solved = [None] * len(stacks)
+    if fx.model == "decay":  # one solve of every root before the pool (module docstring)
+        solved = _ladder_stacks([cells[i][lo:hi] for i, lo, hi in stacks])
 
-    def build(i, j):
-        return build_model(fx.model, grid.n_values[i], grid.v_values[j], fx.gamma, drive,
-                           fx.hole_half_width)
-
-    def fit(series):
-        report = fit_effective_params(series, fx.t_f)
+    def fit(cell):
+        report = fit_effective_params(cell, fx.t_f)
         if not report.converged:
             raise FqcsimError("effective-parameter fit did not converge")
         return report.residual_norm / math.sqrt(report.grid_points)
 
-    def score(hs: list, proj: np.ndarray, errs: list) -> list:
-        """The values of a stack of cells from their projections proj
-        (s, nt, r): a failed cell keeps its error and is not scored."""
+    def job(task):
+        (i, lo, hi), spectra = task
+        hs = cells[i][lo:hi]  # the pool ends before any cell takes its result
+        values, weights, errs, real = spectra or _spectra(hs)
+        proj = _phase_sum(values, weights, times, real)
         ok = [k for k, err in enumerate(errs) if err is None]
         # the projections are sliced after stacking, so each elementwise op
         # sees the strides it sees on one series (`reduced`, `pi_e`): same bits
         if grid.metric == "fit":  # fitted in the calling thread
             scored = [_FitCell(times, TimeSeries(hs[k], times, proj[k]).pi_e, drive, hs[k].spec)
                       for k in ok]
-        elif not ok:
-            scored = []
         elif grid.metric == "d2" and hs[0].n_system == 2:
             scored = _d2_values(times, _amplitude_entries(proj[ok][..., :2]), ref, fx.t_f)[0]
-            scored = scored.tolist()
         else:  # a single-level d2 is its d1
             c = proj[ok][..., hs[0].basis_labels.index("e")]
             pie = np.square(c) if np.isrealobj(c) else np.abs(c) ** 2
-            scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0].tolist()
+            scored = _d1_values(times, pie, fx.gamma, fx.t_f)[0]
         scored = iter(scored)
         return [err or next(scored) for err in errs]
 
-    chunks = []
-    for i, n in enumerate(grid.n_values):
-        size = _stack_cells(n, fx.grid_points, fx.model == "decay")
-        chunks += [[(i, j) for j in range(lo, min(lo + size, nv))] for lo in range(0, nv, size)]
-    built, spectra = {}, lambda hs, group: _spectra(hs)
-    if fx.model == "decay":  # one solve of every root before the pool (module docstring)
-        built = {idx: _attempt(build, *idx) for cells in chunks for idx in cells}
-        ok = [idx for idx, h in built.items() if not isinstance(h, Exception)]
-        sigma, weights, start, errs = _ladder_spectra([built[idx] for idx in ok])
-        solved = dict(zip(ok, zip(start.tolist(), errs)))
-
-        def spectra(hs, group):  # each cell's (dim + 1) // 2 roots
-            rows = np.add.outer([solved[idx][0] for idx in group], np.arange((hs[0].dim + 1) // 2))
-            return sigma[rows], weights[rows][..., None], [solved[idx][1] for idx in group], True
-
-    def job(cells):
-        results, groups = {}, {}
-        for idx in cells:
-            h = results[idx] = built[idx] if built else _attempt(build, *idx)
-            if not isinstance(h, Exception):
-                groups.setdefault(h.basis_labels, []).append(idx)
-        for group in groups.values():
-            hs = [results[idx] for idx in group]
-            values, weights, errs, real = spectra(hs, group)
-            proj = _phase_sum(values, weights, times, real)
-            results.update(zip(group, score(hs, proj, errs)))
-        return [results[idx] for idx in cells]
-
-    for cells, res in zip(chunks, _run_pool(job, chunks)):
-        for (i, j), cell in zip(cells, res if isinstance(res, list) else [res] * len(cells)):
-            if isinstance(cell, _FitCell):
-                cell = _attempt(fit, cell)
-            if isinstance(cell, Exception):
-                errors.append({"i": i, "j": j, "error": str(cell)})
-            else:
-                values[i, j] = cell
-
-    return SweepMap(
-        grid,
-        values,
-        errors,
-        provenance={"seed": seed, "package_version": __version__},
-    )
+    for (i, lo, hi), res in zip(stacks, _run_pool(job, list(zip(stacks, solved)))):
+        cells[i][lo:hi] = res if isinstance(res, list) else [res] * (hi - lo)
+    values = np.full((len(grid.n_values), len(grid.v_values)), np.nan)
+    errors: list[dict] = []
+    for i, j in np.ndindex(values.shape):
+        cell = cells[i][j]
+        if isinstance(cell, _FitCell):
+            cell = _attempt(fit, cell)
+        if isinstance(cell, Exception):
+            errors.append({"i": i, "j": j, "error": str(cell)})
+        else:
+            values[i, j] = cell
+    return SweepMap(grid, values, errors, provenance={"seed": seed, "package_version": __version__})
 
 
 @dataclass
