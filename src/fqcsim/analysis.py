@@ -220,7 +220,9 @@ class SidebandSpectrum:
 
 def _occupations(spec: FqcSpec, drive: DriveSpec, ks: np.ndarray) -> np.ndarray:
     """|c_k(inf)|^2 from the resolvent of H_eff, c_k = -v [(H_eff - k delta)^-1]_eg;
-    the one zero-detuning rule of the sideband functions.  In numpy floats: an
+    the one zero-detuning rule of the sideband functions.  A first-order
+    estimate per level, valid only when v << omega0: at E = 0 it is
+    v^2 / omega0^2, above 1 once omega0 < v.  In numpy floats: an
     occupation that is not finite (a drive whose square overflows, or whose
     fourth power underflows to a zero denominator) is a NumericalError."""
     if drive.detuning_delta != 0.0:
@@ -281,7 +283,9 @@ def sideband_spectrum(
         |c_k(inf)|^2 = v^2 omega0^2 / ((E^2 - omega0^2)^2 + (gamma E / 2)^2),
 
     zero when omega0 = 0; on a strong drive two sidebands peak where
-    |k| delta matches the Rabi frequency.  `occupations_quadrature`, an
+    |k| delta matches the Rabi frequency.  Each level's occupation is a
+    first-order estimate, valid only when v << omega0: the level at E = 0,
+    degenerate with |g>, gets v^2 / omega0^2, above 1 whenever omega0 < v.  `occupations_quadrature`, an
     independent cross-check, is |c_k(t_f)|^2 with
     c_k(t_f) = -i v int_0^{t_f} c_e(t) exp(i k delta t) dt, c_e from the same
     |g> start; it tends to the occupation once the drive has decayed by t_f.
@@ -600,6 +604,9 @@ def fit_effective_params(series: TimeSeries, t_f: float) -> FitReport:
     at least t_f long.  It must hold two times other than 0, where the model
     is 1 whatever its parameters.  A window that breaks either rule is a
     ConfigError.  The fit stops unconverged after 400 residual evaluations.
+    A series that starts at t = 0 outside |e> (pi_e(0) off 1 by more than
+    1e-9, as `zeno_time` checks) is not fitted: the report has no params,
+    a NaN residual and converged False.
 
     The method is scipy's trust-region-reflective `trf` with bounds at 0,
     ported to two parameters (`_trf`): it takes the steps
@@ -622,6 +629,9 @@ def fit_effective_params(series: TimeSeries, t_f: float) -> FitReport:
     nonzero = np.count_nonzero(t)
     if nonzero < 2:
         raise ConfigError(f"a two-parameter fit needs 2 grid times other than 0, got {nonzero}")
+    if t[0] == 0.0 and abs(pie[0] - 1.0) > 1e-9:  # the tolerance of zeno_time
+        return FitReport(residual_norm=math.nan, grid_points=int(t.size), converged=False,
+                         notes=f"not fitted: the model starts at 1, pi_e(0) = {pie[0]:.6g}")
     block = _grid_block(t)
 
     def residuals(p):

@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .errors import ConfigError, FqcsimError, NumericalError
 from .evolve import default_grid, propagate, source_term_series
-from .hamiltonian import DriveSpec, HamiltonianMatrix
+from .hamiltonian import _MAX_ARRAY_POINTS, DriveSpec, HamiltonianMatrix
 # perfbench/tracing.py wraps the builders at this module too, so they stay imported
 from .hamiltonian import build_adaptive, build_single_level, build_two_level  # noqa: F401
 from .metrics import d1, d2, nonmarkovianity
@@ -381,10 +381,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if (lo_v is None) != (hi_v is None):
             raise ConfigError(f"{lo_f} and {hi_f} must be given together")
         if lo_v is not None:
-            if not (math.isfinite(lo_v) and math.isfinite(hi_v)):
+            if not (abs(lo_v) < math.inf and abs(hi_v) < math.inf):  # ints of any size too
                 raise ConfigError(f"{lo_f} and {hi_f} must be finite, got {lo_v} and {hi_v}")
             if lo_v > hi_v:
                 raise ConfigError(f"{lo_f} {lo_v} exceeds {hi_f} {hi_v}")
+            # the axis length by arithmetic, before any list (inf when it overflows)
+            count = (hi_v - lo_v) // st + 1 if axis == "n_values" else (hi_v - lo_v) / st + 1
+            if not count <= _MAX_ARRAY_POINTS:
+                raise ConfigError(f"{lo_f} {lo_v} to {hi_f} {hi_v} by {st_f} {st} gives {count} "
+                                  "values, more than a numpy array holds")
             if axis == "n_values":
                 data[axis] = list(range(lo_v, hi_v + 1, st))
             else:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .hamiltonian import HamiltonianMatrix
+from .hamiltonian import _MAX_ARRAY_POINTS, HamiltonianMatrix
 from .output import _rho_columns, write_csv, write_json
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
-# Most points of a `default_grid`: float64 arrays hold intp.max // 8 values,
-# and np.linspace's temporaries refuse counts a little below that.
-_MAX_GRID_POINTS = np.iinfo(np.intp).max // 16
 
 
 @dataclass
@@ -149,7 +146,7 @@ def default_grid(t_f: float, points: float = 2001) -> np.ndarray:
     """
     if not 0 < t_f < math.inf or points < 2:
         raise ConfigError("grid needs a finite t_f > 0 and at least 2 points")
-    if not points <= _MAX_GRID_POINTS:  # inf and NaN too
+    if not points <= _MAX_ARRAY_POINTS:  # inf and NaN too
         raise ConfigError(f"a grid of {points:.6g} points exceeds numpy's array limit")
     return np.linspace(0.0, t_f, int(points))
 

@@ -28,6 +28,11 @@ __all__ = [
     "adaptive_spec_for_size",
 ]
 
+# Most values of one numpy array, checked before any allocation: float64
+# arrays hold intp.max // 8 values, and np.linspace's temporaries refuse
+# counts a little below that.
+_MAX_ARRAY_POINTS = np.iinfo(np.intp).max // 16
+
 
 @dataclass(frozen=True)
 class HoleSpec:
@@ -50,7 +55,8 @@ class FqcSpec:
     longer influence the dynamics.  Every value must be finite
     (ConfigError otherwise, naming the field); so must the spacing, > 0 too
     once coupling_v > 0, and the secular coupling (v / spacing)^2 (a
-    ConfigError naming coupling_v).  The collective coupling
+    ConfigError naming coupling_v).  The 2 n_half + 3 basis states of a
+    driven cell must fit in a numpy array.  The collective coupling
     (2 n_half + 1) (v / spacing)^2, the square of the top secular root in
     units of the spacing, is at most 1e300, far enough from overflow for
     the root's Newton steps.
@@ -64,6 +70,9 @@ class FqcSpec:
     def __post_init__(self):
         if self.n_half < 0:
             raise ConfigError(f"n_half must be >= 0, got {self.n_half}")
+        if not 2 * self.n_half + 3 <= _MAX_ARRAY_POINTS:
+            raise ConfigError(f"n_half {self.n_half} gives {2 * self.n_half + 3} basis states, "
+                              "more than a numpy array holds")
         if not 0 <= self.coupling_v < math.inf:
             raise ConfigError(f"coupling_v must be finite and >= 0, got {self.coupling_v}")
         if not 0 < self.gamma_target < math.inf:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .evolve import TimeSeries, _phase_sum, default_grid, diagonalize
-from .hamiltonian import HamiltonianMatrix
+from .hamiltonian import _MAX_ARRAY_POINTS, HamiltonianMatrix
 from .output import write_csv
 
 __all__ = [
@@ -265,7 +265,8 @@ def nonmarkovianity(
     intervals of positive increase; the reported Sigma(t) is the running
     maximum over pairs.  The time grid is `default_grid(t_final,
     grid_points)`, refined to resolve the Rabi oscillation with at least 40
-    points per period.  ConfigError unless count >= 2, seed >= 0, t_final
+    points per period.  ConfigError unless count >= 2 and its draws fit in
+    a numpy array, seed >= 0, t_final
     is finite and > 0, grid_points >= 2 and the refined grid fits in a numpy
     array.
 
@@ -282,6 +283,9 @@ def nonmarkovianity(
     """
     if count < 2:
         raise ConfigError("need at least 2 sampled pairs")
+    if not 8 * count <= _MAX_ARRAY_POINTS:  # the (count, 2, 2, 2) draws
+        raise ConfigError(f"count {count} gives {8 * count} normal draws, "
+                          "more than a numpy array holds")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     if h.n_system != 2:

@@ -445,3 +445,12 @@ def test_fit_flat_vs_adaptive_damping():
     adaptive = propagate(build_two_level(adaptive_spec, drive), "e", times)
     adaptive_fit = fit_effective_params(adaptive, 16.0)
     assert 0.8 <= adaptive_fit.params["gamma_eff"] <= 1.2
+
+
+@pytest.mark.parametrize("omega0", [0.1, 0.25, 10.0])
+def test_sideband_occupation_at_zero_energy_is_v2_over_omega0_2(omega0):
+    # the level degenerate with |g>: the first-order estimate v^2 / omega0^2,
+    # above 1 whenever omega0 < v (outside its range of validity, v << omega0)
+    sb = sideband_spectrum(FqcSpec(22, 0.3), DriveSpec(omega0, 0.0))
+    occupation = sb.occupations[sb.k == 0][0]
+    assert abs(occupation / (0.3**2 / omega0**2) - 1.0) <= 1e-15

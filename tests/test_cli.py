@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -667,3 +669,30 @@ def test_rejected_sideband_run_writes_no_file(tmp_path, args):
     out = tmp_path / "run"
     assert run(args + ["--out", out]) == 2
     assert list(out.iterdir()) == []
+
+
+BIG = 10**30
+
+
+@pytest.mark.parametrize("args, count", [
+    (["decay", "--n", BIG], r"gives 2000000000000000000000000000003 basis states"),
+    (["rabi", "--n", BIG], r"gives 2000000000000000000000000000003 basis states"),
+    (["markov", "--count", BIG], rf"count {BIG} gives {8 * BIG} normal draws"),
+    (["sweep", "--size-scan", "--sizes", BIG], r"gives \d{31} basis states"),
+    (["sweep", "--n-min", 2, "--n-max", BIG, "--v-min", 0.1, "--v-max", 0.1],
+     rf"gives {BIG - 1} values"),
+    (["sweep", "--v-min", 0.1, "--v-max", 0.2, "--v-step", 1e-300], r"gives 1(\.0+\d*)?e\+299 values"),
+], ids=["decay", "rabi", "markov", "size-scan", "n-axis", "v-axis"])
+def test_counts_beyond_numpy_arrays_exit_2_before_allocating(tmp_path, capsys, args, count):
+    # each count is checked by arithmetic against the limit of default_grid
+    # before anything of that size is allocated
+    tracemalloc.start()
+    try:
+        code = run(args + ["--out", tmp_path / "x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.search(count, err) and "more than a numpy array holds" in err, err
+    assert peak < 1 << 20

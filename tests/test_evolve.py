@@ -861,3 +861,44 @@ def test_structural_matvec_and_variance_match_the_dense_formula(cell, start):
     assert abs(series.energy_variance0 - want_variance) <= 1e-14 * want_variance
     variance = np.real(np.vdot(got, got)) - np.real(np.vdot(state.amplitudes, got)) ** 2
     assert abs(variance - want_variance) <= 1e-14 * want_variance
+
+
+def test_ladder_stacks_give_each_stack_the_bits_it_gets_alone():
+    # a decay map solves every stack in one call: flat and holed stacks of
+    # mixed N, in any order, each get the bits `_spectra` gives that stack
+    stacks = []
+    for n in (0, 2, 10, 40, 300):
+        stacks.append([build_single_level(FqcSpec(n, v)) for v in (0.05, 0.3, 0.6)])
+        if n >= 2:  # a hole of k_min = 2 at both couplings
+            stacks.append([build_single_level(FqcSpec(n, v, hole=HoleSpec(1.0)))
+                           for v in (0.3, 0.31)])
+    assert all(len({h.basis_labels for h in hs}) == 1 for hs in stacks)
+    assert {hs[0].dim % 2 for hs in stacks} == {0, 1}  # holed and flat
+    for order in (stacks, stacks[::-1]):
+        for hs, got in zip(order, evolve._ladder_stacks(order)):
+            want = _spectra(hs)
+            assert got[2] == want[2] == [None] * len(hs) and got[3] is want[3] is True
+            for a, b in zip(got[:2], want[:2]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model, metric", [("rabi", "d2"), ("rabi", "fit"), ("adaptive", "d2")])
+def test_two_level_map_builds_each_dense_matrix_once(dense_builds, model, metric):
+    # every cell is built once; its dense H is formed for its eigh alone and
+    # not cached on the cell (adaptive cells whose hole swallows the band
+    # fail to build and form none)
+    fixed = SweepFixed(t_f=4.0, omega0=2.0, model=model, grid_points=401)
+    grid = SweepGrid((2, 5, 9), (0.2, 0.3, 0.45, 0.6), fixed, metric)
+    result = run_sweep(grid)
+    built = sum(1 for n in grid.n_values for v in grid.v_values
+                if not _fails(sweep.build_model, model, n, v, 1.0, DriveSpec(2.0)))
+    assert 0 < built == result.values.size - len(result.cell_errors)
+    assert dense_builds[0] == built
+
+
+def _fails(fn, *args):
+    try:
+        fn(*args)
+    except ConfigError:
+        return True
+    return False

@@ -9,13 +9,16 @@ absent.  The model `_damped_cos2`, built from phase tables, is checked on
 numpy alone against exp(-gamma t / 2) cos^2(omega t) evaluated per time.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fqcsim import DriveSpec, NonHermitianSpec, default_grid, evolve_nonhermitian
+from fqcsim import (DriveSpec, FqcSpec, NonHermitianSpec, build_two_level, default_grid,
+                    evolve_nonhermitian, propagate)
 from fqcsim import analysis
+from fqcsim.cli import main
 from fqcsim.analysis import _damped_cos2, _trf
 from fqcsim.sweep import size_cell
 
@@ -195,3 +198,21 @@ def test_one_evaluation_is_not_converged():
     assert not sol.success
     np.testing.assert_array_equal(x, [10.0, 1.0])
     np.testing.assert_array_equal(f, fun((10.0, 1.0))[0])
+
+
+
+def test_a_series_that_starts_outside_e_is_not_fitted(monkeypatch, tmp_path):
+    # the model exp(-gamma t / 2) cos^2(omega t) is 1 at t = 0; from |g>
+    # pi_e(0) = 0, so no (omega, gamma) fits it and _trf never runs
+    h = build_two_level(FqcSpec(15, 0.3), DriveSpec(10.0))
+    times = default_grid(8.0, 401)
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_trf", lambda *args: pytest.fail("_trf called"))
+        report = analysis.fit_effective_params(propagate(h, "g", times), 8.0)
+    assert (report.converged, report.params, report.grid_points) == (False, {}, 401)
+    assert math.isnan(report.residual_norm) and "pi_e(0) = " in report.notes
+    assert analysis.fit_effective_params(propagate(h, "e", times), 8.0).converged
+    assert main(["fit", "--out", str(tmp_path / "fit"), "--initial-state", "g",
+                 "--grid-points", "401"]) == 0
+    fit = json.loads((tmp_path / "fit" / "fit.json").read_text())["fit"]
+    assert fit["converged"] is False and fit["params"] == {}

@@ -306,3 +306,26 @@ def test_gram_failure_of_one_cell_leaves_its_stack_mates_alone(monkeypatch, mode
     for (i, j), value in got.items():
         if (i, j) != (1, 1):
             assert value == _single_cell(grid, i, j), (i, j)
+
+
+def test_cell_errors_stay_row_major_when_build_and_eigh_failures_interleave(monkeypatch):
+    # omega0 = 2 holes |E| < 1: small N and v fail to build; LAPACK fails on
+    # every cell v = 0.45, which is built in each row, so the two kinds of
+    # error alternate in row-major order
+    grid = SweepGrid((2, 3, 6), (0.2, 0.25, 0.45, 0.6),
+                     SweepFixed(t_f=4.0, omega0=2.0, model="adaptive", grid_points=401), "d2")
+    eigh = np.linalg.eigh
+
+    def failing_eigh(entries):
+        if _marked(entries, 0.45).any():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(entries)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    errors = run_sweep(grid).cell_errors
+    cells = [(e["i"], e["j"]) for e in errors]
+    assert cells == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 2)]
+    kinds = ["eigh" if "eigensolver" in e["error"] else "build" for e in errors]
+    assert kinds == ["build", "build", "eigh", "build", "eigh", "eigh"]
+    for (i, j), error in zip(cells, errors):
+        assert error["error"] == _single_cell(grid, i, j), (i, j)
