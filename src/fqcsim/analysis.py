@@ -285,8 +285,8 @@ def sideband_spectrum(
     zero when omega0 = 0; on a strong drive two sidebands peak where
     |k| delta matches the Rabi frequency.  Each level's occupation is a
     first-order estimate, valid only when v << omega0: the level at E = 0,
-    degenerate with |g>, gets v^2 / omega0^2, above 1 whenever omega0 < v.  `occupations_quadrature`, an
-    independent cross-check, is |c_k(t_f)|^2 with
+    degenerate with |g>, gets v^2 / omega0^2, above 1 whenever omega0 < v.
+    `occupations_quadrature`, an independent cross-check, is |c_k(t_f)|^2 with
     c_k(t_f) = -i v int_0^{t_f} c_e(t) exp(i k delta t) dt, c_e from the same
     |g> start; it tends to the occupation once the drive has decayed by t_f.
     Zero detuning only (ConfigError otherwise).

@@ -265,10 +265,9 @@ def nonmarkovianity(
     intervals of positive increase; the reported Sigma(t) is the running
     maximum over pairs.  The time grid is `default_grid(t_final,
     grid_points)`, refined to resolve the Rabi oscillation with at least 40
-    points per period.  ConfigError unless count >= 2 and its draws fit in
-    a numpy array, seed >= 0, t_final
-    is finite and > 0, grid_points >= 2 and the refined grid fits in a numpy
-    array.
+    points per period.  ConfigError unless count >= 2, its draws and the
+    refined grid fit in numpy arrays, seed >= 0, t_final is finite and > 0
+    and grid_points >= 2.
 
     Every pair is evolved through the projected propagator block
     G[s, m](t) = <s| exp(-i H t) |m> = sum_n V[s,n] V[m,n] exp(-i E_n t),

@@ -681,7 +681,8 @@ BIG = 10**30
     (["sweep", "--size-scan", "--sizes", BIG], r"gives \d{31} basis states"),
     (["sweep", "--n-min", 2, "--n-max", BIG, "--v-min", 0.1, "--v-max", 0.1],
      rf"gives {BIG - 1} values"),
-    (["sweep", "--v-min", 0.1, "--v-max", 0.2, "--v-step", 1e-300], r"gives 1(\.0+\d*)?e\+299 values"),
+    (["sweep", "--v-min", 0.1, "--v-max", 0.2, "--v-step", 1e-300],
+     r"gives 1(\.0+\d*)?e\+299 values"),
 ], ids=["decay", "rabi", "markov", "size-scan", "n-axis", "v-axis"])
 def test_counts_beyond_numpy_arrays_exit_2_before_allocating(tmp_path, capsys, args, count):
     # each count is checked by arithmetic against the limit of default_grid

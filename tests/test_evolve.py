@@ -890,15 +890,7 @@ def test_two_level_map_builds_each_dense_matrix_once(dense_builds, model, metric
     fixed = SweepFixed(t_f=4.0, omega0=2.0, model=model, grid_points=401)
     grid = SweepGrid((2, 5, 9), (0.2, 0.3, 0.45, 0.6), fixed, metric)
     result = run_sweep(grid)
-    built = sum(1 for n in grid.n_values for v in grid.v_values
-                if not _fails(sweep.build_model, model, n, v, 1.0, DriveSpec(2.0)))
+    built = sum(not isinstance(sweep._attempt(sweep.build_model, model, n, v, 1.0, DriveSpec(2.0)),
+                               Exception) for n in grid.n_values for v in grid.v_values)
     assert 0 < built == result.values.size - len(result.cell_errors)
     assert dense_builds[0] == built
-
-
-def _fails(fn, *args):
-    try:
-        fn(*args)
-    except ConfigError:
-        return True
-    return False
