@@ -23,9 +23,7 @@ from .hamiltonian import (
 )
 from .evolve import (
     DensitySeries,
-    StateVector,
     TimeSeries,
-    basis_state,
     default_grid,
     diagonalize,
     propagate,
@@ -38,7 +36,7 @@ from .reference import (
     effective_hamiltonian,
     evolve_nonhermitian,
 )
-from .metrics import MetricResult, NonMarkovianityResult, d1, d2, nonmarkovianity, trace_distance
+from .metrics import MetricResult, NonMarkovianityResult, d1, d2, nonmarkovianity
 from .analysis import (
     FitReport,
     SidebandSpectrum,
@@ -56,10 +54,10 @@ __all__ = [
     "ConfigError", "FqcsimError", "NumericalError",
     "DriveSpec", "FqcSpec", "HamiltonianMatrix", "HoleSpec", "adaptive_spec_for_size",
     "build_adaptive", "build_single_level", "build_two_level",
-    "DensitySeries", "StateVector", "TimeSeries", "basis_state", "default_grid",
-    "diagonalize", "propagate", "source_term_series", "write_csv",
+    "DensitySeries", "TimeSeries", "default_grid", "diagonalize", "propagate",
+    "source_term_series", "write_csv",
     "NonHermitianSpec", "decay_single", "effective_hamiltonian", "evolve_nonhermitian",
-    "MetricResult", "NonMarkovianityResult", "d1", "d2", "nonmarkovianity", "trace_distance",
+    "MetricResult", "NonMarkovianityResult", "d1", "d2", "nonmarkovianity",
     "FitReport", "SidebandSpectrum", "critical_coupling", "fit_effective_params", "n_max",
     "revival_time", "revival_time_from_spectrum", "sideband_spectrum", "zeno_time",
     "SweepFixed", "SweepGrid", "SweepMap", "run_size_scan", "run_sweep",

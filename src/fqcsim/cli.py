@@ -29,7 +29,7 @@ from .analysis import (
 )
 from .errors import ConfigError, FqcsimError, NumericalError
 from .evolve import default_grid, propagate, source_term_series
-from .hamiltonian import _MAX_ARRAY_POINTS, DriveSpec, HamiltonianMatrix
+from .hamiltonian import _MAX_ARRAY_POINTS, _MAX_MAP_CELLS, DriveSpec, HamiltonianMatrix
 # perfbench/tracing.py wraps the builders at this module too, so they stay imported
 from .hamiltonian import build_adaptive, build_single_level, build_two_level  # noqa: F401
 from .metrics import d1, d2, nonmarkovianity
@@ -39,6 +39,10 @@ from .output import write_json as _dump_json
 from .reference import NonHermitianSpec, decay_single, evolve_nonhermitian
 from .sweep import (MODELS, SweepFixed, SweepGrid, build_model, run_size_scan, run_sweep,
                     size_cell)
+
+# the axes of a map that does not give them: N 2..40 and v 0.05..0.60 by 0.01
+_DEFAULT_AXES = {"n_values": range(2, 41),
+                 "v_values": tuple(round(0.05 + 0.01 * i, 4) for i in range(56))}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -227,13 +231,9 @@ def cmd_sweep(cfg: RunConfig, out: Path, size_scan: bool, normalize: bool = Fals
         scan.to_csv(out / "size_scan.csv", extra_header=config_header(cfg))
         _dump_json(out / "size_scan.json", scan.to_json(), cfg)
         return
-    n_values = list(range(2, 41)) if cfg.n_values is None else cfg.n_values
-    v_values = cfg.v_values
-    if v_values is None:
-        v_values = [round(0.05 + 0.01 * i, 4) for i in range(56)]
     grid = SweepGrid(
-        tuple(n_values),
-        tuple(v_values),
+        tuple(_DEFAULT_AXES["n_values"] if cfg.n_values is None else cfg.n_values),
+        tuple(_DEFAULT_AXES["v_values"] if cfg.v_values is None else cfg.v_values),
         SweepFixed(**{f.name: getattr(cfg, f.name) for f in dataclasses.fields(SweepFixed)}),
         cfg.metric,
     )
@@ -370,6 +370,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             data["sizes"] = [int(s) for s in str(args.sizes).split(",") if s]
         except ValueError:
             raise ConfigError(f"--sizes must be integers, got {args.sizes!r}") from None
+    axes = {}  # axis -> (first, step, length) of each axis given by flags
     for axis, (lo, hi, step) in {
         "n_values": ("n_min", "n_max", "n_step"),
         "v_values": ("v_min", "v_max", "v_step"),
@@ -390,11 +391,18 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             if not count <= _MAX_ARRAY_POINTS:
                 raise ConfigError(f"{lo_f} {lo_v} to {hi_f} {hi_v} by {st_f} {st} gives {count} "
                                   "values, more than a numpy array holds")
-            if axis == "n_values":
-                data[axis] = list(range(lo_v, hi_v + 1, st))
-            else:
-                n_steps = int(round((hi_v - lo_v) / st))
-                data[axis] = [round(lo_v + i * st, 10) for i in range(n_steps + 1)]
+            axes[axis] = lo_v, st, (count if axis == "n_values"
+                                    else int(round((hi_v - lo_v) / st)) + 1)
+    if command == "sweep":  # the map's cell count, before any axis list is built
+        lengths = [axes[axis][2] if axis in axes
+                   else len(data[axis]) if isinstance(data.get(axis), list)
+                   else len(_DEFAULT_AXES[axis]) for axis in _DEFAULT_AXES]
+        if lengths[0] * lengths[1] > _MAX_MAP_CELLS:
+            raise ConfigError(f"the map has {lengths[0]} x {lengths[1]} = "
+                              f"{lengths[0] * lengths[1]} cells, more than {_MAX_MAP_CELLS}")
+    for axis, (lo_v, st, length) in axes.items():
+        data[axis] = (list(range(lo_v, lo_v + length * st, st)) if axis == "n_values"
+                      else [round(lo_v + i * st, 10) for i in range(length)])
     cfg = RunConfig.from_dict(data)
     models = _COMMAND_MODELS.get(command, MODELS)
     if cfg.model not in models:

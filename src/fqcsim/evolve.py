@@ -11,11 +11,13 @@ Every projection from |e> is one phase sum, sum_n weights[n, r]
 exp(-i E_n t) (`_phase_sum`), and `_spectra` is the one place that picks
 the spectrum and weights of a stack of cells of equal basis; `propagate` is
 the same core on a stack of one, and stacked and single calls give the same
-bits.  A single-level Hamiltonian from |e> needs no matrix: c_e(t) =
+bits.  Every start is a basis state of H, named by its label, so a
+projection's weights are the rows of the eigenvectors V times the real row
+V[start, :].  A single-level Hamiltonian from |e> needs no matrix: c_e(t) =
 sum_n w_n cos(sigma_n t) over the roots sigma >= 0 of its secular equation,
 whose ladder sum has a closed form in digamma functions (`_ladder_spectra`),
 and one real matmul gives c_e as a real array.  Two-level models take one
-batched `eigh` of H; other initial states go through `diagonalize`.  The
+batched `eigh` of H; every other start goes through `diagonalize`.  The
 full amplitudes of a series are built on first read, in the eigenbasis of H.
 """
 
@@ -31,11 +33,9 @@ from .hamiltonian import _MAX_ARRAY_POINTS, HamiltonianMatrix
 from .output import _rho_columns, write_csv, write_json
 
 __all__ = [
-    "StateVector",
     "Eigensystem",
     "TimeSeries",
     "DensitySeries",
-    "basis_state",
     "diagonalize",
     "default_grid",
     "propagate",
@@ -43,35 +43,6 @@ __all__ = [
 ]
 
 NORM_TOL = 1e-10
-
-
-@dataclass
-class StateVector:
-    """Normalized complex amplitudes over the full Hilbert space."""
-
-    amplitudes: np.ndarray
-    basis_labels: tuple[str, ...]
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.ndim != 1 or self.amplitudes.size != len(self.basis_labels):
-            raise ConfigError("amplitudes and basis_labels sizes differ")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ConfigError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-
-def basis_state(h: HamiltonianMatrix, label: str = "e") -> StateVector:
-    """Computational basis state of the given Hamiltonian (default |e>)."""
-    if label not in h.basis_labels:
-        raise ConfigError(f"unknown basis label {label!r}")
-    amps = np.zeros(h.dim, dtype=complex)
-    amps[h.basis_labels.index(label)] = 1.0
-    return StateVector(amps, h.basis_labels)
 
 
 @dataclass
@@ -178,8 +149,9 @@ class DensitySeries:
 
 
 class TimeSeries:
-    """The state of h started in psi (amplitudes over its basis, |e> if
-    None) on a time grid, held as its projections, plus run provenance.
+    """The state of h started in the basis state `start` (a label of h, |e>
+    by default) on a time grid, held as its projections, plus run
+    provenance.
 
     `projections` holds c_e on a single-level basis, or c_g, c_e and
     sum_k c_k on a two-level one: shape (nt, 1) or (nt, 3).  `pi_e`,
@@ -187,23 +159,24 @@ class TimeSeries:
     `spec`, `drive`, `basis_labels` and `system_dim` come from h.
 
     Two members are built on first read.  `energy_variance0` is
-    <H^2> - <H>^2 in psi, which sets the curvature of the short-time
-    survival probability (Zeno time); it takes H psi in O(dim) from the
-    structure (`HamiltonianMatrix.matvec`).  The full (nt, dim) `amplitudes`
-    are one phase sum in the eigenbasis of one `_eigh_stack` of h, whose
-    basis is checked for orthonormality (see Eigensystem).  Neither calls
-    `diagonalize`, so a read after `propagate` has returned calls nothing
-    the benchmark tracer wraps.
+    <H^2> - <H>^2 in the start state, which sets the curvature of the
+    short-time survival probability (Zeno time); it takes H psi in O(dim)
+    from the structure (`HamiltonianMatrix.matvec`).  The full (nt, dim)
+    `amplitudes` are one phase sum in the eigenbasis V of one `_eigh_stack`
+    of h, weighted by the row V[start, :], whose basis is checked for
+    orthonormality (see Eigensystem).  Neither calls `diagonalize`, so a
+    read after `propagate` has returned calls nothing the benchmark tracer
+    wraps.
     """
 
     def __init__(self, h: HamiltonianMatrix, times: np.ndarray, projections: np.ndarray,
-                 psi: np.ndarray | None = None, spectrum: tuple | None = None):
+                 start: str = "e", spectrum: tuple | None = None):
         self.times = times
         self.projections = projections
         self.spec, self.drive = h.spec, h.drive
         self.basis_labels, self.system_dim = h.basis_labels, h.n_system
         self._h = h
-        self._psi = basis_state(h).amplitudes if psi is None else psi
+        self._start = h.basis_labels.index(start)
         self._spectrum = spectrum  # (sigma, weights) of c_e, as `propagate` solved it
         self._variance = None
         self._amplitudes = None
@@ -211,8 +184,10 @@ class TimeSeries:
     @property
     def energy_variance0(self) -> float:
         if self._variance is None:
-            hpsi = self._h.matvec(self._psi)
-            mean = np.real(np.vdot(self._psi, hpsi))
+            psi = np.zeros(self._h.dim, dtype=complex)
+            psi[self._start] = 1.0
+            hpsi = self._h.matvec(psi)
+            mean = np.real(np.vdot(psi, hpsi))
             self._variance = float(np.real(np.vdot(hpsi, hpsi)) - mean**2)
         return self._variance
 
@@ -222,8 +197,8 @@ class TimeSeries:
             values, vectors, (error,) = _eigh_stack(self._h.entries[None])
             if error is not None:
                 raise error
-            a = _overlaps(vectors, self._psi[None])[0]
-            self._amplitudes = _phase_sum(values[0], (vectors[0] * a).T, self.times)
+            v = vectors[0]
+            self._amplitudes = _phase_sum(values[0], (v * v[self._start]).T, self.times)
         return self._amplitudes
 
     @property
@@ -237,8 +212,7 @@ class TimeSeries:
         sines, and 1 - pi_e = (1 - c_e)(1 + c_e) keeps its relative accuracy
         where pi_e is close to 1; any other series subtracts."""
         if self._spectrum is None:
-            if self.system_dim != 1 or not np.array_equal(self._psi,
-                                                          basis_state(self._h).amplitudes):
+            if self.system_dim != 1 or self._start != 0:
                 return 1.0 - self.pi_e[mask]
             self._spectrum = propagate(self._h, "e", self.times[:1])._spectrum
         sigma, weights = self._spectrum
@@ -279,10 +253,9 @@ def _time_grid(times) -> np.ndarray:
     return times
 
 
-def propagate(h: HamiltonianMatrix, psi0: StateVector | str,
-              times: np.ndarray) -> TimeSeries:
-    """Evolve psi0 (a state, or the label of a basis state) under h on the
-    given grid by spectral phase rotation.
+def propagate(h: HamiltonianMatrix, start: str, times: np.ndarray) -> TimeSeries:
+    """Evolve the basis state `start` (a label of h; ConfigError otherwise)
+    under h on the given grid by spectral phase rotation.
 
     Only the projections are computed here: c_e on a single-level basis;
     c_g, c_e and sum_k c_k on a two-level one.  They feed `pi_e`, `pi_g`,
@@ -290,27 +263,24 @@ def propagate(h: HamiltonianMatrix, psi0: StateVector | str,
     `amplitudes` are built in the eigenbasis of h on first read (see
     TimeSeries).
 
-    A single-level Hamiltonian started in |e> (psi0 "e") takes the secular
-    spectrum of `_spectra` on a stack of one, which the series keeps.
-    Everything else is phase-rotated in the eigenbasis from `diagonalize`,
-    whose basis is checked for orthonormality (see Eigensystem), which
-    bounds the norm drift at every grid time.
+    A single-level Hamiltonian started in |e> takes the secular spectrum of
+    `_spectra` on a stack of one, which the series keeps.  Every other start
+    is phase-rotated in the eigenbasis from `diagonalize`, whose basis is
+    checked for orthonormality (see Eigensystem), which bounds the norm
+    drift at every grid time.
     """
     times = _time_grid(times)
-    if psi0 == "e" and h.n_system == 1:
+    if start not in h.basis_labels:
+        raise ConfigError(f"unknown basis label {start!r}")
+    if start == "e" and h.n_system == 1:
         values, weights, (error,), _ = _spectra([h])
         if error is not None:
             raise error
         return TimeSeries(h, times, _phase_sum(values, weights, times, real=True)[0],
                           spectrum=(values[0], weights[0, :, 0]))
-    if isinstance(psi0, str):
-        psi0 = basis_state(h, psi0)
-    if psi0.dim != h.dim:
-        raise ConfigError(f"state dim {psi0.dim} does not match Hamiltonian dim {h.dim}")
     eig = diagonalize(h)
-    psi = psi0.amplitudes
-    weights = _projection_weights(eig.vectors[None], psi[None], h.n_system)
-    return TimeSeries(h, times, _phase_sum(eig.values[None], weights, times)[0], psi)
+    weights = _projection_weights(eig.vectors[None], h.basis_labels.index(start), h.n_system)
+    return TimeSeries(h, times, _phase_sum(eig.values[None], weights, times)[0], start)
 
 
 def _spectra(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list, bool]:
@@ -322,17 +292,15 @@ def _spectra(hs: list[HamiltonianMatrix]) -> tuple[np.ndarray, np.ndarray, list,
     Single-level cells take the closed-form secular spectrum
     (`_ladder_stacks` of this one stack): c_e is the cosine sum, the real
     part of a phase sum over the roots x >= 0, half the phases of H.
-    Two-level cells take one batched `eigh` of `_dense()` matrices (not
-    cached on the cells) with the Eigensystem bound on every basis
+    Two-level cells take one batched `eigh` of their dense `entries`, built
+    for it and not kept, with the Eigensystem bound on every basis
     (`_eigh_stack`), and the weights of c_g, c_e and sum_k c_k.  A stacked
     cell gets the bits it gets alone.
     """
     if hs[0].n_system == 1:
         return _ladder_stacks([hs])[0]
-    values, vectors, errors = _eigh_stack(np.stack([h._dense() for h in hs]))
-    psi = np.zeros(values.shape, dtype=complex)
-    psi[:, hs[0].basis_labels.index("e")] = 1.0
-    return values, _projection_weights(vectors, psi, 2), errors, False
+    values, vectors, errors = _eigh_stack(np.stack([h.entries for h in hs]))
+    return values, _projection_weights(vectors, hs[0].basis_labels.index("e"), 2), errors, False
 
 
 def _ladder_stacks(stacks: list[list[HamiltonianMatrix]]) -> list[tuple]:
@@ -346,20 +314,15 @@ def _ladder_stacks(stacks: list[list[HamiltonianMatrix]]) -> list[tuple]:
             for hs, end, s, w in zip(stacks, ends, np.split(sigma, cuts), np.split(weights, cuts))]
 
 
-def _overlaps(vectors: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """a_n = <psi_n|psi> of states psi (s, d) in the eigenbases vectors
-    (s, d, d), real and imaginary parts apart: no complex copy of V."""
-    return (psi.real[:, None] @ vectors)[:, 0] + 1j * (psi.imag[:, None] @ vectors)[:, 0]
-
-
-def _projection_weights(vectors: np.ndarray, psi: np.ndarray, n_system: int) -> np.ndarray:
-    """The phase-sum weights (s, d, r) of the projections of states psi
-    (s, d) in the eigenbases vectors: the rows of V for c_e, or for c_g, c_e
-    and sum_k c_k on a two-level basis, times a_n (`_overlaps`)."""
+def _projection_weights(vectors: np.ndarray, start: int, n_system: int) -> np.ndarray:
+    """The phase-sum weights (s, d, r) of the projections from the basis
+    state of index `start` in the eigenbases vectors (s, d, d): the rows of
+    V for c_e, or for c_g, c_e and sum_k c_k on a two-level basis, times the
+    real row V[start, :]."""
     rows = vectors[:, :1]
     if n_system == 2:
         rows = np.concatenate([vectors[:, :2], vectors[:, 2:].sum(axis=1, keepdims=True)], axis=1)
-    return np.swapaxes(rows * _overlaps(vectors, psi)[:, None, :], -1, -2)
+    return np.swapaxes(rows * vectors[:, start:start + 1], -1, -2)
 
 
 def _outer(c: np.ndarray) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,9 @@ __all__ = [
 # arrays hold intp.max // 8 values, and np.linspace's temporaries refuse
 # counts a little below that.
 _MAX_ARRAY_POINTS = np.iinfo(np.intp).max // 16
+# Most cells of one (N, v) map, checked before any axis is built: a map
+# builds every cell before it runs one, about 460 default maps.
+_MAX_MAP_CELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -135,24 +138,19 @@ class HamiltonianMatrix:
     Basis order is fixed: [g], e, then FQC levels ascending in energy.  The
     FQC levels are the ladder indices k (energies k*delta of `spec`), each
     coupled to |e> by v; a drive adds the g-e Rabi element and the e-e
-    detuning.  The dense `entries` are built on first read, for the `eigh`
-    paths; the single-level secular path never reads them.
+    detuning.  The dense matrix is `entries`, built anew on every read and
+    kept by nobody, for the `eigh` paths; the single-level secular path
+    never reads it.
     """
 
     spec: FqcSpec
     drive: DriveSpec | None
     level_indices: np.ndarray
     basis_labels: tuple[str, ...]
-    _entries: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense (dim, dim) matrix."""
-        if self._entries is None:
-            self._entries = self._dense()
-        return self._entries
-
-    def _dense(self) -> np.ndarray:
+        """The dense (dim, dim) matrix, built on every read."""
         s, dim = self.n_system, self.dim
         h = np.zeros((dim, dim))
         if self.drive is not None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -202,12 +203,26 @@ def config_header(config) -> tuple[str, ...]:
 
 def write_json(path, payload: dict, config=None) -> None:
     """Write a JSON object with sorted keys, an indent of 1 and a final newline;
-    a run's resolved configuration (a dataclass) adds "config" and "version"."""
+    a run's resolved configuration (a dataclass) adds "config" and "version".
+    The file is strict JSON: every non-finite float (NaN, an infinity) is
+    written as null."""
     if config is not None:
         payload = {**payload, "config": dataclasses.asdict(config), "version": __version__}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(_finite(payload), fh, sort_keys=True, indent=1, allow_nan=False)
         fh.write("\n")
+
+
+def _finite(value):
+    """value with every non-finite float inside its dicts, lists and tuples
+    replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def embedded_config(path) -> dict:

@@ -107,6 +107,14 @@ def direct_quadrature_occupations(spec, drive, t_f: float) -> np.ndarray:
     return np.abs(spec.coupling_v * ints) ** 2
 
 
+def trace_distance(rho, sigma) -> float:
+    """T(rho, sigma) = (1/2) sum_i |lambda_i| over the eigenvalues of the
+    Hermitian difference rho - sigma, by `np.linalg.eigvalsh`: the oracle of
+    the closed form `metrics._td_two_by_two`, for any dimension."""
+    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+
+
 def source_infinity(rho: np.ndarray, gamma: float) -> np.ndarray:
     """Continuum-limit source i[H_d, rho]_+ for 2x2 rho (single or stacked)."""
     rho = np.asarray(rho, dtype=complex)

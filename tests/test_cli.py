@@ -8,7 +8,7 @@ import pytest
 from fqcsim import FqcsimError
 from fqcsim import cli, sweep
 from fqcsim.cli import main
-from fqcsim.output import embedded_config
+from fqcsim.output import embedded_config, write_json
 
 FAST = ["--grid-points", "301"]
 
@@ -200,7 +200,8 @@ def test_map_with_no_scored_cell_exits_3_after_writing_it(tmp_path, width, want,
     assert len((out / "map.csv").read_text().splitlines()) == 3 + 4  # header, 2 x 2 cells
     assert len(payload["cell_errors"]) == 4 - (want == 0)
     assert all("exceeds the FQC band edge" in e["error"] for e in payload["cell_errors"])
-    assert np.isnan(payload["values"]).sum() == len(payload["cell_errors"])
+    # a failed cell's value is written as null
+    assert np.isnan(np.array(payload["values"], dtype=float)).sum() == len(payload["cell_errors"])
 
 
 @pytest.mark.parametrize("mode", [[], ["--size-scan", "--sizes", "11", "--omega0", 2]])
@@ -697,3 +698,68 @@ def test_counts_beyond_numpy_arrays_exit_2_before_allocating(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert re.search(count, err) and "more than a numpy array holds" in err, err
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("args, config, cells", [
+    (["--n-min", 2, "--n-max", 2, "--v-min", 0.1, "--v-max", 0.2, "--v-step", 1e-9], None,
+     "1 x 100000001 = 100000001"),
+    (["--n-min", 1, "--n-max", 20000], None, "20000 x 56 = 1120000"),  # the default v axis
+    (["--v-min", 0.01, "--v-max", 0.6, "--v-step", 1e-4], {"n_values": list(range(2, 202))},
+     "200 x 5901 = 1180200"),
+], ids=["v-flags", "n-flags", "config-n-values"])
+def test_maps_beyond_the_cell_cap_exit_2_before_allocating(tmp_path, capsys, args, config, cells):
+    # a map builds every cell before it runs one: its cell count is checked
+    # by arithmetic, from flags and config-file axes alike, before any axis
+    if config is not None:
+        path = tmp_path / "axes.json"
+        path.write_text(json.dumps(config))
+        args = args + ["--config", path]
+    tracemalloc.start()
+    try:
+        code = run(["sweep"] + args + ["--out", tmp_path / "x"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"the map has {cells} cells, more than 1000000" in err, err
+    assert peak < 1 << 20
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_map_at_the_cell_cap_resolves():
+    argv = ["sweep", "--n-min", 1, "--n-max", 1000, "--v-min", 0.001, "--v-max", 1.0,
+            "--v-step", 0.001]
+    cfg = cli.resolve_config(cli.build_parser().parse_args([str(a) for a in argv]))
+    assert len(cfg.n_values) * len(cfg.v_values) == 10**6
+
+
+def _strict(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_outputs_are_strict(tmp_path):
+    # non-finite floats are written as null: an unbounded Zeno time, the
+    # residual of an unconverged fit and the values of failed map cells
+    assert run(["decay", "--v", 0, "--out", tmp_path / "decay"]) == 0
+    metrics = _strict((tmp_path / "decay" / "metrics.json").read_text())
+    assert metrics["zeno"]["params"]["t_zeno_analytic"] is None
+    assert run(["fit", "--initial-state", "g", "--out", tmp_path / "fit"]) == 0
+    fit = _strict((tmp_path / "fit" / "fit.json").read_text())
+    assert fit["fit"]["residual_norm"] is None
+    assert run(["sweep", "--model", "adaptive", "--metric", "d2", "--omega0", 2,
+                "--out", tmp_path / "map"]) == 0
+    result = _strict((tmp_path / "map" / "map.json").read_text())
+    values = np.array(result["values"], dtype=float)  # None reads as NaN
+    assert np.isnan(values).sum() == len(result["cell_errors"]) == 235
+
+
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(path, {"a": float("nan"), "b": [1.5, -np.inf], "c": (np.float64(np.inf), "x"),
+                      "d": {"e": [[float("nan")]], "f": 2}})
+    assert _strict(path.read_text()) == {"a": None, "b": [1.5, None], "c": [None, "x"],
+                                         "d": {"e": [[None]], "f": 2}}

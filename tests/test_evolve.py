@@ -15,11 +15,9 @@ from fqcsim import (
     HoleSpec,
     NonHermitianSpec,
     NumericalError,
-    StateVector,
     SweepFixed,
     SweepGrid,
     TimeSeries,
-    basis_state,
     build_adaptive,
     build_single_level,
     build_two_level,
@@ -89,17 +87,14 @@ def test_propagate_revival_near_inverse_v_squared():
 @given(
     st.integers(1, 12),
     st.floats(0.05, 0.6),
-    st.integers(0, 1000),
 )
-def test_norm_conserved(n_half, v, seed):
+def test_norm_conserved(n_half, v):
+    # from every start: |e> by the secular path, each f_k in the eigenbasis
     h = build_single_level(FqcSpec(n_half, v))
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((h.dim, 2))
-    amps = z[:, 0] + 1j * z[:, 1]
-    amps /= np.linalg.norm(amps)
-    series = propagate(h, StateVector(amps, h.basis_labels), default_grid(6.0, 301))
-    norms = np.linalg.norm(series.amplitudes, axis=1)
-    assert np.abs(norms - 1.0).max() < 1e-10
+    for label in h.basis_labels:
+        series = propagate(h, label, default_grid(6.0, 301))
+        norms = np.linalg.norm(series.amplitudes, axis=1)
+        assert np.abs(norms - 1.0).max() < 1e-10
 
 
 def test_grid_refinement_independent():
@@ -133,12 +128,19 @@ def projections(amps, n_system):
 def one_point(amps, h) -> TimeSeries:
     """A one-point series of h at the given amplitudes."""
     amps = np.asarray(amps, dtype=complex)
-    return TimeSeries(h, np.zeros(1), projections(amps, h.n_system)[None], amps)
+    return TimeSeries(h, np.zeros(1), projections(amps, h.n_system)[None])
+
+
+def unit(h, label):
+    """The basis state of h with the given label, as complex amplitudes."""
+    amps = np.zeros(h.dim, dtype=complex)
+    amps[h.basis_labels.index(label)] = 1.0
+    return amps
 
 
 def test_reduce_density_examples():
     h = build_two_level(FqcSpec(2, 0.1), DriveSpec(1.0, 0.0))
-    rho_e = one_point(basis_state(h, "e").amplitudes, h).reduced().rho[0]
+    rho_e = one_point(unit(h, "e"), h).reduced().rho[0]
     np.testing.assert_allclose(rho_e, np.diag([0.0, 1.0]))
 
     amps = np.zeros(h.dim, dtype=complex)
@@ -158,7 +160,7 @@ def test_reduce_density_subnormalized_with_fqc_weight():
 
 def test_single_level_reduce_is_scalar():
     h = build_single_level(FqcSpec(2, 0.1))
-    rho = one_point(basis_state(h, "e").amplitudes, h).reduced().rho[0]
+    rho = one_point(unit(h, "e"), h).reduced().rho[0]
     assert rho.shape == (1, 1)
     assert rho[0, 0].real == pytest.approx(1.0)
 
@@ -166,7 +168,7 @@ def test_single_level_reduce_is_scalar():
 def test_source_term_vanishes_without_fqc_amplitude():
     spec = FqcSpec(3, 0.2)
     h = build_two_level(spec, DriveSpec(1.0, 0.0))
-    s = source_term_series(one_point(basis_state(h, "e").amplitudes, h))[0]
+    s = source_term_series(one_point(unit(h, "e"), h))[0]
     np.testing.assert_allclose(s, 0.0)
 
 
@@ -277,22 +279,21 @@ def test_default_grid_truncates_a_float_count(points):
     np.testing.assert_array_equal(grid, np.linspace(0.0, 3.0, int(points)))
 
 
-def test_propagate_rejects_dim_mismatch():
-    h = build_single_level(FqcSpec(3, 0.2))
-    other = build_single_level(FqcSpec(5, 0.2))
-    with pytest.raises(ConfigError):
-        propagate(h, basis_state(other, "e"), default_grid(1.0, 11))
-
-
 def test_propagate_rejects_bad_grid():
     h = build_single_level(FqcSpec(3, 0.2))
     with pytest.raises(ConfigError):
         propagate(h, "e", np.array([0.0, 1.0, 0.5]))
 
 
-def test_state_vector_requires_norm_one():
-    with pytest.raises(ConfigError):
-        StateVector(np.array([1.0, 1.0]), ("e", "f0"))
+@pytest.mark.parametrize("make, start", [
+    (lambda: build_single_level(FqcSpec(3, 0.2)), "g"),
+    (lambda: build_single_level(FqcSpec(3, 0.2)), "f4"),
+    (lambda: build_two_level(FqcSpec(3, 0.2), DriveSpec(1.0, 0.0)), "x"),
+    (lambda: build_adaptive(FqcSpec(10, 0.3, hole=HoleSpec(1.0)), DriveSpec(2.0, 0.0)), "f0"),
+], ids=["single-g", "single-f4", "two-level-x", "adaptive-f0-in-the-hole"])
+def test_propagate_rejects_an_unknown_label(make, start):
+    with pytest.raises(ConfigError, match=f"unknown basis label '{start}'"):
+        propagate(make(), start, default_grid(1.0, 11))
 
 
 def test_timeseries_csv_and_json(tmp_path):
@@ -363,43 +364,44 @@ GRIDS = {
 
 
 def random_state(h, seed):
+    """Normalized complex amplitudes over the basis of h."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((h.dim, 2))
     amps = z[:, 0] + 1j * z[:, 1]
-    return StateVector(amps / np.linalg.norm(amps), h.basis_labels)
+    return amps / np.linalg.norm(amps)
 
 
 @pytest.mark.parametrize("grid", list(GRIDS))
 @pytest.mark.parametrize("builder", list(BUILDERS))
-@given(seed=st.integers(0, 2**32 - 1))
-def test_propagate_matches_expm(builder, grid, seed):
+def test_propagate_matches_expm(builder, grid):
+    # from every basis state: column j of exp(-i H t) is the state started in j
     expm = pytest.importorskip("scipy.linalg").expm
     h = BUILDERS[builder]()
-    psi0 = random_state(h, seed)
     times = GRIDS[grid]
-    series = propagate(h, psi0, times)
     picks = np.unique(np.linspace(0, times.size - 1, 5).astype(int))
-    exact = np.array([expm(-1j * h.entries * times[k]) @ psi0.amplitudes for k in picks])
-    assert np.abs(series.pi_e[picks] - np.abs(exact[:, h.n_system - 1]) ** 2).max() <= 1e-10
-    assert np.abs(series.amplitudes[picks] - exact).max() <= 1e-10
+    exact = np.array([expm(-1j * h.entries * times[k]) for k in picks])
+    for j, label in enumerate(h.basis_labels):
+        series = propagate(h, label, times)
+        assert np.abs(series.pi_e[picks] - np.abs(exact[:, h.n_system - 1, j]) ** 2).max() <= 1e-10
+        assert np.abs(series.amplitudes[picks] - exact[:, :, j]).max() <= 1e-10
 
 
 @pytest.mark.parametrize("grid", list(GRIDS))
 @pytest.mark.parametrize("builder", list(BUILDERS))
 def test_propagate_matches_dense_oracle(builder, grid):
     h = BUILDERS[builder]()
-    psi0 = random_state(h, 7)
     times = GRIDS[grid]
-    series = propagate(h, psi0, times)
-    amps = propagate_dense(h, psi0.amplitudes, times)
-    dense = TimeSeries(h, times, projections(amps, h.n_system), psi0.amplitudes)
-    assert np.abs(series.pi_e - dense.pi_e).max() <= 1e-12
-    assert np.abs(series.reduced().rho - dense.reduced().rho).max() <= 1e-12
-    if series.system_dim == 2:
-        assert np.abs(series.pi_g - dense.pi_g).max() <= 1e-12
-        diff = source_term_series(series) - source_term_series(dense)
-        assert np.abs(diff).max() <= 1e-12
-    assert np.abs(series.amplitudes - amps).max() <= 1e-12
+    for label in h.basis_labels:
+        series = propagate(h, label, times)
+        amps = propagate_dense(h, unit(h, label), times)
+        dense = TimeSeries(h, times, projections(amps, h.n_system), label)
+        assert np.abs(series.pi_e - dense.pi_e).max() <= 1e-12
+        assert np.abs(series.reduced().rho - dense.reduced().rho).max() <= 1e-12
+        if series.system_dim == 2:
+            assert np.abs(series.pi_g - dense.pi_g).max() <= 1e-12
+            diff = source_term_series(series) - source_term_series(dense)
+            assert np.abs(diff).max() <= 1e-12
+        assert np.abs(series.amplitudes - amps).max() <= 1e-12
 
 
 def test_propagate_builds_full_amplitudes_lazily():
@@ -477,7 +479,7 @@ def test_single_level_path_matches_eigh(spec, t_f):
     assert np.abs(series.pi_e - np.abs(c_e) ** 2).max() <= 1e-12
     assert np.abs(series.amplitudes[:, 0] - c_e).max() <= 1e-12
     assert np.abs(np.linalg.norm(series.amplitudes, axis=1) - 1.0).max() <= 1e-12
-    assert series.energy_variance0 == _dense_variance(h, basis_state(h, "e").amplitudes)
+    assert series.energy_variance0 == _dense_variance(h, unit(h, "e"))
 
 
 @pytest.mark.parametrize("n_half", [50, 100, 200, 400, 10_000])
@@ -510,8 +512,8 @@ def test_single_level_path_serves_e_without_a_given_eig(monkeypatch):
     with pytest.raises(NumericalError, match="secular residual inf exceeds 1e-10"):
         propagate(h, "e", times)
     # any other start stays on the eigenbasis
-    for series in (propagate(h, "f0", times), propagate(h, basis_state(h, "e"), times)):
-        assert np.isfinite(series.pi_e).all()
+    for start in ("f0", "f-6", "f6"):
+        assert np.isfinite(propagate(h, start, times).pi_e).all()
 
 
 def test_digamma_matches_scipy():
@@ -724,26 +726,27 @@ def test_lazy_amplitudes_keep_the_gram_check(monkeypatch):
         series.amplitudes
 
 
-@pytest.mark.parametrize("make, start", [
-    (lambda: build_single_level(FqcSpec(6, 0.3)), "e"),
-    (lambda: build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4)), "random"),
-], ids=["single-e", "two-level-random"])
-def test_lazy_reads_call_no_diagonalize(make, start, monkeypatch):
+@pytest.mark.parametrize("make, starts", [
+    (lambda: build_single_level(FqcSpec(6, 0.3)), ("e",)),
+    (lambda: build_two_level(FqcSpec(8, 0.3), DriveSpec(2.0, 0.4)), None),
+], ids=["single-e", "two-level-every-label"])
+def test_lazy_reads_call_no_diagonalize(make, starts, monkeypatch):
     # a reader may take the amplitudes and the variance after `propagate` has
     # returned (the benchmark tracer does): they must not reenter `diagonalize`
     h = make()
-    state = basis_state(h, "e") if start == "e" else random_state(h, 11)
     times = default_grid(3.0, 301)
-    series = propagate(h, start if start == "e" else state, times)
+    starts = starts or h.basis_labels
+    every = [propagate(h, start, times) for start in starts]
 
     def forbidden(h):
         raise AssertionError("diagonalize called after propagate returned")
 
     monkeypatch.setattr(evolve, "diagonalize", forbidden)
-    want = propagate_dense(h, state.amplitudes, times)
-    assert np.abs(series.amplitudes - want).max() <= 1e-12
-    want_variance = _dense_variance(h, state.amplitudes)
-    assert abs(series.energy_variance0 - want_variance) <= 1e-12 * want_variance
+    for start, series in zip(starts, every):
+        want = propagate_dense(h, unit(h, start), times)
+        assert np.abs(series.amplitudes - want).max() <= 1e-12
+        want_variance = _dense_variance(h, unit(h, start))
+        assert abs(series.energy_variance0 - want_variance) <= 1e-12 * want_variance
 
 
 def test_decay_stack_task_peak_memory(monkeypatch):
@@ -786,13 +789,13 @@ def test_reduced_diagonal_is_exactly_real():
 def dense_builds(monkeypatch):
     """The number of dense Hamiltonian matrices built from here on."""
     count = [0]
-    dense = HamiltonianMatrix._dense
+    dense = HamiltonianMatrix.entries.fget
 
     def counted(h):
         count[0] += 1
         return dense(h)
 
-    monkeypatch.setattr(HamiltonianMatrix, "_dense", counted)
+    monkeypatch.setattr(HamiltonianMatrix, "entries", property(counted))
     return count
 
 
@@ -834,7 +837,7 @@ def test_lazy_energy_variance_equals_the_dense_formula(make, dense_builds):
     series = propagate(h, "e", times)
     if h.n_system == 1:  # the secular path: no dense matrix until the variance is read
         assert dense_builds[0] == 0
-    assert series.energy_variance0 == _dense_variance(h, basis_state(h, "e").amplitudes)
+    assert series.energy_variance0 == _dense_variance(h, unit(h, "e"))
 
 
 MATVEC_CELLS = {
@@ -851,16 +854,17 @@ MATVEC_CELLS = {
 ])
 def test_structural_matvec_and_variance_match_the_dense_formula(cell, start):
     h = MATVEC_CELLS[cell]()
-    state = random_state(h, 5) if start == "random" else basis_state(h, start)
-    got = h.matvec(state.amplitudes)
-    want = h.entries @ state.amplitudes
+    state = random_state(h, 5) if start == "random" else unit(h, start)
+    got = h.matvec(state)
+    want = h.entries @ state
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
-    # "e" on a single level is the secular path, every other start the eigh one
-    series = propagate(h, state if start == "random" else start, default_grid(2.0, 21))
-    want_variance = _dense_variance(h, state.amplitudes)
-    assert abs(series.energy_variance0 - want_variance) <= 1e-14 * want_variance
-    variance = np.real(np.vdot(got, got)) - np.real(np.vdot(state.amplitudes, got)) ** 2
+    want_variance = _dense_variance(h, state)
+    variance = np.real(np.vdot(got, got)) - np.real(np.vdot(state, got)) ** 2
     assert abs(variance - want_variance) <= 1e-14 * want_variance
+    if start != "random":
+        # "e" on a single level is the secular path, every other start the eigh one
+        series = propagate(h, start, default_grid(2.0, 21))
+        assert abs(series.energy_variance0 - want_variance) <= 1e-14 * want_variance
 
 
 def test_ladder_stacks_give_each_stack_the_bits_it_gets_alone():
